@@ -19,12 +19,12 @@
 //!
 //! ```
 //! use predvfs_accel::{by_name, WorkloadSize};
-//! use predvfs_rtl::{ExecMode, Simulator};
+//! use predvfs_rtl::{CompiledSim, ExecMode};
 //!
 //! let bench = by_name("sha").expect("registered benchmark");
 //! let module = (bench.build)();
 //! let jobs = (bench.workloads)(42, WorkloadSize::Quick);
-//! let sim = Simulator::new(&module);
+//! let sim = CompiledSim::new(&module)?;
 //! let trace = sim.run(&jobs.test[0], ExecMode::FastForward, None)?;
 //! assert!(trace.cycles > 0);
 //! # Ok::<(), predvfs_rtl::RtlError>(())

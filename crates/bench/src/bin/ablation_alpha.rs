@@ -7,7 +7,7 @@ use predvfs::{DvfsModel, PredictiveController, SliceFlavor, SlicePredictor};
 use predvfs_accel::{djpeg, WorkloadSize};
 use predvfs_bench::results_dir;
 use predvfs_power::{AlphaPowerCurve, EnergyModel, Ladder, PowerParams, SwitchingModel};
-use predvfs_rtl::{AsicAreaModel, ExecMode, Simulator, SliceOptions};
+use predvfs_rtl::{AsicAreaModel, CompiledSim, ExecMode, SliceOptions};
 use predvfs_sim::{run_scheme, RunConfig, Table};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let train_data = profile(&module, &w.train)?;
     let f_hz = djpeg::F_NOMINAL_MHZ * 1e6;
 
-    let sim = Simulator::new(&module);
+    let sim = CompiledSim::new(&module)?;
     let traces: Result<Vec<_>, _> = w
         .test
         .iter()

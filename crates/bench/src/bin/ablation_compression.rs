@@ -5,7 +5,7 @@
 use predvfs::{SliceFlavor, SlicePredictor};
 use predvfs_accel::{all, WorkloadSize};
 use predvfs_bench::results_dir;
-use predvfs_rtl::{AsicAreaModel, ExecMode, Simulator, SliceOptions};
+use predvfs_rtl::{AsicAreaModel, CompiledSim, ExecMode, SliceOptions};
 use predvfs_sim::Table;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -41,13 +41,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             SliceFlavor::Rtl,
         )?;
         let job = &w.test[0];
-        let full_sim = Simulator::new(&module);
-        let full = full_sim.run(job, ExecMode::FastForward, None)?;
+        let full = CompiledSim::new(&module)?.run(job, ExecMode::FastForward, None)?;
         let compressed = with.runner().run(job)?;
         // The un-rewritten slice, executed without runtime compression,
         // takes as long as the original accelerator.
-        let raw_sim = Simulator::new(without.module());
-        let uncompressed = raw_sim.run(job, ExecMode::FastForward, None)?;
+        let uncompressed =
+            CompiledSim::new(without.module())?.run(job, ExecMode::FastForward, None)?;
         let area = AsicAreaModel::default();
         let full_area = area.area(&module).total_um2();
         t.row(&[

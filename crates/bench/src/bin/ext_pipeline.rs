@@ -5,7 +5,7 @@
 //! split.
 
 use predvfs_bench::{prepare_one, results_dir, standard_config};
-use predvfs_rtl::{ExecMode, JobInput, JobTrace, Simulator};
+use predvfs_rtl::{CompiledSim, ExecMode, JobInput, JobTrace};
 use predvfs_sim::{run_pipeline, PipelineStage, Platform, SplitPolicy, Table};
 use rand::Rng;
 
@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let trace = |m: &predvfs_rtl::Module,
                  jobs: &[JobInput]|
      -> Result<Vec<JobTrace>, predvfs_rtl::RtlError> {
-        let sim = Simulator::new(m);
+        let sim = CompiledSim::new(m)?;
         jobs.iter()
             .map(|j| sim.run(j, ExecMode::FastForward, None))
             .collect()

@@ -3,12 +3,12 @@
 
 use predvfs_accel::h264;
 use predvfs_bench::results_dir;
-use predvfs_rtl::{ExecMode, Simulator};
+use predvfs_rtl::{CompiledSim, ExecMode};
 use predvfs_sim::Table;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let module = h264::build();
-    let sim = Simulator::new(&module);
+    let sim = CompiledSim::new(&module)?;
     let frames = if std::env::var("PREDVFS_QUICK").as_deref() == Ok("1") {
         40
     } else {

@@ -23,6 +23,10 @@
 //! by parallel stages; the `RAYON_NUM_THREADS` / `PREDVFS_THREADS`
 //! environment variables are honored as a fallback.
 //!
+//! Every command that simulates RTL, hardware slices included, runs it on
+//! the compiled bytecode VM. The reference interpreter is a test oracle
+//! and has no CLI switch.
+//!
 //! `--faults <seed>` turns on deterministic fault injection for `serve`
 //! (with graceful degradation enabled); the fault mix comes from the
 //! scenario's `[faults]` section when present, else the standard mix.
@@ -44,8 +48,8 @@ use predvfs::{train, SliceFlavor, SlicePredictor, TrainerConfig};
 use predvfs_faults::{FaultConfig, FaultPlan};
 use predvfs_obs::{Recorder, TraceEvent};
 use predvfs_rtl::{
-    from_text, set_default_engine, to_text, wcet, Analysis, AnySim, AsicAreaModel, ExecMode,
-    FeatureSchema, FpgaResourceModel, JobInput, Module, SimEngine, SliceOptions,
+    from_text, to_text, wcet, Analysis, AsicAreaModel, CompiledSim, ExecMode, FeatureSchema,
+    FpgaResourceModel, JobInput, Module, SliceOptions,
 };
 use predvfs_serve::{DegradeConfig, Scenario, ServeResult, ServeRuntime};
 use predvfs_sim::{Experiment, ExperimentConfig, Platform, Scheme};
@@ -65,11 +69,6 @@ fn run(raw_args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let (opts, args) = parse_options(raw_args)?;
     if let Some(n) = opts.threads {
         predvfs_par::set_threads(n);
-    }
-    if let Some(engine) = opts.engine {
-        // Every downstream AnySim::new (trace cache, profiler, simulate)
-        // follows this process-wide default.
-        set_default_engine(engine);
     }
     if opts.observing() {
         // Deep components (solver, trace cache) report through the
@@ -148,8 +147,6 @@ struct CliOptions {
     checkpoint_every: Option<u64>,
     /// Coordinator-fault seed for `serve --shards` (`--crash`).
     crash: Option<u64>,
-    /// RTL execution engine override (`--compiled` / `--interp`).
-    engine: Option<SimEngine>,
     /// Collapsed-stack span profile output path (`--profile-out`).
     profile_out: Option<String>,
 }
@@ -165,10 +162,10 @@ impl CliOptions {
 }
 
 /// Strips the global flags (`--threads N`, `--metrics-out P`,
-/// `--trace-out P`, `--faults S`, `--shards N`, each also in
-/// `--flag=value` form, plus the boolean `--compiled`/`--interp` engine
-/// switches) from anywhere in the argument list, returning them and the
-/// remaining args.
+/// `--trace-out P`, `--profile-out P`, `--faults S`, `--shards N`,
+/// `--checkpoint-every E`, `--crash S`, each also in `--flag=value` form)
+/// from anywhere in the argument list, returning them and the remaining
+/// args.
 fn parse_options(args: &[String]) -> Result<(CliOptions, Vec<String>), String> {
     let mut opts = CliOptions::default();
     let mut rest = Vec::with_capacity(args.len());
@@ -222,16 +219,6 @@ fn parse_options(args: &[String]) -> Result<(CliOptions, Vec<String>), String> {
         } else if let Some(v) = take("--crash")? {
             let seed: u64 = v.parse().map_err(|_| format!("invalid crash seed `{v}`"))?;
             opts.crash = Some(seed);
-        } else if a == "--compiled" || a == "--interp" {
-            let engine = if a == "--compiled" {
-                SimEngine::Compiled
-            } else {
-                SimEngine::Interp
-            };
-            if opts.engine.is_some_and(|e| e != engine) {
-                return Err("`--compiled` and `--interp` are mutually exclusive".to_owned());
-            }
-            opts.engine = Some(engine);
         } else {
             rest.push(a.clone());
         }
@@ -398,14 +385,10 @@ OPTIONS:
                        from their last checkpoint plus journal replay,
                        and the merged trace stays byte-identical to the
                        fault-free run
-  --compiled           run RTL jobs on the bytecode VM (the default); the
-                       compiled engine is byte-identical to the interpreter
-  --interp             run RTL jobs on the reference interpreter (the
-                       differential-testing oracle; ~an order of magnitude
-                       slower)
 
 Built-in benchmarks: h264 cjpeg djpeg md stencil aes sha
 PREDVFS_QUICK=1 shrinks `eval` workloads for smoke runs.
+RTL jobs and hardware slices run on the compiled bytecode VM.
 
 Scenario files (serve) are line-oriented:
   platform asic|fpga
@@ -553,7 +536,7 @@ fn analyze(path: &str) -> Result<(), Box<dyn std::error::Error>> {
 fn simulate(path: &str, jobs_path: &str) -> Result<(), Box<dyn std::error::Error>> {
     let module = load(path)?;
     let jobs = load_jobs(jobs_path, module.inputs.len())?;
-    let sim = AnySim::new(&module)?;
+    let sim = CompiledSim::new(&module)?;
     println!(
         "{:>5} {:>10} {:>12} {:>10}",
         "job", "tokens", "cycles", "stepped"
@@ -668,6 +651,13 @@ fn cmd_eval(name: &str, platform: Option<&String>) -> Result<(), Box<dyn std::er
         predvfs_par::current_threads()
     );
     let experiment = Experiment::prepare(bench, cfg)?;
+    if !experiment.model.converged() {
+        eprintln!(
+            "warning: {name}: the execution-time model fit stopped at its \
+             {}-iteration cap before converging",
+            experiment.config().trainer.max_iter
+        );
+    }
     let results = experiment.run_all(&Scheme::ALL)?;
     let base = results[0].clone();
     println!(
@@ -1087,26 +1077,6 @@ mod tests {
             parse_options(&owned(&["--faults=lucky"])).is_err(),
             "non-numeric"
         );
-    }
-
-    #[test]
-    fn engine_flags_are_stripped_and_exclusive() {
-        let (opts, rest) = parse_options(&owned(&["eval", "--compiled", "sha"])).unwrap();
-        assert_eq!(opts.engine, Some(SimEngine::Compiled));
-        assert_eq!(rest, owned(&["eval", "sha"]));
-
-        let (opts, rest) = parse_options(&owned(&["--interp", "eval", "sha"])).unwrap();
-        assert_eq!(opts.engine, Some(SimEngine::Interp));
-        assert_eq!(rest, owned(&["eval", "sha"]));
-
-        let (opts, _) = parse_options(&owned(&["eval", "sha"])).unwrap();
-        assert_eq!(opts.engine, None, "defaults to the process default");
-
-        // Repeating the same flag is harmless; mixing the two is an error.
-        let (opts, _) = parse_options(&owned(&["--interp", "--interp"])).unwrap();
-        assert_eq!(opts.engine, Some(SimEngine::Interp));
-        assert!(parse_options(&owned(&["--compiled", "--interp"])).is_err());
-        assert!(parse_options(&owned(&["--interp", "--compiled"])).is_err());
     }
 
     #[test]

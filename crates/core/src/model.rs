@@ -14,10 +14,12 @@ pub struct ExecTimeModel {
     schema: FeatureSchema,
     coeffs: Vec<f64>,
     selected: Vec<usize>,
+    converged: bool,
 }
 
 impl ExecTimeModel {
-    /// Assembles a model from full-width raw-space coefficients.
+    /// Assembles a model from full-width raw-space coefficients. The model
+    /// counts as converged until [`crate::train::fit`] says otherwise.
     ///
     /// # Panics
     ///
@@ -34,7 +36,21 @@ impl ExecTimeModel {
             schema,
             coeffs,
             selected,
+            converged: true,
         }
+    }
+
+    /// Records whether the solves that produced this model converged.
+    pub(crate) fn with_converged(mut self, converged: bool) -> ExecTimeModel {
+        self.converged = converged;
+        self
+    }
+
+    /// Whether every solve behind this model met its tolerance before the
+    /// iteration cap. An unconverged model still predicts, from the
+    /// solver's last iterate.
+    pub fn converged(&self) -> bool {
+        self.converged
     }
 
     /// Predicted execution cycles for a feature vector.

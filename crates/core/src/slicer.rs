@@ -1,12 +1,13 @@
 //! The runtime predictor: a hardware slice plus the linear model.
 //!
-//! [`SlicePredictor`] packages the sliced module (§3.5), its probe
-//! program, and cost metadata. A [`SliceRunner`] executes the slice for
-//! each job to obtain feature values and the slice's own execution cycles,
-//! which the DVFS model must budget for.
+//! [`SlicePredictor`] packages the sliced module (§3.5), compiled once for
+//! the bytecode VM, with its probe program and cost metadata. A
+//! [`SliceRunner`] executes the slice for each job to obtain feature
+//! values and the slice's own execution cycles, which the DVFS model must
+//! budget for.
 
 use predvfs_rtl::{
-    slice, Analysis, DatapathKind, ExecMode, JobInput, Module, ProbeProgram, RtlError, Simulator,
+    slice, Analysis, CompiledSim, DatapathKind, ExecMode, JobInput, Module, ProbeProgram, RtlError,
     SliceOptions, SliceReport,
 };
 
@@ -43,7 +44,7 @@ impl SliceFlavor {
 #[derive(Debug)]
 pub struct SlicePredictor {
     module: Module,
-    analysis: Analysis,
+    sim: CompiledSim,
     probes: ProbeProgram,
     report: SliceReport,
     flavor: SliceFlavor,
@@ -51,11 +52,12 @@ pub struct SlicePredictor {
 }
 
 impl SlicePredictor {
-    /// Slices `module` down to the features selected by `model`.
+    /// Slices `module` down to the features selected by `model` and
+    /// compiles the slice for the VM, once for every runner.
     ///
     /// # Errors
     ///
-    /// Propagates slicing failures ([`RtlError`]).
+    /// Propagates slicing and slice-compilation failures ([`RtlError`]).
     pub fn generate(
         module: &Module,
         model: &ExecTimeModel,
@@ -67,6 +69,7 @@ impl SlicePredictor {
         let (sliced, report) = slice(module, schema, &selected, options)?;
         let analysis = Analysis::run(&sliced);
         let probes = schema.probe_program(&analysis);
+        let sim = CompiledSim::with_analysis(&sliced, &analysis)?;
         let serial_dp_indices = sliced
             .datapaths
             .iter()
@@ -76,7 +79,7 @@ impl SlicePredictor {
             .collect();
         Ok(SlicePredictor {
             module: sliced,
-            analysis,
+            sim,
             probes,
             report,
             flavor,
@@ -87,6 +90,11 @@ impl SlicePredictor {
     /// The sliced module.
     pub fn module(&self) -> &Module {
         &self.module
+    }
+
+    /// The probe program the slice runs with.
+    pub fn probes(&self) -> &ProbeProgram {
+        &self.probes
     }
 
     /// What the slicer kept and removed.
@@ -107,12 +115,10 @@ impl SlicePredictor {
         }
     }
 
-    /// Creates a reusable runner (one simulator, many jobs).
+    /// Creates a runner over the compiled slice; free, since the slice was
+    /// compiled by [`SlicePredictor::generate`].
     pub fn runner(&self) -> SliceRunner<'_> {
-        SliceRunner {
-            sim: Simulator::with_analysis(&self.module, &self.analysis),
-            predictor: self,
-        }
+        SliceRunner { predictor: self }
     }
 }
 
@@ -127,20 +133,11 @@ pub struct SliceRun {
     pub dp_active: Vec<u64>,
 }
 
-/// Executes the slice; create via [`SlicePredictor::runner`].
-#[derive(Debug)]
+/// Executes the slice on the VM in Compressed mode; create via
+/// [`SlicePredictor::runner`].
+#[derive(Debug, Clone)]
 pub struct SliceRunner<'p> {
-    sim: Simulator<'p>,
     predictor: &'p SlicePredictor,
-}
-
-impl<'p> Clone for SliceRunner<'p> {
-    fn clone(&self) -> SliceRunner<'p> {
-        // The simulator holds only construction-time state (wait plans,
-        // FSM register map, schedule), so a rebuilt runner is
-        // behaviourally identical to the original.
-        self.predictor.runner()
-    }
 }
 
 impl SliceRunner<'_> {
@@ -151,17 +148,11 @@ impl SliceRunner<'_> {
     /// Returns [`RtlError`] if the slice hangs (which would indicate a
     /// slicing bug).
     pub fn run(&self, job: &JobInput) -> Result<SliceRun, RtlError> {
-        let t = self
-            .sim
-            .run(job, ExecMode::Compressed, Some(&self.predictor.probes))?;
+        let p = self.predictor;
+        let t = p.sim.run(job, ExecMode::Compressed, Some(&p.probes))?;
         let mut cycles = t.cycles as f64;
-        if let SliceFlavor::Hls { serial_speedup, .. } = self.predictor.flavor {
-            let serial: u64 = self
-                .predictor
-                .serial_dp_indices
-                .iter()
-                .map(|&i| t.dp_active[i])
-                .sum();
+        if let SliceFlavor::Hls { serial_speedup, .. } = p.flavor {
+            let serial: u64 = p.serial_dp_indices.iter().map(|&i| t.dp_active[i]).sum();
             let serial = (serial as f64).min(cycles);
             cycles = cycles - serial + serial / serial_speedup;
         }

@@ -8,7 +8,7 @@
 //! selected support) recovers the accuracy the L1 shrinkage costs.
 
 use predvfs_opt::{AsymLasso, FitOptions, Matrix, Standardizer};
-use predvfs_rtl::{Analysis, AnySim, ExecMode, FeatureSchema, JobInput, JobTrace, Module};
+use predvfs_rtl::{Analysis, CompiledSim, ExecMode, FeatureSchema, JobInput, JobTrace, Module};
 
 use crate::error::CoreError;
 use crate::model::ExecTimeModel;
@@ -75,9 +75,9 @@ pub fn profile(module: &Module, jobs: &[JobInput]) -> Result<TrainingData, CoreE
     let analysis = Analysis::run(module);
     let schema = FeatureSchema::from_analysis(module, &analysis);
     let probes = schema.probe_program(&analysis);
-    // Profiling runs on the process-default engine (the compiled VM unless
-    // `--interp` opted out); both engines produce byte-identical traces.
-    let sim = AnySim::with_analysis(module, &analysis, predvfs_rtl::default_engine())?;
+    // Profiling runs on the compiled VM, which reuses the analysis the
+    // probes were derived from.
+    let sim = CompiledSim::with_analysis(module, &analysis)?;
     let traces: Vec<_> = predvfs_par::par_try_map(jobs, |job| {
         sim.run(job, ExecMode::FastForward, Some(&probes))
     })?;
@@ -175,6 +175,7 @@ pub fn fit(data: &TrainingData, config: &TrainerConfig) -> Result<ExecTimeModel,
     }
     .fit(options);
     record_solver_metrics(sink, &lasso);
+    let mut converged = lasso.converged;
 
     let mut support: Vec<usize> = lasso.support(1e-7);
     if !support.contains(&bias) {
@@ -202,6 +203,7 @@ pub fn fit(data: &TrainingData, config: &TrainerConfig) -> Result<ExecTimeModel,
         }
         .fit(options);
         record_solver_metrics(sink, &refit);
+        converged &= refit.converged;
         let mut full = vec![0.0; data.schema.len()];
         for (j, &c) in support.iter().enumerate() {
             full[c] = refit.beta[j];
@@ -223,7 +225,7 @@ pub fn fit(data: &TrainingData, config: &TrainerConfig) -> Result<ExecTimeModel,
             *c = 0.0;
         }
     }
-    Ok(ExecTimeModel::new(data.schema.clone(), raw))
+    Ok(ExecTimeModel::new(data.schema.clone(), raw).with_converged(converged))
 }
 
 /// Convenience: profile then fit.
@@ -327,6 +329,18 @@ mod tests {
             "support {:?}",
             model.support_summary()
         );
+    }
+
+    #[test]
+    fn iteration_cap_marks_the_model_unconverged() {
+        let m = toy();
+        let data = profile(&m, &jobs(60, 1)).unwrap();
+        let capped = TrainerConfig {
+            max_iter: 2,
+            ..TrainerConfig::default()
+        };
+        assert!(!fit(&data, &capped).unwrap().converged());
+        assert!(fit(&data, &TrainerConfig::default()).unwrap().converged());
     }
 
     #[test]

@@ -387,6 +387,18 @@ impl Parser {
         }
     }
 
+    /// Parses a number that must fit in 32 bits (a width or a resource
+    /// count): a larger value is an error, never a silent truncation.
+    fn expect_u32(&mut self, what: &str) -> Result<u32, ParseError> {
+        let (line, column) = self.here();
+        let n = self.expect_number()?;
+        u32::try_from(n).map_err(|_| ParseError {
+            message: format!("{what} {n} does not fit in 32 bits"),
+            line,
+            column,
+        })
+    }
+
     /// Parses a float written as `int` or `int.frac`.
     fn expect_float(&mut self) -> Result<f64, ParseError> {
         match self.bump() {
@@ -583,7 +595,7 @@ pub fn from_text(src: &str) -> Result<Module, ParseError> {
                 p.bump();
                 let iname = p.expect_ident()?;
                 p.expect_punct(":")?;
-                let width = p.expect_number()? as u32;
+                let width = p.expect_u32("input width")?;
                 p.expect_punct(";")?;
                 p.input_ids.insert(iname.clone(), p.inputs.len());
                 p.inputs.push(InputField { name: iname, width });
@@ -593,7 +605,7 @@ pub fn from_text(src: &str) -> Result<Module, ParseError> {
                 let rname = p.expect_ident()?;
                 p.reg_id_of(&rname);
                 p.expect_punct(":")?;
-                let width = p.expect_number()? as u32;
+                let width = p.expect_u32("register width")?;
                 p.expect_punct("=")?;
                 let init = p.expect_number()?;
                 p.expect_punct("{")?;
@@ -629,10 +641,10 @@ pub fn from_text(src: &str) -> Result<Module, ParseError> {
                 let energy_per_cycle = p.expect_float()?;
                 p.expect_keyword("luts")?;
                 p.expect_punct("=")?;
-                let luts = p.expect_number()? as u32;
+                let luts = p.expect_u32("luts")?;
                 p.expect_keyword("dsps")?;
                 p.expect_punct("=")?;
-                let dsps = p.expect_number()? as u32;
+                let dsps = p.expect_u32("dsps")?;
                 p.expect_keyword("active")?;
                 p.expect_punct("=")?;
                 p.expect_punct("(")?;
@@ -837,6 +849,33 @@ mod tests {
         let err = from_text("module broken {\n  input x 16;\n}").unwrap_err();
         assert_eq!(err.line, 2);
         assert!(err.to_string().contains("expected `:`"));
+    }
+
+    #[test]
+    fn out_of_range_integers_are_rejected_not_truncated() {
+        // 4294967304 = 2^32 + 8: an `as u32` cast would read it as 8.
+        let reg = "module m {\n  reg a: 4294967304 = 255 {\n  }\n  advance 0;\n  done 1;\n}";
+        let err = from_text(reg).unwrap_err();
+        assert_eq!((err.line, err.column), (2, 10), "{err}");
+        assert!(err.message.contains("register width 4294967304"), "{err}");
+
+        let input = "module m {\n  input x: 4294967296;\n  advance 0;\n  done 1;\n}";
+        let err = from_text(input).unwrap_err();
+        assert_eq!((err.line, err.column), (2, 12), "{err}");
+        assert!(err.message.contains("input width"), "{err}");
+
+        let dp = |luts: &str, dsps: &str| {
+            format!(
+                "module m {{\n  datapath d compute area=1 energy=1 luts={luts} dsps={dsps} \
+                 active=(1);\n  advance 0;\n  done 1;\n}}"
+            )
+        };
+        let err = from_text(&dp("4294967296", "0")).unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.message.contains("luts 4294967296"), "{err}");
+        let err = from_text(&dp("0", "18446744073709551615")).unwrap_err();
+        assert!(err.message.contains("dsps 18446744073709551615"), "{err}");
+        assert!(from_text(&dp("4294967295", "4294967295")).is_ok());
     }
 
     #[test]

@@ -206,7 +206,8 @@ struct CounterProbes {
     apv: Option<usize>,
 }
 
-/// Compiled probe tables consumed by [`crate::interp::Simulator::run`].
+/// Compiled probe tables consumed by [`crate::vm::CompiledSim::run`] (and
+/// by the interpreter oracle).
 #[derive(Debug, Clone)]
 pub struct ProbeProgram {
     n_features: usize,
@@ -273,10 +274,16 @@ impl ProbeProgram {
     /// Returns [`RtlError::UnknownRegister`] naming the first dangling
     /// reference (as `rN` when only the foreign index is known).
     pub fn validate(&self, module: &Module) -> Result<(), RtlError> {
+        self.validate_regs(&module.name, module.regs.len())
+    }
+
+    /// [`ProbeProgram::validate`] against a module known only by its name
+    /// and register count.
+    pub(crate) fn validate_regs(&self, module: &str, n_regs: usize) -> Result<(), RtlError> {
         let check = |reg: usize| -> Result<(), RtlError> {
-            if reg >= module.regs.len() {
+            if reg >= n_regs {
                 return Err(RtlError::UnknownRegister {
-                    module: module.name.clone(),
+                    module: module.to_owned(),
                     name: format!("r{reg}"),
                 });
             }

@@ -136,7 +136,9 @@ struct WaitPlan {
     serial: bool,
 }
 
-/// Reusable execution engine for one module.
+/// Reference interpreter for one module: the differential oracle that
+/// tests and benchmarks hold [`crate::vm::CompiledSim`] against. Production
+/// code runs the VM.
 ///
 /// Construction precomputes the wait-state plans; [`Simulator::run`] may
 /// then be called once per job.

@@ -13,11 +13,11 @@
 //! * [`analysis`] mines the design for FSMs, counters, and wait states;
 //! * [`instrument`] derives the feature schema (STC/IC/AIV/APV) and the
 //!   runtime probes;
-//! * [`interp`] executes jobs cycle-accurately, with exact fast-forwarding
-//!   over wait states;
-//! * [`vm`] compiles modules to flattened bytecode and executes them an
-//!   order of magnitude faster, with the interpreter retained as the
-//!   differential-testing oracle ([`engine`] selects between the two);
+//! * [`vm`] compiles modules to flattened bytecode and executes jobs
+//!   cycle-accurately, with exact fast-forwarding over wait states — the
+//!   one engine every production path runs;
+//! * [`interp`] is the tree-walking reference interpreter, kept only as
+//!   the differential-testing oracle the VM must match byte for byte;
 //! * [`slice()`] derives the minimal feature-computing hardware slice;
 //! * [`area`] prices designs in ASIC area and FPGA resources.
 //!
@@ -25,7 +25,7 @@
 //!
 //! ```
 //! use predvfs_rtl::builder::{ModuleBuilder, E};
-//! use predvfs_rtl::interp::{ExecMode, JobInput, Simulator};
+//! use predvfs_rtl::{CompiledSim, ExecMode, JobInput};
 //!
 //! // A toy accelerator: each token costs `dur` cycles of compute.
 //! let mut b = ModuleBuilder::new("toy");
@@ -39,7 +39,7 @@
 //!
 //! let mut job = JobInput::new(1);
 //! job.push(&[40]);
-//! let trace = Simulator::new(&module).run(&job, ExecMode::FastForward, None)?;
+//! let trace = CompiledSim::new(&module)?.run(&job, ExecMode::FastForward, None)?;
 //! assert!(trace.cycles > 40);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -50,7 +50,6 @@ pub mod analysis;
 pub mod area;
 pub mod builder;
 mod compile;
-pub mod engine;
 pub mod error;
 pub mod expr;
 pub mod format;
@@ -64,7 +63,6 @@ pub mod wcet;
 pub use analysis::Analysis;
 pub use area::{AreaBreakdown, AsicAreaModel, FpgaResourceModel, FpgaResources};
 pub use builder::{ModuleBuilder, E};
-pub use engine::{default_engine, set_default_engine, AnySim, SimEngine};
 pub use error::RtlError;
 pub use format::{from_text, to_text, ParseError};
 pub use instrument::{FeatureDesc, FeatureKind, FeatureSchema, ProbeProgram};
@@ -73,3 +71,6 @@ pub use module::{Datapath, DatapathKind, InputId, Memory, Module, RegId, Registe
 pub use slice::{slice, SliceOptions, SliceReport};
 pub use vm::CompiledSim;
 pub use wcet::{wcet, WcetBound};
+
+/// The RTL engine under its earlier name.
+pub type AnySim = CompiledSim;

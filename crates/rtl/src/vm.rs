@@ -1,14 +1,16 @@
 //! A register-machine bytecode VM executing compiled modules.
 //!
-//! [`CompiledSim`] is the drop-in compiled counterpart of
-//! [`crate::interp::Simulator`]: same constructor shape, same
-//! [`run`](CompiledSim::run)/[`run_with_state`](CompiledSim::run_with_state)
+//! [`CompiledSim`] is the RTL engine: every production path (training
+//! profiles, test traces, hardware slices, the CLI) runs on it. It is the
+//! compiled counterpart of [`crate::interp::Simulator`]: same constructors,
+//! same [`run`](CompiledSim::run)/[`run_with_state`](CompiledSim::run_with_state)
 //! signatures, same error surface, and — by contract — *byte-identical*
 //! output: traces, probe streams (STC/IC/AIV/APV feature accumulation in
 //! the same floating-point order), and final register state all match the
-//! interpreter on every input. The interpreter is kept as the differential
-//! oracle; the `differential` test suites and the proptest fuzzer enforce
-//! the contract on the paper benchmarks and on randomized designs.
+//! interpreter on every input. The interpreter is kept only as the
+//! differential oracle; the `differential` test suites and the proptest
+//! fuzzer enforce the contract on the paper benchmarks, their slices, and
+//! randomized designs.
 //!
 //! Execution model per job (mirroring the interpreter's loop shape
 //! exactly, including the order of the `done` and cycle-limit checks and
@@ -170,15 +172,19 @@ fn exec_expr(
 ///
 /// Construction compiles the module (flatten → schedule → lower, see the
 /// crate-private `compile` module); [`CompiledSim::run`] may then be
-/// called once per job, from any number of threads.
+/// called once per job, from any number of threads. The compiled program
+/// holds everything a run needs, so the engine does not borrow the module
+/// and can be stored next to it.
 #[derive(Debug)]
-pub struct CompiledSim<'m> {
-    module: &'m Module,
+pub struct CompiledSim {
+    /// Module name, for probe-link errors.
+    name: String,
+    n_datapaths: usize,
     c: Compiled,
     cycle_limit: u64,
 }
 
-impl<'m> CompiledSim<'m> {
+impl CompiledSim {
     /// Compiles `module`, running the static analyses to enable
     /// fast-forwarding.
     ///
@@ -188,7 +194,7 @@ impl<'m> CompiledSim<'m> {
     /// reports dangling register/input references at compile time, where
     /// the interpreter would only hit them at the first cycle that
     /// evaluates the offending expression.
-    pub fn new(module: &'m Module) -> Result<CompiledSim<'m>, RtlError> {
+    pub fn new(module: &Module) -> Result<CompiledSim, RtlError> {
         let analysis = Analysis::run(module);
         CompiledSim::with_analysis(module, &analysis)
     }
@@ -198,14 +204,12 @@ impl<'m> CompiledSim<'m> {
     /// # Errors
     ///
     /// As for [`CompiledSim::new`].
-    pub fn with_analysis(
-        module: &'m Module,
-        analysis: &Analysis,
-    ) -> Result<CompiledSim<'m>, RtlError> {
+    pub fn with_analysis(module: &Module, analysis: &Analysis) -> Result<CompiledSim, RtlError> {
         let _span = predvfs_obs::span("rtl.compile");
         let c = compile::compile(module, analysis)?;
         Ok(CompiledSim {
-            module,
+            name: module.name.clone(),
+            n_datapaths: module.datapaths.len(),
             c,
             cycle_limit: 1 << 34,
         })
@@ -215,11 +219,6 @@ impl<'m> CompiledSim<'m> {
     /// declared hung.
     pub fn set_cycle_limit(&mut self, limit: u64) {
         self.cycle_limit = limit;
-    }
-
-    /// The module being simulated.
-    pub fn module(&self) -> &'m Module {
-        self.module
     }
 
     /// Runs one job to completion; see [`crate::interp::Simulator::run`]
@@ -258,7 +257,7 @@ impl<'m> CompiledSim<'m> {
         // profiling branches beyond the wait-batch retirement below.
         let _span = predvfs_obs::span("rtl.vm.run");
         if let Some(p) = probes {
-            p.validate(self.module)?;
+            p.validate_regs(&self.name, self.c.n_regs)?;
         }
         let c = &self.c;
         let n = c.n_regs;
@@ -267,7 +266,7 @@ impl<'m> CompiledSim<'m> {
         let mut fired: Vec<(u32, u32)> = Vec::with_capacity(16);
         let mut trace = JobTrace {
             cycles: 0,
-            dp_active: vec![0; self.module.datapaths.len()],
+            dp_active: vec![0; self.n_datapaths],
             tokens_consumed: 0,
             stepped_cycles: 0,
             skipped_cycles: 0,

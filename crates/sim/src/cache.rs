@@ -23,7 +23,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use predvfs::train::{self, TrainingData};
 use predvfs_accel::{Benchmark, WorkloadSize, Workloads};
-use predvfs_rtl::{AnySim, ExecMode, JobTrace, Module};
+use predvfs_rtl::{CompiledSim, ExecMode, JobTrace, Module};
 
 /// Everything about one `(benchmark, seed, size)` that requires trace
 /// simulation: the generated workloads, the profiled training data
@@ -56,9 +56,7 @@ impl TraceBundle {
     ) -> Result<TraceBundle, predvfs::CoreError> {
         let workloads = (bench.workloads)(seed, size);
         let data = train::profile(module, &workloads.train)?;
-        // Test traces run on the process-default engine (compiled VM by
-        // default; `--interp` swaps the oracle back in).
-        let sim = AnySim::new(module)?;
+        let sim = CompiledSim::new(module)?;
         let test_traces = predvfs_par::par_try_map(&workloads.test, |job| {
             sim.run(job, ExecMode::FastForward, None)
         })?;

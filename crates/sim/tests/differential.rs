@@ -1,17 +1,20 @@
 //! The compiled VM against the interpreter oracle on all seven paper
-//! benchmarks.
+//! benchmarks and on their hardware slices.
 //!
-//! This is the contract the engine switch rests on: for every benchmark
-//! accelerator, every execution mode, and probed as well as unprobed runs,
-//! the bytecode VM must produce *byte-identical* results to the reference
-//! interpreter — the full [`JobTrace`] (cycles, per-datapath activity,
-//! token counts, and the STC/IC/AIV/APV feature stream, which accumulates
-//! in `f64` and therefore checks floating-point order too) and the final
-//! flattened register file. CI fails if any benchmark diverges.
+//! This is the contract that lets the VM be the only production engine:
+//! for every benchmark accelerator, every execution mode, and probed as
+//! well as unprobed runs, the bytecode VM must produce *byte-identical*
+//! results to the reference interpreter — the full [`JobTrace`] (cycles,
+//! per-datapath activity, token counts, and the STC/IC/AIV/APV feature
+//! stream, which accumulates in `f64` and therefore checks floating-point
+//! order too) and the final flattened register file. CI fails if any
+//! benchmark diverges.
 
+use predvfs::{train, SliceFlavor, SlicePredictor, TrainerConfig};
 use predvfs_accel::{all, Benchmark, WorkloadSize};
 use predvfs_rtl::{
-    Analysis, AnySim, CompiledSim, ExecMode, FeatureSchema, JobInput, SimEngine, Simulator,
+    Analysis, CompiledSim, ExecMode, FeatureSchema, JobInput, JobTrace, RtlError, Simulator,
+    SliceOptions,
 };
 
 /// Compares both engines on `jobs`, probed and unprobed, in `mode`.
@@ -81,6 +84,16 @@ fn compiled_matches_interpreter_step_all_benchmarks() {
     }
 }
 
+/// The final register file of one job in Step, FastForward and Compressed
+/// mode, in that order.
+fn final_states(run: impl Fn(ExecMode) -> Result<(JobTrace, Vec<u64>), RtlError>) -> [Vec<u64>; 3] {
+    [ExecMode::Step, ExecMode::FastForward, ExecMode::Compressed].map(|mode| {
+        run(mode)
+            .unwrap_or_else(|e| panic!("{mode:?} run failed: {e}"))
+            .1
+    })
+}
+
 #[test]
 fn modes_agree_on_final_register_state_all_benchmarks() {
     // Mode-equivalence (both engines): FastForward and Compressed rewrite
@@ -88,29 +101,72 @@ fn modes_agree_on_final_register_state_all_benchmarks() {
     // file at `done` matches Step's exactly.
     for bench in all() {
         let module = (bench.build)();
-        for engine in [SimEngine::Compiled, SimEngine::Interp] {
-            let sim = AnySim::with_engine(&module, engine).unwrap();
-            for job in jobs_for(&bench, 1) {
-                let (_, step) = sim.run_with_state(&job, ExecMode::Step, None).unwrap();
-                let (_, ff) = sim
-                    .run_with_state(&job, ExecMode::FastForward, None)
-                    .unwrap();
-                let (_, comp) = sim
-                    .run_with_state(&job, ExecMode::Compressed, None)
-                    .unwrap();
+        let interp = Simulator::new(&module);
+        let vm = CompiledSim::new(&module).unwrap();
+        for job in jobs_for(&bench, 1) {
+            for (engine, [step, ff, comp]) in [
+                (
+                    "interp",
+                    final_states(|m| interp.run_with_state(&job, m, None)),
+                ),
+                ("vm", final_states(|m| vm.run_with_state(&job, m, None))),
+            ] {
                 assert_eq!(step.len(), module.regs.len());
-                assert_eq!(step, ff, "{}/{engine:?}: FastForward state", bench.name);
-                assert_eq!(step, comp, "{}/{engine:?}: Compressed state", bench.name);
+                assert_eq!(step, ff, "{}/{engine}: FastForward state", bench.name);
+                assert_eq!(step, comp, "{}/{engine}: Compressed state", bench.name);
             }
         }
     }
 }
 
 #[test]
-fn experiment_path_uses_the_compiled_engine_by_default() {
-    // The trace cache and profiler construct engines via AnySim::new, which
-    // follows the process default — compiled unless --interp flips it.
-    let module = (all()[0].build)();
-    let sim = AnySim::new(&module).unwrap();
-    assert_eq!(sim.engine(), SimEngine::Compiled);
+fn slices_run_identically_on_both_engines_all_benchmarks() {
+    // The predictor's slice is the module production runs before every
+    // job, in Compressed mode with the slice's own probes. On it the VM
+    // must match the oracle, and `SliceRunner::run` must report exactly
+    // the VM's features and datapath activity.
+    for bench in all() {
+        let module = (bench.build)();
+        let w = (bench.workloads)(11, WorkloadSize::Quick);
+        let model = train::train(&module, &w.train, &TrainerConfig::default())
+            .unwrap_or_else(|e| panic!("{}: training failed: {e}", bench.name));
+        for flavor in [SliceFlavor::Rtl, SliceFlavor::hls_default()] {
+            let predictor =
+                SlicePredictor::generate(&module, &model, SliceOptions::default(), flavor)
+                    .unwrap_or_else(|e| panic!("{}: slicing failed: {e}", bench.name));
+            let slice = predictor.module();
+            let probes = Some(predictor.probes());
+            let interp = Simulator::new(slice);
+            let vm = CompiledSim::new(slice).unwrap();
+            let runner = predictor.runner();
+            for (ji, job) in w.test.iter().take(4).enumerate() {
+                let what = format!("{} {flavor:?} slice, job {ji}", bench.name);
+                let (want_trace, want_state) = interp
+                    .run_with_state(job, ExecMode::Compressed, probes)
+                    .unwrap_or_else(|e| panic!("{what}: interpreter failed: {e}"));
+                let (got_trace, got_state) = vm
+                    .run_with_state(job, ExecMode::Compressed, probes)
+                    .unwrap_or_else(|e| panic!("{what}: VM failed: {e}"));
+                assert_eq!(want_trace, got_trace, "{what}: trace diverged");
+                assert_eq!(want_state, got_state, "{what}: final state diverged");
+
+                let run = runner
+                    .run(job)
+                    .unwrap_or_else(|e| panic!("{what}: runner failed: {e}"));
+                let bits = |f: &[f64]| f.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&run.features),
+                    bits(&got_trace.features),
+                    "{what}: runner features"
+                );
+                assert_eq!(
+                    run.dp_active, got_trace.dp_active,
+                    "{what}: runner dp_active"
+                );
+                if flavor == SliceFlavor::Rtl {
+                    assert_eq!(run.cycles, got_trace.cycles as f64, "{what}: runner cycles");
+                }
+            }
+        }
+    }
 }

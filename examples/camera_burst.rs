@@ -11,7 +11,7 @@ use predvfs::{
 use predvfs_accel::cjpeg;
 use predvfs_accel::common::{self, WorkloadSize};
 use predvfs_power::{AlphaPowerCurve, EnergyModel, Ladder, PowerParams, SwitchingModel};
-use predvfs_rtl::{AsicAreaModel, ExecMode, JobInput, Simulator, SliceOptions};
+use predvfs_rtl::{AsicAreaModel, CompiledSim, ExecMode, JobInput, SliceOptions};
 use rand::Rng;
 
 const SHOT_DEADLINE_S: f64 = 16.7e-3;
@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dvfs = DvfsModel::new(Ladder::asic(&curve), SwitchingModel::off_chip());
 
     let shots = burst(1234, 40);
-    let sim = Simulator::new(&module);
+    let sim = CompiledSim::new(&module)?;
 
     for (name, mut controller) in [
         (

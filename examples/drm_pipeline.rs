@@ -10,7 +10,7 @@
 use predvfs::{train, DvfsModel, SliceFlavor, SlicePredictor, TrainerConfig};
 use predvfs_accel::{aes, sha, WorkloadSize};
 use predvfs_power::{AlphaPowerCurve, EnergyModel, Ladder, PowerParams, SwitchingModel};
-use predvfs_rtl::{AsicAreaModel, ExecMode, JobInput, JobTrace, Module, Simulator, SliceOptions};
+use predvfs_rtl::{AsicAreaModel, CompiledSim, ExecMode, JobInput, JobTrace, Module, SliceOptions};
 use predvfs_sim::{run_pipeline, PipelineStage, SplitPolicy};
 
 const FRAME_DEADLINE_S: f64 = 16.7e-3;
@@ -62,7 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let aes_jobs: Vec<JobInput> = payload_kb.iter().map(|&kb| aes::piece(kb * 1024)).collect();
     let sha_jobs: Vec<JobInput> = payload_kb.iter().map(|&kb| sha::piece(kb * 256)).collect();
     let trace = |m: &Module, jobs: &[JobInput]| -> Result<Vec<JobTrace>, predvfs_rtl::RtlError> {
-        let sim = Simulator::new(m);
+        let sim = CompiledSim::new(m)?;
         jobs.iter()
             .map(|j| sim.run(j, ExecMode::FastForward, None))
             .collect()

@@ -9,7 +9,7 @@ use predvfs::{
 };
 use predvfs_accel::h264;
 use predvfs_power::{AlphaPowerCurve, EnergyModel, Ladder, PowerParams, SwitchingModel};
-use predvfs_rtl::{AsicAreaModel, ExecMode, Simulator, SliceOptions};
+use predvfs_rtl::{AsicAreaModel, CompiledSim, ExecMode, SliceOptions};
 
 const DEADLINE_S: f64 = 16.7e-3; // one frame at 60 fps
 
@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // "Play" a clip.
     let clip = h264::clip(99, 120, 0.2, 0.8, 396);
-    let sim = Simulator::new(&module);
+    let sim = CompiledSim::new(&module)?;
     let nominal = predvfs_power::OperatingPoint {
         volts: 1.0,
         freq_ratio: 1.0,
