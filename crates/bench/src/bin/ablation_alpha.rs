@@ -53,9 +53,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ..TrainerConfig::default()
         };
         let model = fit(&train_data, &cfg)?;
-        let predictor =
-            SlicePredictor::generate(&module, &model, SliceOptions::default(), SliceFlavor::Rtl)?;
-        let mut ctrl = PredictiveController::new(dvfs.clone(), f_hz, &predictor, &model);
+        let slices =
+            SlicePredictor::generate(&module, &model, SliceOptions::default(), SliceFlavor::Rtl)?
+                .run_all(&w.test)?;
+        let mut ctrl = PredictiveController::new(dvfs.clone(), f_hz, &slices, &model);
         let res = run_scheme(&mut ctrl, &w.test, &traces, &energy, None, &dvfs, &run_cfg)?;
         let errs = res.prediction_errors_pct();
         let under = errs.iter().filter(|&&e| e < 0.0).count();

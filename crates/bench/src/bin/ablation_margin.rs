@@ -21,7 +21,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let mut dvfs = e.dvfs.clone();
             dvfs.margin_frac = margin;
             let f_hz = e.bench.f_nominal_mhz * 1e6;
-            let mut ctrl = PredictiveController::new(dvfs.clone(), f_hz, &e.predictor, &e.model);
+            let mut ctrl =
+                PredictiveController::new(dvfs.clone(), f_hz, e.slice_table()?, &e.model);
             let run_cfg = RunConfig {
                 deadline_s: e.config().deadline_s,
                 switching: SwitchingModel::off_chip(),

@@ -14,7 +14,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let pred = exp.run(Scheme::Prediction)?;
 
     let f_hz = exp.bench.f_nominal_mhz * 1e6;
-    let mut hybrid = HybridController::new(exp.dvfs.clone(), f_hz, &exp.predictor, &exp.model);
+    let slices = exp.slice_table()?;
+    let mut hybrid = HybridController::new(exp.dvfs.clone(), f_hz, slices, &exp.model);
     let run_cfg = RunConfig {
         deadline_s: exp.config().deadline_s,
         switching: SwitchingModel::off_chip(),
@@ -29,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &exp.dvfs,
         &run_cfg,
     )?;
-    let mut adaptive = HybridController::new(exp.dvfs.clone(), f_hz, &exp.predictor, &exp.model);
+    let mut adaptive = HybridController::new(exp.dvfs.clone(), f_hz, slices, &exp.model);
     adaptive.allow_downward = true;
     let mut adp = run_scheme(
         &mut adaptive,

@@ -47,19 +47,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         trace(&aes.module, &aes_jobs)?,
         trace(&sha.module, &sha_jobs)?,
     ];
-    let jobs = [aes_jobs, sha_jobs];
+    // One slice pass per stage, shared by both split policies.
+    let aes_slices = aes.predictor.run_all(&aes_jobs)?;
+    let sha_slices = sha.predictor.run_all(&sha_jobs)?;
 
     let stages = [
         PipelineStage {
             name: "aes",
-            predictor: &aes.predictor,
+            slices: &aes_slices,
             model: &aes.model,
             energy: &aes.energy,
             dvfs: aes.dvfs.clone(),
         },
         PipelineStage {
             name: "sha",
-            predictor: &sha.predictor,
+            slices: &sha_slices,
             model: &sha.model,
             energy: &sha.energy,
             dvfs: sha.dvfs.clone(),
@@ -75,7 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("static", SplitPolicy::Static),
         ("proportional", SplitPolicy::Proportional),
     ] {
-        let res = run_pipeline(&stages, &jobs, &traces, 16.7e-3, policy)?;
+        let res = run_pipeline(&stages, &traces, 16.7e-3, policy);
         energies.push(res.total_energy_pj());
         t.row(&[
             name.into(),

@@ -9,13 +9,13 @@ use predvfs_sim::{Platform, Table};
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = standard_config(Platform::Asic);
     let exp = prepare_one("h264", &cfg)?;
-    let sw = SoftwarePredictor::new(&exp.predictor, &exp.model, CpuModel::default());
+    let sw = SoftwarePredictor::new(exp.slice_table()?, &exp.model, CpuModel::default());
 
     let data = train::profile(&exp.module, &exp.workloads.test)?;
     let mut errs = Vec::new();
     let mut cpu_ms = Vec::new();
-    for (i, job) in exp.workloads.test.iter().enumerate() {
-        let p = sw.predict(job)?;
+    for i in 0..exp.workloads.test.len() {
+        let p = sw.predict(i)?;
         errs.push(100.0 * (p.predicted_cycles - data.y[i]) / data.y[i]);
         cpu_ms.push(p.cpu_time_s * 1e3);
     }

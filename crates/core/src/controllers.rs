@@ -5,8 +5,9 @@
 //!   (the Exynos MFC-style lookup table of §2.4).
 //! * [`PidController`] — reactive control from execution-time history
 //!   with a 10 % margin.
-//! * [`PredictiveController`] — the paper's contribution: run the
-//!   hardware slice, predict execution time, set the minimal level.
+//! * [`PredictiveController`] — the paper's contribution: read the
+//!   hardware slice's output for the job, predict execution time, set
+//!   the minimal level.
 //! * [`OracleController`] — knows each job's true execution time and pays
 //!   no overheads; the energy lower bound of Fig. 13.
 
@@ -15,7 +16,7 @@ use predvfs_rtl::JobInput;
 use crate::dvfs::{DvfsModel, LevelChoice};
 use crate::error::CoreError;
 use crate::model::ExecTimeModel;
-use crate::slicer::{SlicePredictor, SliceRunner};
+use crate::slicer::SliceTable;
 
 /// Per-job information available at decision time.
 #[derive(Debug, Clone, Copy)]
@@ -24,7 +25,9 @@ pub struct JobContext<'a> {
     pub job: &'a JobInput,
     /// Wall-clock budget for the job.
     pub deadline_s: f64,
-    /// Sequence number of the job within its task.
+    /// Index of the job within its job set: the entry slice-reading
+    /// controllers look up in their [`SliceTable`] (and the oracle in its
+    /// cycle list).
     pub index: usize,
 }
 
@@ -274,11 +277,15 @@ impl DvfsController for PidController {
 }
 
 /// The paper's predictive controller: slice → model → minimal level.
+///
+/// The slice's output for job `ctx.index` comes from a borrowed
+/// [`SliceTable`], so every scheme reading the same job set shares one
+/// slice pass.
 #[derive(Debug, Clone)]
 pub struct PredictiveController<'p> {
     dvfs: DvfsModel,
     f_nominal_hz: f64,
-    runner: SliceRunner<'p>,
+    slices: &'p SliceTable,
     model: &'p ExecTimeModel,
     /// When true, slice and switching overheads are ignored (the
     /// "prediction w/o overhead" configuration of Fig. 13).
@@ -286,17 +293,18 @@ pub struct PredictiveController<'p> {
 }
 
 impl<'p> PredictiveController<'p> {
-    /// Creates the controller from a generated slice predictor and model.
+    /// Creates the controller from the slice's runs over the job set
+    /// (see [`crate::SlicePredictor::run_all`]) and the model.
     pub fn new(
         dvfs: DvfsModel,
         f_nominal_hz: f64,
-        predictor: &'p SlicePredictor,
+        slices: &'p SliceTable,
         model: &'p ExecTimeModel,
     ) -> PredictiveController<'p> {
         PredictiveController {
             dvfs,
             f_nominal_hz,
-            runner: predictor.runner(),
+            slices,
             model,
             ignore_overheads: false,
         }
@@ -309,13 +317,13 @@ impl DvfsController for PredictiveController<'_> {
     }
 
     fn decide(&mut self, ctx: &JobContext<'_>) -> Result<Decision, CoreError> {
-        let run = self.runner.run(ctx.job)?;
+        let run = self.slices.get(ctx.index)?;
         let predicted = self.model.predict_cycles(&run.features);
         let (slice_cycles, slice_dp_active, slice_time_s) = if self.ignore_overheads {
             (0.0, Vec::new(), 0.0)
         } else {
             let t = run.cycles / self.f_nominal_hz;
-            (run.cycles, run.dp_active, t)
+            (run.cycles, run.dp_active.clone(), t)
         };
         let mut dvfs = self.dvfs.clone();
         if self.ignore_overheads {

@@ -19,6 +19,13 @@ pub enum CoreError {
         /// Index of the job with no trace.
         index: usize,
     },
+    /// A controller was asked about a job its slice table does not hold.
+    SliceTableExhausted {
+        /// Index of the job with no slice run.
+        index: usize,
+        /// Jobs the table holds.
+        len: usize,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -31,6 +38,9 @@ impl fmt::Display for CoreError {
             }
             CoreError::OracleExhausted { index } => {
                 write!(f, "oracle has no trace for job {index}")
+            }
+            CoreError::SliceTableExhausted { index, len } => {
+                write!(f, "slice table has no run for job {index} (it holds {len})")
             }
         }
     }

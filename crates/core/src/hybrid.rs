@@ -15,14 +15,14 @@ use crate::controllers::{Decision, DvfsController, JobContext};
 use crate::dvfs::DvfsModel;
 use crate::error::CoreError;
 use crate::model::ExecTimeModel;
-use crate::slicer::{SlicePredictor, SliceRunner};
+use crate::slicer::SliceTable;
 
 /// Predictive controller with EWMA residual correction.
 #[derive(Debug, Clone)]
 pub struct HybridController<'p> {
     dvfs: DvfsModel,
     f_nominal_hz: f64,
-    runner: SliceRunner<'p>,
+    slices: &'p SliceTable,
     model: &'p ExecTimeModel,
     /// EWMA smoothing factor for the residual ratio.
     pub ewma_alpha: f64,
@@ -35,17 +35,18 @@ pub struct HybridController<'p> {
 }
 
 impl<'p> HybridController<'p> {
-    /// Creates the controller; `ewma_alpha` defaults to 0.2.
+    /// Creates the controller over the slice's runs for the job set;
+    /// `ewma_alpha` defaults to 0.2.
     pub fn new(
         dvfs: DvfsModel,
         f_nominal_hz: f64,
-        predictor: &'p SlicePredictor,
+        slices: &'p SliceTable,
         model: &'p ExecTimeModel,
     ) -> HybridController<'p> {
         HybridController {
             dvfs,
             f_nominal_hz,
-            runner: predictor.runner(),
+            slices,
             model,
             ewma_alpha: 0.2,
             allow_downward: false,
@@ -66,7 +67,7 @@ impl DvfsController for HybridController<'_> {
     }
 
     fn decide(&mut self, ctx: &JobContext<'_>) -> Result<Decision, CoreError> {
-        let run = self.runner.run(ctx.job)?;
+        let run = self.slices.get(ctx.index)?;
         let raw = self.model.predict_cycles(&run.features);
         // Correct by the learned residual. By default never go *below*
         // the raw model's own conservative fit; with `allow_downward` a
@@ -85,7 +86,7 @@ impl DvfsController for HybridController<'_> {
         Ok(Decision {
             choice,
             slice_cycles: run.cycles,
-            slice_dp_active: run.dp_active,
+            slice_dp_active: run.dp_active.clone(),
             predicted_cycles: Some(corrected),
         })
     }
@@ -103,7 +104,7 @@ impl DvfsController for HybridController<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slicer::SliceFlavor;
+    use crate::slicer::{SliceFlavor, SlicePredictor};
     use crate::train::{train, TrainerConfig};
     use predvfs_accel::{djpeg, WorkloadSize};
     use predvfs_power::{AlphaPowerCurve, Ladder, SwitchingModel};
@@ -121,7 +122,8 @@ mod tests {
         let model = train(&m, &w.train, &TrainerConfig::default()).unwrap();
         let sp = SlicePredictor::generate(&m, &model, SliceOptions::default(), SliceFlavor::Rtl)
             .unwrap();
-        let mut hybrid = HybridController::new(dvfs(), 250e6, &sp, &model);
+        let table = sp.run_all(&w.test).unwrap();
+        let mut hybrid = HybridController::new(dvfs(), 250e6, &table, &model);
         let sim = Simulator::new(&m);
         let mut abs_err_hybrid = 0.0;
         let mut abs_err_raw = 0.0;
@@ -161,14 +163,15 @@ mod tests {
         let model = train(&m, &w.train, &TrainerConfig::default()).unwrap();
         let sp = SlicePredictor::generate(&m, &model, SliceOptions::default(), SliceFlavor::Rtl)
             .unwrap();
-        let mut hybrid = HybridController::new(dvfs(), 250e6, &sp, &model);
+        let table = sp.run_all(&w.test).unwrap();
+        let mut hybrid = HybridController::new(dvfs(), 250e6, &table, &model);
         // Force a low ratio by observing much-faster-than-predicted jobs.
-        for job in w.test.iter().take(5) {
+        for (i, job) in w.test.iter().take(5).enumerate() {
             let _ = hybrid
                 .decide(&JobContext {
                     job,
                     deadline_s: 16.7e-3,
-                    index: 0,
+                    index: i,
                 })
                 .unwrap();
             hybrid.observe(1); // absurdly fast
@@ -204,7 +207,8 @@ mod tests {
         let (m, w, model) = sha_setup();
         let sp = SlicePredictor::generate(&m, &model, SliceOptions::default(), SliceFlavor::Rtl)
             .unwrap();
-        let mut hybrid = HybridController::new(dvfs(), 500e6, &sp, &model);
+        let table = sp.run_all(&w.test).unwrap();
+        let mut hybrid = HybridController::new(dvfs(), 500e6, &table, &model);
         assert_eq!(hybrid.residual_ratio(), 1.0);
         let runner = sp.runner();
         let mut expected = 1.0;
@@ -236,6 +240,7 @@ mod tests {
         let sp = SlicePredictor::generate(&m, &model, SliceOptions::default(), SliceFlavor::Rtl)
             .unwrap();
         let runner = sp.runner();
+        let table = sp.run_all(&w.test).unwrap();
         let job = &w.test[0];
         let raw = model.predict_cycles(&runner.run(job).unwrap().features);
         let ctx = JobContext {
@@ -244,7 +249,7 @@ mod tests {
             index: 0,
         };
 
-        let mut eager = HybridController::new(dvfs(), 500e6, &sp, &model);
+        let mut eager = HybridController::new(dvfs(), 500e6, &table, &model);
         eager.ewma_alpha = 1.0;
         eager.decide(&ctx).unwrap();
         let actual = (raw * 3.0).round() as u64;
@@ -254,7 +259,7 @@ mod tests {
             "alpha=1 must jump straight to the last observed ratio"
         );
 
-        let mut frozen = HybridController::new(dvfs(), 500e6, &sp, &model);
+        let mut frozen = HybridController::new(dvfs(), 500e6, &table, &model);
         frozen.ewma_alpha = 0.0;
         frozen.decide(&ctx).unwrap();
         frozen.observe(actual);
@@ -270,7 +275,8 @@ mod tests {
         let (m, w, model) = sha_setup();
         let sp = SlicePredictor::generate(&m, &model, SliceOptions::default(), SliceFlavor::Rtl)
             .unwrap();
-        let mut hybrid = HybridController::new(dvfs(), 500e6, &sp, &model);
+        let table = sp.run_all(&w.test).unwrap();
+        let mut hybrid = HybridController::new(dvfs(), 500e6, &table, &model);
         hybrid.allow_downward = true;
         for (i, job) in w.test.iter().take(5).enumerate() {
             hybrid
@@ -301,10 +307,9 @@ mod tests {
 
     #[test]
     fn observe_without_a_pending_decision_is_a_noop() {
-        let (m, _w, model) = sha_setup();
-        let sp = SlicePredictor::generate(&m, &model, SliceOptions::default(), SliceFlavor::Rtl)
-            .unwrap();
-        let mut hybrid = HybridController::new(dvfs(), 500e6, &sp, &model);
+        let (_m, _w, model) = sha_setup();
+        let table = SliceTable::default();
+        let mut hybrid = HybridController::new(dvfs(), 500e6, &table, &model);
         hybrid.observe(123_456);
         assert_eq!(
             hybrid.residual_ratio(),

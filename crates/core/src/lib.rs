@@ -13,9 +13,11 @@
 //!    pairs; [`train::fit`] solves the asymmetric-Lasso program to get a
 //!    sparse [`ExecTimeModel`]; [`SlicePredictor::generate`] slices the
 //!    design down to the feature-computing hardware.
-//! 2. **Online** — a [`PredictiveController`] runs the slice per job,
-//!    predicts execution time, and a [`DvfsModel`] picks the lowest
-//!    operating point that meets the deadline (with optional boost).
+//! 2. **Online** — the slice runs once per job ([`SlicePredictor::run_all`]
+//!    evaluates a job set into a [`SliceTable`]); a [`PredictiveController`]
+//!    reads the job's entry, predicts execution time, and a [`DvfsModel`]
+//!    picks the lowest operating point that meets the deadline (with
+//!    optional boost).
 //!
 //! Baseline, table-based, PID, and oracle controllers are provided for
 //! the paper's comparisons, plus HLS-flavored slices (§4.5) and software
@@ -39,10 +41,11 @@
 //! let slice = SlicePredictor::generate(
 //!     &module, &model, SliceOptions::default(), SliceFlavor::Rtl)?;
 //!
-//! // Online: pick a DVFS level for an incoming job.
+//! // Online: run the slice for the incoming job, then pick a DVFS level.
+//! let runs = slice.run_all(&jobs.test[..1])?;
 //! let curve = AlphaPowerCurve::default();
 //! let dvfs = DvfsModel::new(Ladder::asic(&curve), SwitchingModel::off_chip());
-//! let mut ctrl = PredictiveController::new(dvfs, 500e6, &slice, &model);
+//! let mut ctrl = PredictiveController::new(dvfs, 500e6, &runs, &model);
 //! let decision = ctrl.decide(&JobContext {
 //!     job: &jobs.test[0],
 //!     deadline_s: 16.7e-3,
@@ -78,6 +81,6 @@ pub use online::{
     AdaptState, AdaptiveController, CalibrationConfig, CalibrationMonitor, OnlineTrainer,
     OnlineTrainerConfig,
 };
-pub use slicer::{SliceFlavor, SlicePredictor, SliceRun, SliceRunner};
+pub use slicer::{SliceFlavor, SlicePredictor, SliceRun, SliceRunner, SliceTable};
 pub use software::{CpuModel, SoftwarePrediction, SoftwarePredictor};
 pub use train::{TrainerConfig, TrainingData};

@@ -39,7 +39,7 @@ use crate::controllers::{Decision, DvfsController, JobContext, PidController};
 use crate::dvfs::DvfsModel;
 use crate::error::CoreError;
 use crate::model::ExecTimeModel;
-use crate::slicer::{SlicePredictor, SliceRunner};
+use crate::slicer::SliceTable;
 
 /// Hyper-parameters of the online trainer.
 #[derive(Debug, Clone, Copy)]
@@ -492,15 +492,17 @@ impl OnlineTrainer {
 /// warm-started refit.
 ///
 /// Unlike [`crate::PredictiveController`] the model is *owned*, because
-/// refits replace it mid-run. The slice runs on every job even while
-/// degraded — the trainer needs its features to refit — so slice overheads
-/// are always charged; the reactive fallback's 10 % margin absorbs the
-/// slice time its level choice does not account for.
+/// refits replace it mid-run; the slice's runs are borrowed from a
+/// [`SliceTable`] like every slice-reading controller's. The slice runs on
+/// every job even while degraded — the trainer needs its features to
+/// refit — so slice overheads are always charged; the reactive fallback's
+/// 10 % margin absorbs the slice time its level choice does not account
+/// for.
 #[derive(Debug, Clone)]
 pub struct AdaptiveController<'p> {
     dvfs: DvfsModel,
     f_nominal_hz: f64,
-    runner: SliceRunner<'p>,
+    slices: &'p SliceTable,
     model: ExecTimeModel,
     fallback: PidController,
     trainer: OnlineTrainer,
@@ -509,13 +511,14 @@ pub struct AdaptiveController<'p> {
 }
 
 impl<'p> AdaptiveController<'p> {
-    /// Creates the controller from a generated slice predictor, an owned
-    /// (typically offline-trained) model, and the trainer configuration.
-    /// The PID fallback uses the paper's tuned gains and 10 % margin.
+    /// Creates the controller from the slice's runs over the job set, an
+    /// owned (typically offline-trained) model, and the trainer
+    /// configuration. The PID fallback uses the paper's tuned gains and
+    /// 10 % margin.
     pub fn new(
         dvfs: DvfsModel,
         f_nominal_hz: f64,
-        predictor: &'p SlicePredictor,
+        slices: &'p SliceTable,
         model: ExecTimeModel,
         config: OnlineTrainerConfig,
     ) -> AdaptiveController<'p> {
@@ -523,7 +526,7 @@ impl<'p> AdaptiveController<'p> {
         AdaptiveController {
             dvfs,
             f_nominal_hz,
-            runner: predictor.runner(),
+            slices,
             model,
             fallback,
             trainer: OnlineTrainer::new(config),
@@ -563,14 +566,14 @@ impl DvfsController for AdaptiveController<'_> {
     }
 
     fn decide(&mut self, ctx: &JobContext<'_>) -> Result<Decision, CoreError> {
-        let run = self.runner.run(ctx.job)?;
+        let run = self.slices.get(ctx.index)?;
         let predicted = self.model.predict_cycles(&run.features);
         let decision = if self.is_degraded() {
             // The reactive fallback picks the level; the slice still ran
             // (its features feed the refit), so its overheads are charged.
             let mut d = self.fallback.decide(ctx)?;
             d.slice_cycles = run.cycles;
-            d.slice_dp_active = run.dp_active;
+            d.slice_dp_active = run.dp_active.clone();
             d
         } else {
             let slice_time_s = run.cycles / self.f_nominal_hz;
@@ -580,11 +583,11 @@ impl DvfsController for AdaptiveController<'_> {
             Decision {
                 choice,
                 slice_cycles: run.cycles,
-                slice_dp_active: run.dp_active,
+                slice_dp_active: run.dp_active.clone(),
                 predicted_cycles: Some(predicted),
             }
         };
-        self.pending = Some((run.features, predicted));
+        self.pending = Some((run.features.clone(), predicted));
         Ok(decision)
     }
 
@@ -860,13 +863,16 @@ mod tests {
             .unwrap();
         let curve = AlphaPowerCurve::default();
         let dvfs = DvfsModel::new(Ladder::asic(&curve), SwitchingModel::off_chip());
-        let mut ctrl = AdaptiveController::new(dvfs, 250e6, &sp, offline.clone(), quick_config());
+        let table = sp.run_all(&w.test).unwrap();
+        let mut ctrl =
+            AdaptiveController::new(dvfs, 250e6, &table, offline.clone(), quick_config());
         let runner = sp.runner();
         let scale = 1.6;
-        let mut jobs = w.test.iter().cycle();
-        let mut index = 0usize;
+        let mut served = 0usize;
         let mut step = |ctrl: &mut AdaptiveController<'_>, actual_scale: f64| {
-            let job = jobs.next().expect("cycled iterator never ends");
+            // Cycle through the test set: job `index` is its table entry.
+            let index = served % w.test.len();
+            let job = &w.test[index];
             let raw = offline.predict_cycles(&runner.run(job).unwrap().features);
             ctrl.decide(&JobContext {
                 job,
@@ -875,7 +881,7 @@ mod tests {
             })
             .unwrap();
             ctrl.observe((raw * actual_scale).round().max(1.0) as u64);
-            index += 1;
+            served += 1;
         };
 
         // Phase 1 — healthy: actuals sit a touch under the offline fit.

@@ -2,9 +2,11 @@
 //!
 //! [`SlicePredictor`] packages the sliced module (§3.5), compiled once for
 //! the bytecode VM, with its probe program and cost metadata. A
-//! [`SliceRunner`] executes the slice for each job to obtain feature
+//! [`SliceRunner`] executes the slice for one job to obtain feature
 //! values and the slice's own execution cycles, which the DVFS model must
-//! budget for.
+//! budget for. A slice's output depends only on its job, so
+//! [`SlicePredictor::run_all`] evaluates a whole job set once into a
+//! [`SliceTable`] that every controller reads by job index.
 
 use predvfs_rtl::{
     slice, Analysis, CompiledSim, DatapathKind, ExecMode, JobInput, Module, ProbeProgram, RtlError,
@@ -120,10 +122,25 @@ impl SlicePredictor {
     pub fn runner(&self) -> SliceRunner<'_> {
         SliceRunner { predictor: self }
     }
+
+    /// Runs the slice over every job, fanned out with [`predvfs_par`],
+    /// into a table whose entry `i` is job `i`'s run. Each call counts
+    /// one `predvfs_slice_table_builds_total`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`RtlError`] of the lowest-indexed job whose slice
+    /// hangs, as a serial loop would.
+    pub fn run_all(&self, jobs: &[JobInput]) -> Result<SliceTable, RtlError> {
+        predvfs_obs::global().counter_add("predvfs_slice_table_builds_total", 1);
+        let runner = self.runner();
+        let runs = predvfs_par::par_try_map(jobs, |job| runner.run(job))?;
+        Ok(SliceTable { runs })
+    }
 }
 
 /// Result of executing the slice for one job.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SliceRun {
     /// The feature vector (full schema width).
     pub features: Vec<f64>,
@@ -131,6 +148,32 @@ pub struct SliceRun {
     pub cycles: f64,
     /// Per-datapath activity (for slice energy accounting).
     pub dp_active: Vec<u64>,
+}
+
+/// The slice's output for every job of a job set, in input order; build
+/// with [`SlicePredictor::run_all`].
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SliceTable {
+    runs: Vec<SliceRun>,
+}
+
+impl SliceTable {
+    /// The run of job `index`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::SliceTableExhausted`] past the last job.
+    pub fn get(&self, index: usize) -> Result<&SliceRun, CoreError> {
+        self.runs.get(index).ok_or(CoreError::SliceTableExhausted {
+            index,
+            len: self.runs.len(),
+        })
+    }
+
+    /// Every run, in job order.
+    pub fn runs(&self) -> &[SliceRun] {
+        &self.runs
+    }
 }
 
 /// Executes the slice on the VM in Compressed mode; create via
@@ -192,6 +235,25 @@ mod tests {
                 assert_eq!(run.features[c], data.x.get(i, c), "feature {c} of job {i}");
             }
         }
+    }
+
+    #[test]
+    fn run_all_matches_runner_in_job_order() {
+        let (m, model) = setup();
+        let sp = SlicePredictor::generate(&m, &model, SliceOptions::default(), SliceFlavor::Rtl)
+            .unwrap();
+        let jobs = md::workloads(8, WorkloadSize::Quick).test;
+        let table = predvfs_par::with_threads(4, || sp.run_all(&jobs)).unwrap();
+        assert_eq!(table.runs().len(), jobs.len());
+        let runner = sp.runner();
+        for (i, job) in jobs.iter().enumerate() {
+            assert_eq!(table.get(i), Ok(&runner.run(job).unwrap()), "job {i}");
+        }
+        let n = jobs.len();
+        assert_eq!(
+            table.get(n),
+            Err(CoreError::SliceTableExhausted { index: n, len: n })
+        );
     }
 
     #[test]

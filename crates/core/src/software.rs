@@ -7,11 +7,9 @@
 //! the slice module is *interpreted* functionally, and the wall-clock cost
 //! is modelled as executed operations over the CPU's effective throughput.
 
-use predvfs_rtl::{JobInput, RtlError};
-
 use crate::error::CoreError;
 use crate::model::ExecTimeModel;
-use crate::slicer::{SlicePredictor, SliceRun};
+use crate::slicer::SliceTable;
 
 /// CPU cost model for a software predictor.
 #[derive(Debug, Clone, Copy)]
@@ -36,10 +34,11 @@ impl Default for CpuModel {
     }
 }
 
-/// A software predictor: slice semantics evaluated on the CPU.
+/// A software predictor: slice semantics evaluated on the CPU, priced from
+/// the slice's runs over the job set.
 #[derive(Debug)]
 pub struct SoftwarePredictor<'p> {
-    predictor: &'p SlicePredictor,
+    slices: &'p SliceTable,
     model: &'p ExecTimeModel,
     cpu: CpuModel,
 }
@@ -56,31 +55,25 @@ pub struct SoftwarePrediction {
 }
 
 impl<'p> SoftwarePredictor<'p> {
-    /// Wraps a slice predictor and model with a CPU cost model.
+    /// Wraps the slice's runs over a job set (see
+    /// [`crate::SlicePredictor::run_all`]) and a model with a CPU cost
+    /// model.
     pub fn new(
-        predictor: &'p SlicePredictor,
+        slices: &'p SliceTable,
         model: &'p ExecTimeModel,
         cpu: CpuModel,
     ) -> SoftwarePredictor<'p> {
-        SoftwarePredictor {
-            predictor,
-            model,
-            cpu,
-        }
+        SoftwarePredictor { slices, model, cpu }
     }
 
-    /// Predicts one job's execution time by evaluating the slice in
-    /// software.
+    /// Predicts the execution time of job `index` of the job set by
+    /// evaluating the slice in software.
     ///
     /// # Errors
     ///
-    /// Propagates slice-execution failures.
-    pub fn predict(&self, job: &JobInput) -> Result<SoftwarePrediction, CoreError> {
-        let run: SliceRun = self
-            .predictor
-            .runner()
-            .run(job)
-            .map_err(|e: RtlError| CoreError::from(e))?;
+    /// Returns [`CoreError::SliceTableExhausted`] past the last job.
+    pub fn predict(&self, index: usize) -> Result<SoftwarePrediction, CoreError> {
+        let run = self.slices.get(index)?;
         let predicted_cycles = self.model.predict_cycles(&run.features);
         // The software version executes the same control decisions but as
         // instructions, not cycles.
@@ -97,7 +90,7 @@ impl<'p> SoftwarePredictor<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slicer::SliceFlavor;
+    use crate::slicer::{SliceFlavor, SlicePredictor};
     use crate::train::{profile, train, TrainerConfig};
     use predvfs_accel::{sha, WorkloadSize};
     use predvfs_rtl::SliceOptions;
@@ -109,15 +102,20 @@ mod tests {
         let model = train(&m, &w.train, &TrainerConfig::default()).unwrap();
         let sp = SlicePredictor::generate(&m, &model, SliceOptions::default(), SliceFlavor::Rtl)
             .unwrap();
-        let sw = SoftwarePredictor::new(&sp, &model, CpuModel::default());
+        let table = sp.run_all(&w.test[..3]).unwrap();
+        let sw = SoftwarePredictor::new(&table, &model, CpuModel::default());
         let data = profile(&m, &w.test[..3]).unwrap();
-        for (i, job) in w.test.iter().take(3).enumerate() {
-            let p = sw.predict(job).unwrap();
+        for i in 0..3 {
+            let p = sw.predict(i).unwrap();
             let actual = data.y[i];
             let rel = (p.predicted_cycles - actual) / actual;
             assert!(rel.abs() < 0.10, "job {i}: rel err {rel}");
             assert!(p.cpu_time_s > 0.0);
             assert!(p.cpu_energy_pj > 0.0);
         }
+        assert_eq!(
+            sw.predict(3),
+            Err(CoreError::SliceTableExhausted { index: 3, len: 3 })
+        );
     }
 }

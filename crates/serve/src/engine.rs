@@ -95,8 +95,8 @@ use predvfs_sim::{Experiment, ExperimentConfig, TraceCache};
 use crate::scenario::{ControllerKind, OverloadPolicy, Scenario, ServeError, StreamSpec};
 use crate::slo::{SloConfig, SloTracker};
 
-/// One memoized slice evaluation: everything the predictive controller
-/// derives from running the hardware slice over one distinct test job.
+/// One memoized decision input: everything the predictive controller
+/// derives from the hardware slice's run over one distinct test job.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct CachedEntry {
     /// The model's (uncorrected) cycle prediction for the job.
@@ -110,23 +110,62 @@ struct CachedEntry {
 /// One stream, trained and ready to serve: the prepared experiment plus
 /// the per-arrival job sequence (with any drift already applied to the
 /// traces). Streams of the same (benchmark, seed, deadline) class share
-/// one [`Experiment`] (and one cached decision table) behind `Arc`s, so
-/// a million-stream scenario costs a few distinct training runs.
+/// one [`Experiment`] (and so one slice table) behind an `Arc`, so a
+/// million-stream scenario costs a few distinct training runs.
 struct PreparedStream {
     spec: StreamSpec,
     exp: Arc<Experiment>,
+    /// Index of the stream's class in [`ServeRuntime::classes`].
+    class: usize,
     /// Index into the experiment's test set for each arrival.
     job_idx: Arc<Vec<usize>>,
     /// Ground-truth trace for each arrival (drift-scaled past the shift).
     traces: Arc<Vec<JobTrace>>,
-    /// Lazily built per-test-job decision table for
-    /// [`ControllerKind::Cached`], shared across the class.
-    table: Arc<OnceLock<Arc<Vec<CachedEntry>>>>,
+}
+
+/// One distinct (benchmark, seed, deadline) training problem.
+struct Class {
+    exp: Arc<Experiment>,
+    /// Per-test-job decision table for [`ControllerKind::Cached`], derived
+    /// from the experiment's slice table on first use.
+    cached: OnceLock<Vec<CachedEntry>>,
+}
+
+impl Class {
+    /// The [`ControllerKind::Cached`] decision table: the model's read-out
+    /// and the slice energy of every entry of the class's slice table.
+    fn cached_table(&self) -> Result<&[CachedEntry], ServeError> {
+        if let Some(entries) = self.cached.get() {
+            return Ok(entries);
+        }
+        let slices = self.exp.slice_table().map_err(ServeError::Core)?;
+        let nominal = OperatingPoint {
+            volts: 1.0,
+            freq_ratio: 1.0,
+        };
+        Ok(self.cached.get_or_init(|| {
+            slices
+                .runs()
+                .iter()
+                .map(|run| CachedEntry {
+                    predicted: self.exp.model.predict_cycles(&run.features),
+                    slice_cycles: run.cycles,
+                    slice_pj: self.exp.slice_energy.job_pj(
+                        run.cycles.round() as u64,
+                        &run.dp_active,
+                        nominal,
+                        1.0,
+                    ),
+                })
+                .collect()
+        }))
+    }
 }
 
 /// A scenario with every stream prepared; reusable across runs.
 pub struct ServeRuntime {
     streams: Vec<PreparedStream>,
+    classes: Vec<Class>,
 }
 
 /// Degradation machinery configuration for [`ServeRuntime::run_chaos`].
@@ -523,10 +562,10 @@ struct InFlight {
     spiked: Option<JobTrace>,
 }
 
-/// The memoized predictive controller: the slice run and model read-out
-/// for each distinct test job come from the shared class table, so a
-/// decision costs a ladder scan instead of an RTL simulation. Decisions
-/// are byte-identical to [`PredictiveController`]'s — this is what makes
+/// The memoized predictive controller: the model read-out and slice
+/// energy for each distinct test job come from the shared class table, so
+/// a decision costs a ladder scan and no per-job arithmetic. Decisions are
+/// byte-identical to [`PredictiveController`]'s — this is what makes
 /// million-stream scale scenarios tractable.
 #[derive(Clone)]
 struct CachedCtrl<'p> {
@@ -548,13 +587,13 @@ enum Ctrl<'p> {
 }
 
 impl Ctrl<'_> {
-    /// Decides for one job (`tidx` is its index into the experiment's
-    /// test set). The second element is the cached slice-energy hint,
-    /// which saves the engine recomputing slice energy per dispatch.
+    /// Decides for one job (`ctx.index` is its index into the
+    /// experiment's test set). The second element is the cached
+    /// slice-energy hint, which saves the engine recomputing slice energy
+    /// per dispatch.
     fn decide(
         &mut self,
         ctx: &JobContext<'_>,
-        tidx: usize,
     ) -> Result<(Decision, Option<f64>), predvfs::CoreError> {
         match self {
             Ctrl::Predictive(c) => Ok((c.decide(ctx)?, None)),
@@ -562,7 +601,7 @@ impl Ctrl<'_> {
             Ctrl::Pid(c) => Ok((c.decide(ctx)?, None)),
             Ctrl::Hybrid(c) => Ok((c.decide(ctx)?, None)),
             Ctrl::Cached(c) => {
-                let e = c.entries[tidx];
+                let e = c.entries[ctx.index];
                 let slice_time_s = e.slice_cycles / c.f_nominal_hz;
                 let choice =
                     c.dvfs
@@ -608,8 +647,8 @@ impl Ctrl<'_> {
 /// Mutable service state of one stream during a run. `Clone` produces a
 /// behaviourally identical copy (the shard tier's checkpoint and journal
 /// payloads rely on this): every field is plain data except the
-/// controller, whose slice runner clones by reconstruction from the
-/// shared immutable predictor.
+/// controller, which borrows its class's shared, immutable slice table
+/// instead of owning a slice runner, so a clone copies the borrow.
 #[derive(Clone)]
 struct StreamState<'p> {
     ctrl: Ctrl<'p>,
@@ -1024,8 +1063,6 @@ impl ServeRuntime {
             }
             Ok(Arc::new(exp))
         })?;
-        let tables: Vec<Arc<OnceLock<Arc<Vec<CachedEntry>>>>> =
-            exps.iter().map(|_| Arc::new(OnceLock::new())).collect();
 
         // Arrival plans (job indices + drift-scaled traces) dedupe the
         // same way, keyed by class, job count, and drift.
@@ -1076,12 +1113,19 @@ impl ServeRuntime {
             streams.push(PreparedStream {
                 spec: spec.clone(),
                 exp: Arc::clone(&exps[ei]),
+                class: ei,
                 job_idx,
                 traces,
-                table: Arc::clone(&tables[ei]),
             });
         }
-        Ok(ServeRuntime { streams })
+        let classes = exps
+            .into_iter()
+            .map(|exp| Class {
+                exp,
+                cached: OnceLock::new(),
+            })
+            .collect();
+        Ok(ServeRuntime { streams, classes })
     }
 
     /// The prepared streams' specs, in scenario order.
@@ -1089,59 +1133,52 @@ impl ServeRuntime {
         self.streams.iter().map(|s| &s.spec)
     }
 
-    /// Builds the memoized decision table for one class (no-op when
-    /// already built).
-    fn ensure_cached_table(s: &PreparedStream) -> Result<(), ServeError> {
-        if s.table.get().is_some() {
-            return Ok(());
-        }
-        let runner = s.exp.predictor.runner();
-        let nominal = OperatingPoint {
-            volts: 1.0,
-            freq_ratio: 1.0,
-        };
-        let mut entries = Vec::with_capacity(s.exp.workloads.test.len());
-        for job in &s.exp.workloads.test {
-            let run = runner
-                .run(job)
-                .map_err(|e| ServeError::Core(predvfs::CoreError::from(e)))?;
-            let predicted = s.exp.model.predict_cycles(&run.features);
-            let slice_pj =
-                s.exp
-                    .slice_energy
-                    .job_pj(run.cycles.round() as u64, &run.dp_active, nominal, 1.0);
-            entries.push(CachedEntry {
-                predicted,
-                slice_cycles: run.cycles,
-                slice_pj,
-            });
-        }
-        let _ = s.table.set(Arc::new(entries));
-        Ok(())
-    }
-
-    /// Pre-builds the memoized decision tables every stream that will
-    /// run under [`ControllerKind::Cached`] needs (one per class, fanned
-    /// out in parallel). [`ServeRuntime::engine`] builds missing tables
-    /// on demand; calling this first avoids redundant concurrent builds
-    /// when many shard engines are constructed from worker threads.
+    /// Pre-builds every table the streams will read under `force` (or
+    /// their own controller): each class's slice table for the
+    /// slice-reading controllers, plus its decision table for
+    /// [`ControllerKind::Cached`]. Classes are built once each, fanned out
+    /// in parallel. [`ServeRuntime::engine`] warms its members the same
+    /// way; calling this first keeps that work off the shard workers.
     ///
     /// # Errors
     ///
     /// Propagates slice-execution failures.
     pub fn warm_cached_tables(&self, force: Option<ControllerKind>) -> Result<(), ServeError> {
-        let mut seen = std::collections::HashSet::new();
-        let mut todo: Vec<&PreparedStream> = Vec::new();
-        for s in &self.streams {
-            let kind = force.unwrap_or(s.spec.controller);
-            if kind == ControllerKind::Cached
-                && s.table.get().is_none()
-                && seen.insert(Arc::as_ptr(&s.table))
-            {
-                todo.push(s);
+        self.warm(0..self.streams.len(), force)
+    }
+
+    /// Builds the tables the `gids` streams read (see
+    /// [`ServeRuntime::warm_cached_tables`]).
+    fn warm(
+        &self,
+        gids: impl IntoIterator<Item = usize>,
+        force: Option<ControllerKind>,
+    ) -> Result<(), ServeError> {
+        // Per class: (reads the slice table, reads the Cached table).
+        let mut reads = vec![(false, false); self.classes.len()];
+        for gid in gids {
+            let s = &self.streams[gid];
+            match force.unwrap_or(s.spec.controller) {
+                ControllerKind::Pid => {}
+                ControllerKind::Cached => reads[s.class] = (true, true),
+                _ => reads[s.class].0 = true,
             }
         }
-        predvfs_par::par_try_map(&todo, |s| Self::ensure_cached_table(s))?;
+        let todo: Vec<(&Class, bool)> = self
+            .classes
+            .iter()
+            .zip(reads)
+            .filter(|(_, (slices, _))| *slices)
+            .map(|(class, (_, cached))| (class, cached))
+            .collect();
+        predvfs_par::par_try_map(&todo, |&(class, cached)| {
+            if cached {
+                class.cached_table()?;
+            } else {
+                class.exp.slice_table().map_err(ServeError::Core)?;
+            }
+            Ok::<_, ServeError>(())
+        })?;
         Ok(())
     }
 
@@ -1234,8 +1271,7 @@ impl ServeRuntime {
     ///
     /// # Errors
     ///
-    /// Propagates cached-table build failures for members forced onto
-    /// [`ControllerKind::Cached`].
+    /// Propagates slice-table build failures of the members' classes.
     ///
     /// # Panics
     ///
@@ -1266,15 +1302,13 @@ impl ServeRuntime {
             jobs_done: 0,
             boost_requests: Vec::new(),
         };
+        self.warm(members.iter().copied(), config.force)?;
         for (slot_idx, &gid) in members.iter().enumerate() {
             let s = &self.streams[gid];
             let kind = config.force.unwrap_or(s.spec.controller);
-            if kind == ControllerKind::Cached {
-                Self::ensure_cached_table(s)?;
-            }
             engine.slots.push(Some(Slot {
                 gid,
-                state: new_state(s, kind, config.lean),
+                state: new_state(s, &self.classes[s.class], kind, config.lean)?,
             }));
             engine.by_gid.insert(gid, slot_idx);
             if config.one_ahead_arrivals {
@@ -1316,21 +1350,28 @@ impl ServeRuntime {
     }
 }
 
-/// Fresh run-time state for one stream.
-fn new_state<'rt>(s: &'rt PreparedStream, kind: ControllerKind, lean: bool) -> StreamState<'rt> {
+/// Fresh run-time state for one stream. Slice-reading controllers borrow
+/// the class's slice table, which the engine warmed beforehand.
+fn new_state<'rt>(
+    s: &'rt PreparedStream,
+    class: &'rt Class,
+    kind: ControllerKind,
+    lean: bool,
+) -> Result<StreamState<'rt>, ServeError> {
     let dvfs = &s.exp.dvfs;
     let f_hz = s.exp.energy.f_nominal_hz();
+    let slices = || s.exp.slice_table().map_err(ServeError::Core);
     let ctrl = match kind {
         ControllerKind::Predictive => Ctrl::Predictive(PredictiveController::new(
             dvfs.clone(),
             f_hz,
-            &s.exp.predictor,
+            slices()?,
             &s.exp.model,
         )),
         ControllerKind::Adaptive => Ctrl::Adaptive(Box::new(AdaptiveController::new(
             dvfs.clone(),
             f_hz,
-            &s.exp.predictor,
+            slices()?,
             s.exp.model.clone(),
             OnlineTrainerConfig::default(),
         ))),
@@ -1338,20 +1379,16 @@ fn new_state<'rt>(s: &'rt PreparedStream, kind: ControllerKind, lean: bool) -> S
         ControllerKind::Hybrid => Ctrl::Hybrid(HybridController::new(
             dvfs.clone(),
             f_hz,
-            &s.exp.predictor,
+            slices()?,
             &s.exp.model,
         )),
         ControllerKind::Cached => Ctrl::Cached(CachedCtrl {
             dvfs,
             f_nominal_hz: f_hz,
-            entries: s
-                .table
-                .get()
-                .expect("cached table built before state construction")
-                .as_slice(),
+            entries: class.cached_table()?,
         }),
     };
-    StreamState {
+    Ok(StreamState {
         ctrl,
         queue: VecDeque::new(),
         in_flight: None,
@@ -1386,7 +1423,7 @@ fn new_state<'rt>(s: &'rt PreparedStream, kind: ControllerKind, lean: bool) -> S
             quarantines: 0,
             internal_errors: 0,
         },
-    }
+    })
 }
 
 /// A resumable event-loop engine over a subset of a runtime's streams —
@@ -2219,11 +2256,12 @@ impl Loop<'_, '_> {
         let tidx = s.job_idx[adm.job];
         let job = &s.exp.workloads.test[tidx];
         let faults_on = self.faults_on;
-        // Whatever budget queueing left is what the controller gets.
+        // Whatever budget queueing left is what the controller gets; the
+        // test-job index selects the job's slice-table entry.
         let ctx = JobContext {
             job,
             deadline_s: adm.deadline_abs_s - now,
-            index: state.started,
+            index: tidx,
         };
         state.started += 1;
 
@@ -2254,7 +2292,7 @@ impl Loop<'_, '_> {
                 None,
             )
         } else {
-            state.ctrl.decide(&ctx, tidx)?
+            state.ctrl.decide(&ctx)?
         };
         state.note_ctrl_transitions(now, self.sink);
 

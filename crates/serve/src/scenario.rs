@@ -57,14 +57,14 @@ pub enum ControllerKind {
     /// Predictive with EWMA residual correction
     /// ([`predvfs::HybridController`]).
     Hybrid,
-    /// Predictive with the slice run memoized per distinct test job.
+    /// Predictive with the model read-out memoized per distinct test job.
     ///
-    /// Decisions are identical to [`ControllerKind::Predictive`] — the
-    /// slice simulation for each of the (cyclically reused) test jobs is
-    /// executed once per prepared experiment and its prediction, slice
-    /// cycles, and slice energy are cached — but the per-job cost drops
-    /// from an RTL simulation to a ladder scan, which is what makes
-    /// million-stream scale scenarios tractable.
+    /// Decisions are identical to [`ControllerKind::Predictive`] — both
+    /// read the class's slice table, built once per prepared experiment —
+    /// but the prediction and slice energy of each (cyclically reused)
+    /// test job are cached too, so the per-job cost drops to a ladder
+    /// scan, which is what makes million-stream scale scenarios
+    /// tractable.
     Cached,
 }
 
@@ -375,13 +375,10 @@ fn parse_stream_option(spec: &mut StreamSpec, key: &str, val: &str) -> Result<()
                 .ok_or_else(|| "expected <at_frac>:<cycle_scale>".to_owned())?;
             let drift = DriftSpec {
                 at_frac: num(at)?,
-                cycle_scale: num(scale)?,
+                cycle_scale: positive(scale).map_err(|e| format!("cycle_scale {e}"))?,
             };
             if !(0.0..=1.0).contains(&drift.at_frac) {
                 return Err("at_frac must be in [0, 1]".into());
-            }
-            if drift.cycle_scale <= 0.0 {
-                return Err("cycle_scale must be positive".into());
             }
             spec.drift = Some(drift);
         }
@@ -588,6 +585,10 @@ mod tests {
     fn rejects_out_of_range_drift() {
         assert_parse_err("stream sha drift=2:1.5\n", "at_frac");
         assert_parse_err("stream sha drift=-0.1:1.5\n", "at_frac");
+        // An infinite scale makes every post-drift job endless; NaN turns
+        // it into a 0-cycle job when the trace is scaled.
+        assert_parse_err("stream sha drift=0.5:inf\n", "cycle_scale");
+        assert_parse_err("stream sha drift=0.5:NaN\n", "cycle_scale");
     }
 
     #[test]

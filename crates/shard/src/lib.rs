@@ -404,8 +404,9 @@ pub fn run_sharded<'rt>(
         return Err(invalid("shard_sinks must be empty or one per shard"));
     }
 
-    // Build cached tables up front (deduplicated per class) so shard
-    // workers never race on first-use construction cost.
+    // Build the slice and decision tables the streams read up front (once
+    // per class) so shard workers never race on first-use construction
+    // cost.
     runtime.warm_cached_tables(config.force)?;
 
     let n_streams = runtime.specs().count();

@@ -1,16 +1,18 @@
 //! End-to-end experiment orchestration for one benchmark: build → train →
 //! slice → profile → run every DVFS scheme.
 
+use std::sync::OnceLock;
+
 use predvfs::{
     train, BaselineController, DvfsModel, ExecTimeModel, OracleController, PidController,
-    PredictiveController, SliceFlavor, SlicePredictor, TableController, TrainerConfig,
+    PredictiveController, SliceFlavor, SlicePredictor, SliceTable, TableController, TrainerConfig,
 };
 use predvfs_accel::{Benchmark, WorkloadSize, Workloads};
 use predvfs_power::{
     AlphaPowerCurve, EnergyModel, Ladder, PowerParams, SwitchingModel, TableCurve,
 };
 use predvfs_rtl::{
-    AsicAreaModel, FpgaResourceModel, FpgaResources, JobTrace, Module, SliceOptions,
+    AsicAreaModel, FpgaResourceModel, FpgaResources, JobTrace, Module, RtlError, SliceOptions,
 };
 
 use crate::cache::TraceCache;
@@ -158,6 +160,8 @@ pub struct Experiment {
     pub raw_feature_count: usize,
     config: ExperimentConfig,
     f_hz: f64,
+    /// The slice's runs over the test set, built by the first reader.
+    slice_table: OnceLock<Result<SliceTable, RtlError>>,
 }
 
 impl Experiment {
@@ -278,12 +282,34 @@ impl Experiment {
             raw_feature_count,
             config,
             f_hz,
+            slice_table: OnceLock::new(),
         })
     }
 
     /// The experiment's configuration.
     pub fn config(&self) -> &ExperimentConfig {
         &self.config
+    }
+
+    /// The slice's runs over the test set: entry `i` is test job `i`'s
+    /// features, slice cycles and datapath activity. A slice's output
+    /// depends only on its job, so every slice-reading scheme, sweep point
+    /// and serve stream of this experiment shares one pass. The first
+    /// caller builds it (concurrent first callers wait for that one
+    /// build); preparation never does.
+    ///
+    /// # Errors
+    ///
+    /// Returns the slice failure of the lowest-indexed test job, on every
+    /// call.
+    pub fn slice_table(&self) -> Result<&SliceTable, predvfs::CoreError> {
+        self.slice_table
+            .get_or_init(|| {
+                let _span = predvfs_obs::span("sim.slice_table");
+                self.predictor.run_all(&self.workloads.test)
+            })
+            .as_ref()
+            .map_err(|e| e.clone().into())
     }
 
     /// Runs one scheme over the test set with the configured deadline.
@@ -358,7 +384,7 @@ impl Experiment {
                 let mut c = PredictiveController::new(
                     dvfs.clone(),
                     self.f_hz,
-                    &self.predictor,
+                    self.slice_table()?,
                     &self.model,
                 );
                 run_scheme(
@@ -375,7 +401,7 @@ impl Experiment {
                 let mut c = PredictiveController::new(
                     dvfs.clone(),
                     self.f_hz,
-                    &self.predictor,
+                    self.slice_table()?,
                     &self.model,
                 );
                 c.ignore_overheads = true;
@@ -387,7 +413,7 @@ impl Experiment {
                 let mut c = PredictiveController::new(
                     boosted.clone(),
                     self.f_hz,
-                    &self.predictor,
+                    self.slice_table()?,
                     &self.model,
                 );
                 run_scheme(
@@ -483,6 +509,25 @@ mod tests {
         let pred = e.run(Scheme::Prediction).unwrap();
         let noovh = e.run(Scheme::PredictionNoOverhead).unwrap();
         assert!(noovh.total_energy_pj() <= pred.total_energy_pj() * 1.001);
+    }
+
+    #[test]
+    fn slice_table_is_built_by_its_first_reader_only() {
+        let e = quick("sha");
+        assert!(e.slice_table.get().is_none(), "prepare ran the slice");
+        e.run_all(&[Scheme::Baseline, Scheme::Pid, Scheme::Oracle])
+            .unwrap();
+        assert!(
+            e.slice_table.get().is_none(),
+            "a reactive scheme ran the slice"
+        );
+        let pred = e.run(Scheme::Prediction).unwrap();
+        let built = e.slice_table.get().expect("prediction built the table");
+        let runs = built.as_ref().unwrap().runs();
+        assert_eq!(runs.len(), e.workloads.test.len());
+        for (record, run) in pred.records.iter().zip(runs) {
+            assert_eq!(record.slice_s, run.cycles / e.f_hz);
+        }
     }
 
     #[test]

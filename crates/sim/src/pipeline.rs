@@ -10,9 +10,9 @@
 //! get more time instead of being forced to high voltage while fast
 //! stages idle at low utilization.
 
-use predvfs::{DvfsModel, ExecTimeModel, LevelChoice, SlicePredictor};
+use predvfs::{DvfsModel, ExecTimeModel, LevelChoice, SliceTable};
 use predvfs_power::EnergyModel;
-use predvfs_rtl::{JobInput, JobTrace};
+use predvfs_rtl::JobTrace;
 
 use crate::metrics::{JobRecord, SchemeResult};
 
@@ -29,8 +29,9 @@ pub enum SplitPolicy {
 pub struct PipelineStage<'p> {
     /// Stage label.
     pub name: &'p str,
-    /// The stage's generated predictor.
-    pub predictor: &'p SlicePredictor,
+    /// The stage's slice runs, one per frame (see
+    /// [`predvfs::SlicePredictor::run_all`]).
+    pub slices: &'p SliceTable,
     /// The stage's fitted model.
     pub model: &'p ExecTimeModel,
     /// The stage's energy model.
@@ -76,37 +77,32 @@ impl PipelineResult {
     }
 }
 
-/// Runs a frame pipeline: for each frame, every stage's slice predicts its
-/// work, the budget is split per `policy`, each stage picks its own level,
-/// and the frame's wall-clock time is the sum of stage times.
+/// Runs a frame pipeline: for each frame, every stage's slice run predicts
+/// its work, the budget is split per `policy`, each stage picks its own
+/// level, and the frame's wall-clock time is the sum of stage times.
 ///
-/// `jobs[k][i]` is the input of stage `k` for frame `i`; `traces[k][i]` the
-/// corresponding execution trace at nominal frequency.
-///
-/// # Errors
-///
-/// Propagates slice-execution failures.
+/// `stages[k].slices` holds stage `k`'s slice run for every frame and
+/// `traces[k][i]` the execution trace of stage `k` for frame `i` at
+/// nominal frequency.
 ///
 /// # Panics
 ///
-/// Panics if stage/job/trace dimensions disagree or no stages are given.
+/// Panics if stage/slice/trace dimensions disagree or no stages are
+/// given.
 pub fn run_pipeline(
     stages: &[PipelineStage<'_>],
-    jobs: &[Vec<JobInput>],
     traces: &[Vec<JobTrace>],
     frame_deadline_s: f64,
     policy: SplitPolicy,
-) -> Result<PipelineResult, predvfs::CoreError> {
+) -> PipelineResult {
     assert!(!stages.is_empty(), "pipeline needs at least one stage");
-    assert_eq!(stages.len(), jobs.len());
     assert_eq!(stages.len(), traces.len());
-    let frames = jobs[0].len();
-    for (j, t) in jobs.iter().zip(traces) {
-        assert_eq!(j.len(), frames, "all stages see every frame");
-        assert_eq!(t.len(), frames);
+    let frames = traces[0].len();
+    for (stage, t) in stages.iter().zip(traces) {
+        assert_eq!(t.len(), frames, "all stages see every frame");
+        assert_eq!(stage.slices.runs().len(), frames, "one slice run per frame");
     }
 
-    let runners: Vec<_> = stages.iter().map(|s| s.predictor.runner()).collect();
     let mut records: Vec<Vec<JobRecord>> = vec![Vec::with_capacity(frames); stages.len()];
     let mut frame_misses = 0;
     let mut prev_level: Vec<usize> = stages
@@ -114,26 +110,16 @@ pub fn run_pipeline(
         .map(|s| s.dvfs.ladder.nominal_index())
         .collect();
 
-    // 1. Every stage predicts its work for every frame. Predictions are
-    // pure per-frame work (slice execution + a dot product), so frames
-    // fan out in parallel; the accounting below carries the sequential
-    // `prev_level` switching state and stays serial, consuming the
-    // predictions in frame order — bit-identical to the fused loop.
-    let frame_ids: Vec<usize> = (0..frames).collect();
-    let per_frame = predvfs_par::par_try_map(&frame_ids, |&frame| {
+    for frame in 0..frames {
+        // 1. Every stage predicts its work from its slice run.
         let mut predictions = Vec::with_capacity(stages.len());
         let mut slice_times = Vec::with_capacity(stages.len());
-        for (k, stage) in stages.iter().enumerate() {
-            let run = runners[k].run(&jobs[k][frame])?;
-            let pred = stage.model.predict_cycles(&run.features);
+        for stage in stages {
+            let run = &stage.slices.runs()[frame];
             let f_hz = stage.energy.f_nominal_hz();
-            slice_times.push((run.cycles, run.cycles / f_hz, run.dp_active));
-            predictions.push(pred / f_hz);
+            slice_times.push((run.cycles, run.cycles / f_hz));
+            predictions.push(stage.model.predict_cycles(&run.features) / f_hz);
         }
-        Ok::<_, predvfs_rtl::RtlError>((predictions, slice_times))
-    })?;
-
-    for (frame, (predictions, slice_times)) in per_frame.into_iter().enumerate() {
         let total_pred: f64 = predictions.iter().sum();
         let total_slice: f64 = slice_times.iter().map(|s| s.1).sum();
 
@@ -155,7 +141,7 @@ pub fn run_pipeline(
 
         // 3. Each stage picks its level within its share and runs.
         let mut frame_time = 0.0;
-        for (k, stage) in stages.iter().enumerate() {
+        for (k, (stage, stage_traces)) in stages.iter().zip(traces).enumerate() {
             let f_hz = stage.energy.f_nominal_hz();
             let pred_cycles = predictions[k] * f_hz;
             let choice = stage.dvfs.choose(pred_cycles, f_hz, budgets[k], 0.0);
@@ -166,16 +152,15 @@ pub fn run_pipeline(
             };
             let switch_s = stage.dvfs.switching.time_s(prev_level[k], key);
             prev_level[k] = key;
-            let trace = &traces[k][frame];
+            let trace = &stage_traces[frame];
             let exec_s = stage.energy.time_s(trace.cycles, point);
-            let (slice_cycles, slice_s, ref slice_dp) = slice_times[k];
+            let (slice_cycles, slice_s) = slice_times[k];
             let nominal = predvfs_power::OperatingPoint {
                 volts: 1.0,
                 freq_ratio: 1.0,
             };
             // Slice energy: the slice is the design's control logic
             // running at nominal with no datapath activity.
-            let _ = slice_dp;
             let slice_pj = stage.energy.job_pj(
                 slice_cycles.round() as u64,
                 &vec![0; trace.dp_active.len()],
@@ -206,7 +191,7 @@ pub fn run_pipeline(
         }
     }
 
-    Ok(PipelineResult {
+    PipelineResult {
         stages: stages
             .iter()
             .zip(records)
@@ -217,21 +202,21 @@ pub fn run_pipeline(
             .collect(),
         frame_misses,
         frames,
-    })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use predvfs::{train, SliceFlavor, TrainerConfig};
+    use predvfs::{train, SliceFlavor, SlicePredictor, TrainerConfig};
     use predvfs_accel::{aes, sha, WorkloadSize};
     use predvfs_power::{AlphaPowerCurve, Ladder, PowerParams, SwitchingModel};
-    use predvfs_rtl::{AsicAreaModel, ExecMode, Simulator, SliceOptions};
+    use predvfs_rtl::{AsicAreaModel, ExecMode, JobInput, Simulator, SliceOptions};
 
     struct Prepared {
         module: predvfs_rtl::Module,
         model: ExecTimeModel,
-        predictor: SlicePredictor,
+        slices: SliceTable,
         energy: EnergyModel,
         jobs: Vec<JobInput>,
     }
@@ -244,15 +229,17 @@ mod tests {
     ) -> Prepared {
         let module = build();
         let model = train::train(&module, train_jobs, &TrainerConfig::default()).unwrap();
-        let predictor =
+        let slices =
             SlicePredictor::generate(&module, &model, SliceOptions::default(), SliceFlavor::Rtl)
+                .unwrap()
+                .run_all(&jobs)
                 .unwrap();
         let area = AsicAreaModel::default().area(&module);
         let energy = EnergyModel::new(&module, &area, &PowerParams::default(), f_mhz * 1e6, 1.0);
         Prepared {
             module,
             model,
-            predictor,
+            slices,
             energy,
             jobs,
         }
@@ -276,14 +263,14 @@ mod tests {
         let stages = [
             PipelineStage {
                 name: "aes",
-                predictor: &a.predictor,
+                slices: &a.slices,
                 model: &a.model,
                 energy: &a.energy,
                 dvfs: dvfs.clone(),
             },
             PipelineStage {
                 name: "sha",
-                predictor: &s.predictor,
+                slices: &s.slices,
                 model: &s.model,
                 energy: &s.energy,
                 dvfs: dvfs.clone(),
@@ -297,11 +284,9 @@ mod tests {
                 .collect()
         };
         let traces = [trace(&a), trace(&s)];
-        let jobs = [a.jobs.clone(), s.jobs.clone()];
 
-        let stat = run_pipeline(&stages, &jobs, &traces, 16.7e-3, SplitPolicy::Static).unwrap();
-        let prop =
-            run_pipeline(&stages, &jobs, &traces, 16.7e-3, SplitPolicy::Proportional).unwrap();
+        let stat = run_pipeline(&stages, &traces, 16.7e-3, SplitPolicy::Static);
+        let prop = run_pipeline(&stages, &traces, 16.7e-3, SplitPolicy::Proportional);
         assert_eq!(stat.frame_misses, 0);
         assert_eq!(prop.frame_misses, 0);
         assert!(
@@ -328,19 +313,12 @@ mod tests {
         let dvfs = DvfsModel::new(Ladder::asic(&curve), SwitchingModel::off_chip());
         let stages = [PipelineStage {
             name: "sha",
-            predictor: &s.predictor,
+            slices: &s.slices,
             model: &s.model,
             energy: &s.energy,
             dvfs,
         }];
-        let res = run_pipeline(
-            &stages,
-            &[Vec::new()],
-            &[Vec::new()],
-            16.7e-3,
-            SplitPolicy::Proportional,
-        )
-        .unwrap();
+        let res = run_pipeline(&stages, &[Vec::new()], 16.7e-3, SplitPolicy::Proportional);
         assert_eq!(res.frames, 0);
         assert_eq!(res.frame_misses, 0);
         assert_eq!(res.frame_miss_pct(), 0.0);

@@ -123,8 +123,9 @@ fn modes_agree_on_final_register_state_all_benchmarks() {
 fn slices_run_identically_on_both_engines_all_benchmarks() {
     // The predictor's slice is the module production runs before every
     // job, in Compressed mode with the slice's own probes. On it the VM
-    // must match the oracle, and `SliceRunner::run` must report exactly
-    // the VM's features and datapath activity.
+    // must match the oracle, `SliceRunner::run` must report exactly the
+    // VM's features and datapath activity, and `SlicePredictor::run_all`
+    // must report exactly the runner's output, entry by entry.
     for bench in all() {
         let module = (bench.build)();
         let w = (bench.workloads)(11, WorkloadSize::Quick);
@@ -139,6 +140,9 @@ fn slices_run_identically_on_both_engines_all_benchmarks() {
             let interp = Simulator::new(slice);
             let vm = CompiledSim::new(slice).unwrap();
             let runner = predictor.runner();
+            let table = predvfs_par::with_threads(4, || predictor.run_all(&w.test[..4]))
+                .unwrap_or_else(|e| panic!("{} {flavor:?}: run_all failed: {e}", bench.name));
+            assert_eq!(table.runs().len(), 4);
             for (ji, job) in w.test.iter().take(4).enumerate() {
                 let what = format!("{} {flavor:?} slice, job {ji}", bench.name);
                 let (want_trace, want_state) = interp
@@ -166,6 +170,21 @@ fn slices_run_identically_on_both_engines_all_benchmarks() {
                 if flavor == SliceFlavor::Rtl {
                     assert_eq!(run.cycles, got_trace.cycles as f64, "{what}: runner cycles");
                 }
+
+                // The parallel table build must hold exactly the runner's
+                // output for the same job.
+                let entry = table.get(ji).expect("one entry per job");
+                assert_eq!(
+                    bits(&entry.features),
+                    bits(&run.features),
+                    "{what}: table features"
+                );
+                assert_eq!(
+                    entry.cycles.to_bits(),
+                    run.cycles.to_bits(),
+                    "{what}: table cycles"
+                );
+                assert_eq!(entry.dp_active, run.dp_active, "{what}: table dp_active");
             }
         }
     }

@@ -109,10 +109,11 @@ fn controller_meets_deadlines_on_quick_workloads() {
                 .unwrap();
         let f_hz = bench.f_nominal_mhz * 1e6;
         let dvfs = dvfs();
-        let mut controller = PredictiveController::new(dvfs.clone(), f_hz, &predictor, &model);
+        let n = w.test.len().min(20);
+        let slices = predictor.run_all(&w.test[..n]).unwrap();
+        let mut controller = PredictiveController::new(dvfs.clone(), f_hz, &slices, &model);
         let sim = Simulator::new(&module);
         let mut misses = 0;
-        let n = w.test.len().min(20);
         for (i, job) in w.test.iter().take(n).enumerate() {
             let d = controller
                 .decide(&JobContext {

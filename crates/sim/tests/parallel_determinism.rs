@@ -48,6 +48,9 @@ fn parallel_prepare_matches_serial_on_both_platforms() {
 fn run_all_matches_serial_runs_on_both_platforms() {
     for platform in [Platform::Asic, Platform::Fpga] {
         for name in ["sha", "aes"] {
+            // One experiment per side: each builds its own slice table, so
+            // the 4-thread side really runs the parallel table build
+            // instead of reading the serially built one.
             let e = prepare(name, platform, 1);
             let serial: Vec<_> = predvfs_par::with_threads(1, || {
                 Scheme::ALL
@@ -55,6 +58,7 @@ fn run_all_matches_serial_runs_on_both_platforms() {
                     .map(|&s| e.run(s).expect("serial run"))
                     .collect()
             });
+            let e = prepare(name, platform, 1);
             let parallel =
                 predvfs_par::with_threads(4, || e.run_all(&Scheme::ALL).expect("parallel run"));
             assert_eq!(parallel.len(), Scheme::ALL.len());

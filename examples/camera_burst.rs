@@ -42,6 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dvfs = DvfsModel::new(Ladder::asic(&curve), SwitchingModel::off_chip());
 
     let shots = burst(1234, 40);
+    let slices = predictor.run_all(&shots)?;
     let sim = CompiledSim::new(&module)?;
 
     for (name, mut controller) in [
@@ -54,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Box::new(PredictiveController::new(
                 dvfs.clone(),
                 f_hz,
-                &predictor,
+                &slices,
                 &model,
             )) as Box<dyn DvfsController>,
         ),

@@ -68,21 +68,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .collect()
     };
     let traces = [trace(&a.module, &aes_jobs)?, trace(&s.module, &sha_jobs)?];
-    let jobs = [aes_jobs, sha_jobs];
+    // Each stage's slice runs once per frame; both policies read the runs.
+    let aes_slices = a.predictor.run_all(&aes_jobs)?;
+    let sha_slices = s.predictor.run_all(&sha_jobs)?;
 
     let curve = AlphaPowerCurve::default();
     let dvfs = DvfsModel::new(Ladder::asic(&curve), SwitchingModel::off_chip());
     let stages = [
         PipelineStage {
             name: "aes",
-            predictor: &a.predictor,
+            slices: &aes_slices,
             model: &a.model,
             energy: &a.energy,
             dvfs: dvfs.clone(),
         },
         PipelineStage {
             name: "sha",
-            predictor: &s.predictor,
+            slices: &sha_slices,
             model: &s.model,
             energy: &s.energy,
             dvfs: dvfs.clone(),
@@ -93,7 +95,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("static even split", SplitPolicy::Static),
         ("proportional to prediction", SplitPolicy::Proportional),
     ] {
-        let res = run_pipeline(&stages, &jobs, &traces, FRAME_DEADLINE_S, policy)?;
+        let res = run_pipeline(&stages, &traces, FRAME_DEADLINE_S, policy);
         println!(
             "{label:>27}: {:8.1} uJ, {:.1}% frames late",
             res.total_energy_pj() / 1e6,

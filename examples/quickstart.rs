@@ -38,15 +38,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         predictor.report().removed_wait_states
     );
 
-    // 4. Online: for an incoming job, run the slice, predict, set a level.
+    // 4. Online: for an incoming job, run the slice (once per job, into a
+    // table the controllers read by job index), predict, set a level.
     let curve = AlphaPowerCurve::default();
     let dvfs = DvfsModel::new(
         Ladder::asic(&curve).with_boost(&curve, 1.08),
         SwitchingModel::off_chip(),
     );
     let f_hz = sha::F_NOMINAL_MHZ * 1e6;
-    let mut controller = PredictiveController::new(dvfs.clone(), f_hz, &predictor, &model);
     let job = &jobs.test[0];
+    let slices = predictor.run_all(std::slice::from_ref(job))?;
+    let mut controller = PredictiveController::new(dvfs.clone(), f_hz, &slices, &model);
     let decision = controller.decide(&JobContext {
         job,
         deadline_s: 16.7e-3,

@@ -34,10 +34,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Ladder::asic(&curve).with_boost(&curve, 1.08),
         SwitchingModel::off_chip(),
     );
-    let mut controller = PredictiveController::new(dvfs.clone(), f_hz, &predictor, &model);
-
-    // "Play" a clip.
+    // "Play" a clip; the slice runs once per frame, ahead of the decisions.
     let clip = h264::clip(99, 120, 0.2, 0.8, 396);
+    let slices = predictor.run_all(&clip)?;
+    let mut controller = PredictiveController::new(dvfs.clone(), f_hz, &slices, &model);
     let sim = CompiledSim::new(&module)?;
     let nominal = predvfs_power::OperatingPoint {
         volts: 1.0,
