@@ -51,7 +51,7 @@
 
 use std::collections::HashMap;
 
-use crate::analysis::{Analysis, WaitDir};
+use crate::analysis::{Analysis, WaitDir, WaitState};
 use crate::error::RtlError;
 use crate::expr::{BinOp, Expr};
 use crate::module::Module;
@@ -316,8 +316,7 @@ pub(crate) struct StatePrograms {
     pub done: ExprProgram,
 }
 
-/// A wait state with its bound/activity expressions pre-lowered, keyed off
-/// the same `(fsm reg, state)` pairs the interpreter uses.
+/// A wait state with its bound/activity expressions pre-lowered.
 #[derive(Debug, Clone)]
 pub(crate) struct CompiledWait {
     pub counter: usize,
@@ -326,6 +325,29 @@ pub(crate) struct CompiledWait {
     /// `(datapath index, activity program)` in `maybe_active_dps` order.
     pub dps: Vec<(usize, ExprProgram)>,
     pub serial: bool,
+}
+
+/// The wait plans of one FSM register, sorted by state.
+///
+/// The interpreter keys the same plans by `(fsm reg, state)` in a hash
+/// map; the VM's scan runs on every cycle that is not skipped, so it
+/// binary-searches this table instead. Its length is the number of wait
+/// states, however large the state encodings in the RTL text are.
+#[derive(Debug, Clone)]
+pub(crate) struct WaitTable {
+    pub fsm: usize,
+    pub plans: Vec<(u64, CompiledWait)>,
+}
+
+impl WaitTable {
+    /// The plan for state `state`, if it is a wait state of this FSM.
+    #[inline]
+    pub fn get(&self, state: u64) -> Option<&CompiledWait> {
+        self.plans
+            .binary_search_by_key(&state, |(s, _)| *s)
+            .ok()
+            .map(|i| &self.plans[i].1)
+    }
 }
 
 /// Everything [`crate::vm::CompiledSim`] needs at run time.
@@ -342,9 +364,10 @@ pub(crate) struct Compiled {
     pub by_state: Vec<StatePrograms>,
     /// Primary FSM register index, if bucketing is active.
     pub fsm: Option<usize>,
-    pub waits: HashMap<(usize, u64), CompiledWait>,
-    /// All FSM registers, sorted — the wait-scan order.
-    pub fsm_regs: Vec<usize>,
+    /// Wait tables of the FSM registers that have wait states, in
+    /// ascending register order — the interpreter's wait-scan order. An
+    /// FSM without wait states never decides a scan, so it has no table.
+    pub waits: Vec<WaitTable>,
     /// `is_fsm_reg[r]`: does a probe transition apply to register `r`?
     pub is_fsm_reg: Vec<bool>,
     /// Scratch registers needed by the largest program.
@@ -382,28 +405,6 @@ pub(crate) fn compile(module: &Module, analysis: &Analysis) -> Result<Compiled, 
             });
         }
     }
-    let mut waits = HashMap::new();
-    for w in &analysis.waits {
-        // During the wait the FSM register provably holds `w.state`, so
-        // bound/activity programs may fold it; the counter is *not*
-        // folded — activity is evaluated after it jumps to its terminal
-        // value, read live from the state buffer.
-        let fold = Some((w.fsm.index(), w.state));
-        waits.insert(
-            (w.fsm.index(), w.state),
-            CompiledWait {
-                counter: w.counter.index(),
-                dir: w.dir,
-                bound: w.bound.as_ref().map(|b| build_expr_program(b, fold)),
-                dps: w
-                    .maybe_active_dps
-                    .iter()
-                    .map(|&di| (di, build_expr_program(&module.datapaths[di].active, fold)))
-                    .collect(),
-                serial: w.serial,
-            },
-        );
-    }
     let mut fsm_regs: Vec<usize> = analysis.fsms.iter().map(|f| f.reg.index()).collect();
     fsm_regs.sort_unstable();
     fsm_regs.dedup();
@@ -411,11 +412,33 @@ pub(crate) fn compile(module: &Module, analysis: &Analysis) -> Result<Compiled, 
     for &f in &fsm_regs {
         is_fsm_reg[f] = true;
     }
+    let mut waits = Vec::new();
+    for &f in &fsm_regs {
+        // A later entry for the same state replaces an earlier one, as in
+        // the interpreter's map: walk the list backwards so the stable
+        // sort puts the last entry first and `dedup` keeps it.
+        let mut entries: Vec<_> = analysis
+            .waits
+            .iter()
+            .rev()
+            .filter(|w| w.fsm.index() == f)
+            .collect();
+        entries.sort_by_key(|w| w.state);
+        entries.dedup_by_key(|w| w.state);
+        if entries.is_empty() {
+            continue;
+        }
+        let plans = entries
+            .into_iter()
+            .map(|w| (w.state, compile_wait(module, w)))
+            .collect();
+        waits.push(WaitTable { fsm: f, plans });
+    }
     let scratch = by_state
         .iter()
         .chain(std::iter::once(&generic))
         .flat_map(|p| [p.cycle.scratch, p.done.scratch])
-        .chain(waits.values().flat_map(|w| {
+        .chain(waits.iter().flat_map(|t| &t.plans).flat_map(|(_, w)| {
             w.bound
                 .iter()
                 .map(|b| b.scratch)
@@ -431,10 +454,28 @@ pub(crate) fn compile(module: &Module, analysis: &Analysis) -> Result<Compiled, 
         by_state,
         fsm: fsm.map(|(f, _)| f),
         waits,
-        fsm_regs,
         is_fsm_reg,
         scratch,
     })
+}
+
+fn compile_wait(module: &Module, w: &WaitState) -> CompiledWait {
+    // During the wait the FSM register provably holds `w.state`, so
+    // bound/activity programs may fold it; the counter is *not* folded —
+    // activity is evaluated after it jumps to its terminal value, read
+    // live from the state buffer.
+    let fold = Some((w.fsm.index(), w.state));
+    CompiledWait {
+        counter: w.counter.index(),
+        dir: w.dir,
+        bound: w.bound.as_ref().map(|b| build_expr_program(b, fold)),
+        dps: w
+            .maybe_active_dps
+            .iter()
+            .map(|&di| (di, build_expr_program(&module.datapaths[di].active, fold)))
+            .collect(),
+        serial: w.serial,
+    }
 }
 
 fn build_expr_program(e: &Expr, fold: Option<(usize, u64)>) -> ExprProgram {
@@ -663,7 +704,8 @@ mod tests {
         let a = Analysis::run(&m);
         let c = compile(&m, &a).unwrap();
         assert_eq!(c.waits.len(), 1);
-        let w = c.waits.values().next().unwrap();
+        assert_eq!(c.waits[0].plans.len(), 1);
+        let w = &c.waits[0].plans[0].1;
         assert_eq!(w.dir, WaitDir::Down);
         // The RUN-state ALU activity (`state == RUN`) folds to a constant
         // inside the wait, so its program is a single Const instruction.

@@ -10,8 +10,13 @@
 //!
 //! The probes are pure observers: attaching them never changes the design's
 //! timing, which the test suite verifies.
+//!
+//! Both execution engines call the probe hooks on every committed register
+//! write, so [`ProbeProgram`] resolves everything before cycle 0: a hook
+//! indexes a register-indexed table and at most binary-searches one FSM's
+//! sorted transition list. It never hashes, and linking a program to a
+//! module is a single bound check on the tables' register range.
 
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use crate::analysis::Analysis;
@@ -157,64 +162,81 @@ impl FeatureSchema {
         out
     }
 
-    /// Compiles the schema into the runtime probe tables used by the
-    /// interpreter. `analysis` must be the analysis of the same module (or
-    /// of a slice preserving register ids).
+    /// Compiles the schema into the runtime probe tables used by both
+    /// execution engines. `analysis` must be the analysis of the same
+    /// module (or of a slice preserving register ids).
     pub fn probe_program(&self, analysis: &Analysis) -> ProbeProgram {
-        let mut stc = HashMap::new();
-        let mut counter_probes: HashMap<usize, CounterProbes> = HashMap::new();
+        fn at(regs: &mut Vec<RegProbes>, reg: RegId) -> &mut RegProbes {
+            if regs.len() <= reg.index() {
+                regs.resize_with(reg.index() + 1, RegProbes::default);
+            }
+            &mut regs[reg.index()]
+        }
+        let mut regs = Vec::new();
         let mut bias = None;
         for (i, fd) in self.features.iter().enumerate() {
             match fd.kind {
                 FeatureKind::Bias => bias = Some(i),
-                FeatureKind::Stc { fsm, src, dst } => {
-                    stc.insert((fsm.index(), src, dst), i);
-                }
-                FeatureKind::Ic { counter } => {
-                    counter_probes.entry(counter.index()).or_default().ic = Some(i);
-                }
-                FeatureKind::AivSum { counter } => {
-                    counter_probes.entry(counter.index()).or_default().aiv = Some(i);
-                }
-                FeatureKind::ApvSum { counter } => {
-                    counter_probes.entry(counter.index()).or_default().apv = Some(i);
-                }
+                FeatureKind::Stc { fsm, src, dst } => at(&mut regs, fsm).stc.push(((src, dst), i)),
+                FeatureKind::Ic { counter } => at(&mut regs, counter).ic = Some(i),
+                FeatureKind::AivSum { counter } => at(&mut regs, counter).aiv = Some(i),
+                FeatureKind::ApvSum { counter } => at(&mut regs, counter).apv = Some(i),
             }
         }
-        let mut init_rules = HashSet::new();
+        for p in &mut regs {
+            // A repeated pair keeps its last column: reversed, the stable
+            // sort puts it first and `dedup` keeps the first.
+            p.stc.reverse();
+            p.stc.sort_by_key(|&(pair, _)| pair);
+            p.stc.dedup_by_key(|&mut (pair, _)| pair);
+        }
         for c in &analysis.counters {
-            if counter_probes.contains_key(&c.reg.index()) {
-                for &ri in &c.init_rules {
-                    init_rules.insert((c.reg.index(), ri));
+            let Some(p) = regs.get_mut(c.reg.index()).filter(|p| p.is_counter()) else {
+                continue;
+            };
+            for &ri in &c.init_rules {
+                if p.init.len() <= ri {
+                    p.init.resize(ri + 1, false);
                 }
+                p.init[ri] = true;
             }
         }
         ProbeProgram {
             n_features: self.features.len(),
             bias,
-            stc,
-            counter_probes,
-            init_rules,
+            regs,
         }
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct CounterProbes {
+/// The probes attached to one register.
+#[derive(Debug, Clone, Default)]
+struct RegProbes {
+    /// `init[rule]`: rule `rule` re-initializes this probed counter. A rule
+    /// past the end (pruned by slicing, or never an init rule) is not one.
+    init: Vec<bool>,
     ic: Option<usize>,
     aiv: Option<usize>,
     apv: Option<usize>,
+    /// STC columns of this FSM register, sorted by `(src, dst)`.
+    stc: Vec<((u64, u64), usize)>,
+}
+
+impl RegProbes {
+    fn is_counter(&self) -> bool {
+        self.ic.is_some() || self.aiv.is_some() || self.apv.is_some()
+    }
 }
 
 /// Compiled probe tables consumed by [`crate::vm::CompiledSim::run`] (and
-/// by the interpreter oracle).
+/// by the interpreter oracle), indexed by register (see the module docs).
 #[derive(Debug, Clone)]
 pub struct ProbeProgram {
     n_features: usize,
     bias: Option<usize>,
-    stc: HashMap<(usize, u64, u64), usize>,
-    counter_probes: HashMap<usize, CounterProbes>,
-    init_rules: HashSet<(usize, usize)>,
+    /// Probes of register `r` at index `r`; the table ends at the highest
+    /// probed register.
+    regs: Vec<RegProbes>,
 }
 
 impl ProbeProgram {
@@ -228,40 +250,49 @@ impl ProbeProgram {
         self.bias
     }
 
-    /// True if rule `rule` of register `reg` re-initializes a probed
-    /// counter.
+    /// Records the commit of rule `rule` to register `reg`, `old -> new`,
+    /// if that rule re-initializes a probed counter: `old` is the
+    /// pre-reset value, `new` the initial value. Any other write is
+    /// ignored.
     #[inline]
-    pub fn is_init_rule(&self, reg: usize, rule: usize) -> bool {
-        self.init_rules.contains(&(reg, rule))
-    }
-
-    /// Records a counter re-initialization: `old` is the pre-reset value,
-    /// `new` the initial value.
-    #[inline]
-    pub fn record_counter_init(&self, features: &mut [f64], reg: usize, old: u64, new: u64) {
-        if let Some(p) = self.counter_probes.get(&reg) {
-            if let Some(ic) = p.ic {
-                features[ic] += 1.0;
-            }
-            if let Some(aiv) = p.aiv {
-                features[aiv] += new as f64;
-            }
-            if let Some(apv) = p.apv {
-                features[apv] += old as f64;
-            }
+    pub(crate) fn record_counter_init(
+        &self,
+        features: &mut [f64],
+        reg: usize,
+        rule: usize,
+        old: u64,
+        new: u64,
+    ) {
+        let Some(p) = self.regs.get(reg) else {
+            return;
+        };
+        if !p.init.get(rule).copied().unwrap_or(false) {
+            return;
+        }
+        if let Some(ic) = p.ic {
+            features[ic] += 1.0;
+        }
+        if let Some(aiv) = p.aiv {
+            features[aiv] += new as f64;
+        }
+        if let Some(apv) = p.apv {
+            features[apv] += old as f64;
         }
     }
 
     /// Records an FSM transition `old -> new`.
     #[inline]
     pub fn record_transition(&self, features: &mut [f64], reg: usize, old: u64, new: u64) {
-        if let Some(&i) = self.stc.get(&(reg, old, new)) {
-            features[i] += 1.0;
+        let Some(p) = self.regs.get(reg) else {
+            return;
+        };
+        if let Ok(i) = p.stc.binary_search_by_key(&(old, new), |&(pair, _)| pair) {
+            features[p.stc[i].1] += 1.0;
         }
     }
 
-    /// Checks that every register (and init rule) this program probes
-    /// exists in `module`.
+    /// Checks that every register this program probes exists in
+    /// `module`.
     ///
     /// Probe tables are built from an [`Analysis`], normally of the very
     /// module being run — but nothing ties the two together, and a probe
@@ -271,36 +302,27 @@ impl ProbeProgram {
     ///
     /// # Errors
     ///
-    /// Returns [`RtlError::UnknownRegister`] naming the first dangling
-    /// reference (as `rN` when only the foreign index is known).
+    /// Returns [`RtlError::UnknownRegister`] naming the highest probed
+    /// register (as `rN`, the only name a foreign index has) when it is
+    /// past the end of `module`.
     pub fn validate(&self, module: &Module) -> Result<(), RtlError> {
         self.validate_regs(&module.name, module.regs.len())
     }
 
     /// [`ProbeProgram::validate`] against a module known only by its name
     /// and register count.
+    ///
+    /// The tables end at the highest probed register, so one bound check
+    /// covers them all. Rule indices are deliberately NOT checked: the
+    /// documented contract lets probes built for a full module run against
+    /// its slice, which keeps register ids but prunes rules. A pruned init
+    /// rule simply never fires.
     pub(crate) fn validate_regs(&self, module: &str, n_regs: usize) -> Result<(), RtlError> {
-        let check = |reg: usize| -> Result<(), RtlError> {
-            if reg >= n_regs {
-                return Err(RtlError::UnknownRegister {
-                    module: module.to_owned(),
-                    name: format!("r{reg}"),
-                });
-            }
-            Ok(())
-        };
-        for &(reg, _, _) in self.stc.keys() {
-            check(reg)?;
-        }
-        for &reg in self.counter_probes.keys() {
-            check(reg)?;
-        }
-        // Rule indices are deliberately NOT bounds-checked: the documented
-        // contract lets probes built for a full module run against its
-        // slice, which keeps register ids but prunes rules. A pruned init
-        // rule simply never fires.
-        for &(reg, _) in &self.init_rules {
-            check(reg)?;
+        if self.regs.len() > n_regs {
+            return Err(RtlError::UnknownRegister {
+                module: module.to_owned(),
+                name: format!("r{}", self.regs.len() - 1),
+            });
         }
         Ok(())
     }
@@ -379,6 +401,91 @@ mod tests {
         for (src, dst) in [(0u64, 1u64), (1, 2), (2, 0)] {
             let name = format!("stc[ctrl.state:{src}->{dst}]");
             assert_eq!(by_name(&name), 3.0, "{name}");
+        }
+    }
+
+    #[test]
+    fn unknown_rules_and_pairs_touch_no_column() {
+        let m = toy();
+        let a = Analysis::run(&m);
+        let s = FeatureSchema::from_analysis(&m, &a);
+        let p = s.probe_program(&a);
+        let fsm = m.reg_by_name("ctrl.state").unwrap().index();
+        let cnt = m.reg_by_name("ctrl.cnt").unwrap().index();
+        let n_rules = m.regs[cnt].rules.len();
+        let mut f = vec![0.0; p.feature_count()];
+        // A rule index past the end of the counter's rules, and a register
+        // past the end of the tables, are not init rules.
+        p.record_counter_init(&mut f, cnt, n_rules + 5, 3, 7);
+        p.record_counter_init(&mut f, m.regs.len() + 5, 0, 3, 7);
+        // EMIT -> RUN is not a transition of the schema, a self-loop never
+        // is, and the counter has no STC columns.
+        p.record_transition(&mut f, fsm, 2, 1);
+        p.record_transition(&mut f, fsm, 0, 0);
+        p.record_transition(&mut f, fsm, 7, 9);
+        p.record_transition(&mut f, cnt, 0, 1);
+        p.record_transition(&mut f, m.regs.len() + 5, 0, 1);
+        assert!(f.iter().all(|&x| x == 0.0), "{f:?}");
+        // A declared pair touches exactly its own column.
+        p.record_transition(&mut f, fsm, 0, 1);
+        let col = s
+            .descs()
+            .iter()
+            .position(|d| d.name == "stc[ctrl.state:0->1]")
+            .unwrap();
+        for (i, &x) in f.iter().enumerate() {
+            assert_eq!(x, if i == col { 1.0 } else { 0.0 }, "column {i}");
+        }
+    }
+
+    #[test]
+    fn probes_knowing_more_rules_than_the_module_keep_its_features() {
+        // The slice contract: probes built for a full module run against a
+        // slice that prunes rules. Here the program believes the counter
+        // has an init rule past the end of the module's rule list; that
+        // rule never fires, so both engines record the same features as
+        // with the exact program.
+        let m = toy();
+        let a = Analysis::run(&m);
+        let s = FeatureSchema::from_analysis(&m, &a);
+        let exact = s.probe_program(&a);
+        let cnt = m.reg_by_name("ctrl.cnt").unwrap();
+        let mut wide = a.clone();
+        let c = wide.counters.iter_mut().find(|c| c.reg == cnt).unwrap();
+        c.init_rules.push(m.regs[cnt.index()].rules.len() + 2);
+        let wide = s.probe_program(&wide);
+        assert!(wide.validate(&m).is_ok());
+        let j = job(&[5, 7, 9]);
+        let bits = |t: &crate::interp::JobTrace| -> Vec<u64> {
+            t.features.iter().map(|x| x.to_bits()).collect()
+        };
+        let sim = Simulator::new(&m);
+        let vm = crate::vm::CompiledSim::new(&m).unwrap();
+        for mode in [ExecMode::Step, ExecMode::FastForward, ExecMode::Compressed] {
+            let want = sim.run(&j, mode, Some(&exact)).unwrap();
+            assert_eq!(bits(&want), bits(&sim.run(&j, mode, Some(&wide)).unwrap()));
+            assert_eq!(bits(&want), bits(&vm.run(&j, mode, Some(&wide)).unwrap()));
+        }
+    }
+
+    #[test]
+    fn validate_names_a_register_past_the_module() {
+        let m = toy();
+        let a = Analysis::run(&m);
+        let p = FeatureSchema::from_analysis(&m, &a).probe_program(&a);
+        assert!(p.validate(&m).is_ok());
+        // The counter (r1) is the highest probed register; a module with
+        // one register lacks it.
+        let mut b = ModuleBuilder::new("small");
+        let r = b.reg("x", 8, 0);
+        b.set(r, E::one(), r.e() + E::one());
+        b.done_when(r.e().eq_(E::k(3)));
+        let small = b.build().unwrap();
+        match p.validate(&small) {
+            Err(RtlError::UnknownRegister { module, name }) => {
+                assert_eq!((module.as_str(), name.as_str()), ("small", "r1"));
+            }
+            other => panic!("expected UnknownRegister, got {other:?}"),
         }
     }
 

@@ -395,9 +395,7 @@ impl<'m> Simulator<'m> {
                 let old = regs[i];
                 regs[i] = v;
                 if let Some(p) = probes {
-                    if p.is_init_rule(i, ri) {
-                        p.record_counter_init(&mut trace.features, i, old, v);
-                    }
+                    p.record_counter_init(&mut trace.features, i, ri, old, v);
                     if old != v && self.fsm_regs.contains(&i) {
                         p.record_transition(&mut trace.features, i, old, v);
                     }

@@ -20,9 +20,9 @@
 //!    generic fallback program, as the interpreter falls back to its flat
 //!    schedule).
 //! 2. `done` program says stop → return trace + stable state.
-//! 3. Wait-state skip (non-`Step` modes): identical plan table and
-//!    arithmetic as the interpreter, with bound/activity expressions
-//!    pre-compiled. In `Step` mode, runs of wait cycles are *batch
+//! 3. Wait-state skip (non-`Step` modes): the interpreter's plans, scan
+//!    order and arithmetic, with bound/activity expressions pre-compiled.
+//!    In `Step` mode, runs of wait cycles are *batch
 //!    retired* instead (`try_batch_step`): the analysis
 //!    proves each wait cycle observationally featureless, so `m` of them
 //!    fold into `counter ± m` / `dp_active += m` / `cycles += m` with
@@ -33,6 +33,14 @@
 //!    region of the state buffer, then the commit loop moves shadow →
 //!    stable in ascending register order, firing probe hooks with the same
 //!    `(old, new)` pairs the interpreter produces.
+//!
+//! Nothing on this per-cycle path hashes. Steps 3 and 4 run on every cycle
+//! that is not skipped, and a hardware slice is almost all such cycles;
+//! hashed lookups there once cost as much as the cycle's bytecode. The
+//! wait scan binary-searches one small table per FSM register (sorted by
+//! state, sized by the number of wait states), and the probe hooks index
+//! [`ProbeProgram`]'s register-indexed tables. CI fails if this file or
+//! `instrument.rs` names a hashed collection.
 //!
 //! All run-time mutable state (state buffer, scratch, fired list) is
 //! allocated per [`run`](CompiledSim::run) call, so one `CompiledSim` can
@@ -336,9 +344,7 @@ impl CompiledSim {
                 let v = state[n + reg];
                 state[reg] = v;
                 if let Some(p) = probes {
-                    if p.is_init_rule(reg, rule) {
-                        p.record_counter_init(&mut trace.features, reg, old, v);
-                    }
+                    p.record_counter_init(&mut trace.features, reg, rule, old, v);
                     if old != v && c.is_fsm_reg[reg] {
                         p.record_transition(&mut trace.features, reg, old, v);
                     }
@@ -365,9 +371,8 @@ impl CompiledSim {
         mode: ExecMode,
         trace: &mut JobTrace,
     ) -> Option<(u64, u64)> {
-        let c = &self.c;
-        for &f in &c.fsm_regs {
-            let Some(plan) = c.waits.get(&(f, state[f])) else {
+        for table in &self.c.waits {
+            let Some(plan) = table.get(state[table.fsm]) else {
                 continue;
             };
             let cur = state[plan.counter];
@@ -433,8 +438,8 @@ impl CompiledSim {
         trace: &mut JobTrace,
     ) -> Option<u64> {
         let c = &self.c;
-        for &f in &c.fsm_regs {
-            let Some(plan) = c.waits.get(&(f, state[f])) else {
+        for table in &c.waits {
+            let Some(plan) = table.get(state[table.fsm]) else {
                 continue;
             };
             if c.is_fsm_reg[plan.counter] {
@@ -512,18 +517,34 @@ mod tests {
     }
 
     fn assert_identical(m: &Module, j: &JobInput, probed: bool) {
-        let a = Analysis::run(m);
+        assert_identical_under(m, &Analysis::run(m), j, probed);
+    }
+
+    /// Both engines under the same (possibly hand-built) analysis: equal
+    /// traces, feature bits and final state in every mode. Returns the
+    /// traces in `Step`, `FastForward`, `Compressed` order.
+    fn assert_identical_under(
+        m: &Module,
+        a: &Analysis,
+        j: &JobInput,
+        probed: bool,
+    ) -> Vec<JobTrace> {
         let probes = probed.then(|| {
-            let s = FeatureSchema::from_analysis(m, &a);
-            s.probe_program(&a)
+            let s = FeatureSchema::from_analysis(m, a);
+            s.probe_program(a)
         });
-        let interp = Simulator::with_analysis(m, &a);
-        let vm = CompiledSim::with_analysis(m, &a).unwrap();
+        let interp = Simulator::with_analysis(m, a);
+        let vm = CompiledSim::with_analysis(m, a).unwrap();
+        let bits = |t: &JobTrace| t.features.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let mut traces = Vec::new();
         for mode in [ExecMode::Step, ExecMode::FastForward, ExecMode::Compressed] {
             let want = interp.run_with_state(j, mode, probes.as_ref()).unwrap();
             let got = vm.run_with_state(j, mode, probes.as_ref()).unwrap();
             assert_eq!(want, got, "mode {mode:?} probed={probed}");
+            assert_eq!(bits(&want.0), bits(&got.0), "mode {mode:?} feature bits");
+            traces.push(got.0);
         }
+        traces
     }
 
     #[test]
@@ -534,6 +555,87 @@ mod tests {
             assert_identical(&m, &job(durs), true);
         }
         assert_identical(&m, &JobInput::new(1), true);
+    }
+
+    /// Two FSMs that can sit in wait states at once. `lo` (the lower
+    /// register) waits 3 cycles; `hi` loads its counter on the same cycle
+    /// but ticks only once `lo` is `DONE`, so at `lo`'s exit cycle `hi` is
+    /// mid-wait. The analysis proves neither wait (each FSM's exit rule is
+    /// live during the other's wait), so the plans are hand-built; they
+    /// hold because `hi` is frozen while `lo` waits and `lo` is `DONE`
+    /// while `hi` waits.
+    fn two_waiting_fsms() -> (Module, Analysis) {
+        let mut b = ModuleBuilder::new("pair");
+        let lo = b.fsm("lo", &["IDLE", "WAIT", "DONE"]);
+        let lo_c = b.reg("lo.cnt", 32, 0);
+        let hi = b.fsm("hi", &["IDLE", "WAIT", "DONE"]);
+        let hi_c = b.reg("hi.cnt", 32, 0);
+        b.enter_wait(&lo, "IDLE", "WAIT", lo_c, E::k(3), E::one());
+        b.set(
+            lo_c,
+            lo.in_state("WAIT") & lo_c.e().gt(E::zero()),
+            lo_c.e() - E::one(),
+        );
+        b.trans(&lo, "WAIT", "DONE", lo_c.e().eq_(E::zero()));
+        b.enter_wait(&hi, "IDLE", "WAIT", hi_c, E::k(5), E::one());
+        b.set(
+            hi_c,
+            hi.in_state("WAIT") & hi_c.e().gt(E::zero()) & lo.in_state("DONE"),
+            hi_c.e() - E::one(),
+        );
+        b.trans(&hi, "WAIT", "DONE", hi_c.e().eq_(E::zero()));
+        b.datapath_compute("lo.alu", lo.in_state("WAIT"), 100.0, 1.0, 10, 1);
+        b.datapath_compute("hi.alu", hi.in_state("WAIT"), 100.0, 1.0, 10, 1);
+        b.done_when(lo.in_state("DONE") & hi.in_state("DONE"));
+        let m = b.build().unwrap();
+        let mut a = Analysis::run(&m);
+        assert_eq!(a.fsms.len(), 2);
+        assert!(a.waits.is_empty(), "the analysis proves neither wait");
+        for (fsm, counter) in [(lo.reg(), lo_c), (hi.reg(), hi_c)] {
+            a.waits.push(crate::analysis::WaitState {
+                fsm: fsm.id(),
+                state: 1,
+                counter: counter.id(),
+                dir: WaitDir::Down,
+                bound: None,
+                exit_to: 2,
+                maybe_active_dps: vec![0, 1],
+                serial: false,
+            });
+        }
+        (m, a)
+    }
+
+    #[test]
+    fn exhausted_lower_fsm_wait_stops_the_scan() {
+        // At lo's exit cycle lo's plan has nothing left to skip: the scan
+        // must step that cycle, not fall through to hi's live plan.
+        let (m, a) = two_waiting_fsms();
+        for probed in [false, true] {
+            let traces = assert_identical_under(&m, &a, &JobInput::new(0), probed);
+            // FastForward: enter (1) + skip lo (3) + lo exit (1) + skip hi
+            // (5) + hi exit (1). Falling through to hi at lo's exit cycle
+            // would retire both exits in one step and report 10 cycles.
+            let ff = &traces[1];
+            assert_eq!((ff.cycles, ff.skipped_cycles), (11, 8));
+            assert_eq!(traces[0].cycles, 11, "Step agrees on the length");
+        }
+    }
+
+    #[test]
+    fn duplicate_wait_entries_keep_the_last() {
+        // A hand-built analysis may list a (fsm, state) twice; like the
+        // interpreter's map, the later entry wins. The first one here (a
+        // count-up wait without a bound) would refuse every skip.
+        let m = toy();
+        let mut a = Analysis::run(&m);
+        let real = a.waits[0].clone();
+        let mut bogus = real.clone();
+        bogus.dir = WaitDir::Up;
+        bogus.bound = None;
+        a.waits = vec![bogus, real];
+        let traces = assert_identical_under(&m, &a, &job(&[6, 2]), true);
+        assert_eq!(traces[1].skipped_cycles, 6 + 2);
     }
 
     #[test]

@@ -4,12 +4,13 @@
 //! The generator builds small but structurally varied accelerators with the
 //! same [`ModuleBuilder`] idioms the benchmark designs use — chains of
 //! 1..=3 wait states with input-derived, offset, constant, or scaled
-//! durations, optional compute/serial datapaths per stage, and an optional
-//! accumulator register that is neither an FSM nor a counter. Every design
-//! runs under both engines in all three execution modes with probes
-//! attached, and the full observable surface must match bit for bit:
-//! [`JobTrace`] (cycles, per-datapath activity, token counts, and the
-//! floating-point feature stream) and the final flattened register file.
+//! durations, optional compute/serial datapaths per stage, an optional
+//! accumulator register that is neither an FSM nor a counter, and an
+//! optional second FSM with its own counter waits. Every design runs under
+//! both engines in all three execution modes, probed and unprobed, and the
+//! full observable surface must match bit for bit: [`JobTrace`] (cycles,
+//! per-datapath activity, token counts, and the floating-point feature
+//! stream) and the final flattened register file.
 //!
 //! The same harness also checks the mode-equivalence law on the random
 //! designs: `FastForward` and `Compressed` must agree with `Step` on the
@@ -17,8 +18,12 @@
 
 use proptest::prelude::*;
 
+use predvfs_rtl::analysis::{provably_zero_in, WaitDir, WaitState};
 use predvfs_rtl::builder::{ModuleBuilder, E};
-use predvfs_rtl::{Analysis, CompiledSim, ExecMode, FeatureSchema, JobInput, Module, Simulator};
+use predvfs_rtl::{
+    Analysis, CompiledSim, DatapathKind, ExecMode, FeatureSchema, JobInput, JobTrace, Module,
+    ProbeProgram, Simulator,
+};
 
 /// One wait stage of the generated pipeline.
 #[derive(Debug, Clone, Copy)]
@@ -30,21 +35,63 @@ struct Stage {
     dp: u8,
 }
 
-fn build(stages: &[Stage], with_acc: bool) -> Module {
+/// The optional second FSM `aux`: a chain of counter waits `V0..` that
+/// runs while the primary FSM `ctrl` sits in its `HAND` state, between its
+/// last wait stage and `EMIT`.
+///
+/// Every `aux` rule (its counters' ticks included) carries a
+/// `ctrl == HAND` conjunct, and `ctrl` leaves `HAND` only once `aux`
+/// reaches `BDONE`, so each FSM is idle while the other waits. The
+/// analysis still proves `ctrl`'s waits. It cannot prove `aux`'s, because
+/// their ticks are gated on the other FSM, so [`analyze`] adds them by
+/// hand. They hold by construction, which the mode-equivalence law
+/// below re-checks on every case.
+#[derive(Debug, Clone, Copy)]
+struct Aux {
+    /// Declare `aux`'s state register before `ctrl`'s, so it gets the
+    /// lower index, leads the wait scan and becomes the bucketing FSM.
+    below: bool,
+    /// Number of chained waits: 1 or 2.
+    waits: u8,
+    /// Duration: 0 = input field (may be 0), 1 = constant.
+    dur: u8,
+    /// Datapath on `V0`: 0 = none, 1 = compute, 2 = serial.
+    dp: u8,
+}
+
+fn aux_states(x: Aux) -> Vec<String> {
+    let mut names = vec!["IDLE".to_owned()];
+    names.extend((0..x.waits).map(|j| format!("V{j}")));
+    names.push("BDONE".to_owned());
+    names
+}
+
+fn build(stages: &[Stage], with_acc: bool, aux: Option<Aux>) -> Module {
     let mut b = ModuleBuilder::new("fuzz");
     let a = b.input("a", 8);
+    let aux_fsm_of = |b: &mut ModuleBuilder, x: Aux| {
+        let names = aux_states(x);
+        let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+        b.fsm("aux", &refs)
+    };
+    let aux_below = aux.filter(|x| x.below).map(|x| aux_fsm_of(&mut b, x));
     let mut names: Vec<String> = vec!["FETCH".to_owned()];
     for i in 0..stages.len() {
         names.push(format!("W{i}"));
     }
+    if aux.is_some() {
+        names.push("HAND".to_owned());
+    }
     names.push("EMIT".to_owned());
     let state_refs: Vec<&str> = names.iter().map(String::as_str).collect();
     let fsm = b.fsm("ctrl", &state_refs);
+    let aux_fsm = aux_below.or_else(|| aux.map(|x| aux_fsm_of(&mut b, x)));
+    let after_stages = if aux.is_some() { "HAND" } else { "EMIT" };
     let mut counters: Vec<predvfs_rtl::builder::Reg> = Vec::new();
     for (i, stage) in stages.iter().enumerate() {
         let this = format!("W{i}");
         let next = if i + 1 == stages.len() {
-            "EMIT".to_owned()
+            after_stages.to_owned()
         } else {
             format!("W{}", i + 1)
         };
@@ -73,6 +120,44 @@ fn build(stages: &[Stage], with_acc: bool) -> Module {
         }
         counters.push(c);
     }
+    if let (Some(x), Some(aux_fsm)) = (aux, &aux_fsm) {
+        let hand = fsm.in_state("HAND");
+        let mut prev: Option<predvfs_rtl::builder::Reg> = None;
+        for j in 0..x.waits {
+            let this = format!("V{j}");
+            let next = if j + 1 == x.waits {
+                "BDONE".to_owned()
+            } else {
+                format!("V{}", j + 1)
+            };
+            let c = b.reg(&format!("v{j}"), 32, 0);
+            let dur = if x.dur == 0 {
+                a.clone()
+            } else {
+                E::k(2 + u64::from(j))
+            };
+            let entry = match prev {
+                None => aux_fsm.in_state("IDLE"),
+                Some(p) => aux_fsm.in_state(&format!("V{}", j - 1)) & p.e().eq_(E::zero()),
+            };
+            b.set(c, entry & hand.clone(), dur);
+            b.set(
+                c,
+                aux_fsm.in_state(&this) & c.e().gt(E::zero()) & hand.clone(),
+                c.e() - E::one(),
+            );
+            b.trans(aux_fsm, &this, &next, c.e().eq_(E::zero()) & hand.clone());
+            prev = Some(c);
+        }
+        b.trans(aux_fsm, "IDLE", "V0", hand.clone());
+        b.trans(aux_fsm, "BDONE", "IDLE", hand);
+        b.trans(&fsm, "HAND", "EMIT", aux_fsm.in_state("BDONE"));
+        match x.dp {
+            0 => {}
+            1 => b.datapath_compute("aux.d", aux_fsm.in_state("V0"), 80.0, 1.0, 8, 0),
+            _ => b.datapath_serial("aux.d", aux_fsm.in_state("V0"), 40.0, 0.5, 4, 0),
+        }
+    }
     b.trans(&fsm, "EMIT", "FETCH", E::one());
     if with_acc {
         // Neither an FSM nor a counter: exercises plain-register commits
@@ -83,6 +168,78 @@ fn build(stages: &[Stage], with_acc: bool) -> Module {
     b.advance_when(fsm.in_state("EMIT"));
     b.done_when(fsm.in_state("FETCH") & E::stream_empty());
     b.build().expect("generated module must be valid")
+}
+
+/// [`Analysis::run`] plus the `aux` waits it cannot prove (see [`Aux`]),
+/// with the datapath set and `serial` flag the analysis would derive.
+fn analyze(m: &Module, aux: Option<Aux>) -> Analysis {
+    let mut analysis = Analysis::run(m);
+    if let Some(x) = aux {
+        let fsm = m.reg_by_name("aux.state").expect("aux FSM register");
+        for j in 0..x.waits {
+            let state = u64::from(j) + 1;
+            let maybe_active_dps: Vec<usize> = (0..m.datapaths.len())
+                .filter(|&di| !provably_zero_in(&m.datapaths[di].active, fsm, state))
+                .collect();
+            let serial = maybe_active_dps
+                .iter()
+                .any(|&di| m.datapaths[di].kind == DatapathKind::Serial);
+            analysis.waits.push(WaitState {
+                fsm,
+                state,
+                counter: m.reg_by_name(&format!("v{j}")).expect("aux counter"),
+                dir: WaitDir::Down,
+                bound: None,
+                exit_to: state + 1,
+                maybe_active_dps,
+                serial,
+            });
+        }
+    }
+    analysis
+}
+
+fn aux_strategy() -> impl Strategy<Value = Option<Aux>> {
+    (0..3u8, 1..=2u8, 0..2u8, 0..3u8).prop_map(|(place, waits, dur, dp)| {
+        (place > 0).then_some(Aux {
+            below: place == 1,
+            waits,
+            dur,
+            dp,
+        })
+    })
+}
+
+/// Runs `j` on both engines in every mode and requires identical traces
+/// (feature bits included) and final state; returns the final states in
+/// `Step`, `FastForward`, `Compressed` order.
+fn run_both(
+    interp: &Simulator,
+    vm: &CompiledSim,
+    j: &JobInput,
+    probes: Option<&ProbeProgram>,
+) -> Result<Vec<Vec<u64>>, TestCaseError> {
+    let bits = |t: &JobTrace| t.features.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+    let mut final_states = Vec::new();
+    for mode in [ExecMode::Step, ExecMode::FastForward, ExecMode::Compressed] {
+        let (want_trace, want_state) = interp.run_with_state(j, mode, probes).unwrap();
+        let (got_trace, got_state) = vm.run_with_state(j, mode, probes).unwrap();
+        prop_assert_eq!(&want_trace, &got_trace, "trace diverged in {:?}", mode);
+        prop_assert_eq!(
+            bits(&want_trace),
+            bits(&got_trace),
+            "feature bits in {:?}",
+            mode
+        );
+        prop_assert_eq!(
+            &want_state,
+            &got_state,
+            "final state diverged in {:?}",
+            mode
+        );
+        final_states.push(want_state);
+    }
+    Ok(final_states)
 }
 
 fn job(vals: &[u64]) -> JobInput {
@@ -103,53 +260,50 @@ proptest! {
             1..4,
         ),
         with_acc in any::<bool>(),
+        aux in aux_strategy(),
         vals in prop::collection::vec(0..40u64, 0..6),
     ) {
-        let m = build(&stages, with_acc);
-        let analysis = Analysis::run(&m);
+        let m = build(&stages, with_acc, aux);
+        let analysis = analyze(&m, aux);
         let schema = FeatureSchema::from_analysis(&m, &analysis);
         let probes = schema.probe_program(&analysis);
         let interp = Simulator::with_analysis(&m, &analysis);
         let vm = CompiledSim::with_analysis(&m, &analysis).unwrap();
-        let j = job(&vals);
-        let mut final_states = Vec::new();
-        for mode in [ExecMode::Step, ExecMode::FastForward, ExecMode::Compressed] {
-            let (want_trace, want_state) =
-                interp.run_with_state(&j, mode, Some(&probes)).unwrap();
-            let (got_trace, got_state) =
-                vm.run_with_state(&j, mode, Some(&probes)).unwrap();
-            prop_assert_eq!(
-                &want_trace, &got_trace,
-                "trace diverged in {:?} (stages={:?}, acc={}, vals={:?})",
-                mode, &stages, with_acc, &vals
-            );
-            prop_assert_eq!(
-                &want_state, &got_state,
-                "final state diverged in {:?}", mode
-            );
-            final_states.push(want_state);
+        if aux.is_some() {
+            // Both FSMs own wait plans, so the wait scan runs over two
+            // registers and either may decide.
+            let mut planned: Vec<_> = analysis.waits.iter().map(|w| w.fsm).collect();
+            planned.sort_unstable();
+            planned.dedup();
+            prop_assert_eq!(planned.len(), 2, "aux={:?}", aux);
         }
-        // Mode-equivalence law: compression rewrites timing, never state.
-        prop_assert_eq!(&final_states[0], &final_states[1], "Step vs FastForward");
-        prop_assert_eq!(&final_states[0], &final_states[2], "Step vs Compressed");
+        let j = job(&vals);
+        for p in [Some(&probes), None] {
+            let ctx = format!(
+                "stages={:?}, acc={}, aux={:?}, vals={:?}, probed={}",
+                &stages, with_acc, aux, &vals, p.is_some()
+            );
+            let final_states = run_both(&interp, &vm, &j, p)
+                .map_err(|e| TestCaseError::fail(format!("{e} ({ctx})")))?;
+            // Mode-equivalence law: compression rewrites timing, never state.
+            prop_assert_eq!(&final_states[0], &final_states[1], "Step vs FastForward ({})", ctx);
+            prop_assert_eq!(&final_states[0], &final_states[2], "Step vs Compressed ({})", ctx);
+        }
     }
 
     #[test]
     fn unprobed_runs_also_agree(
         dur in 0..4u8,
         dp in 0..3u8,
+        aux in aux_strategy(),
         vals in prop::collection::vec(0..200u64, 0..5),
     ) {
         // Single-stage designs with wider duration range, no probes: the
         // probe-free fast path through both engines.
-        let m = build(&[Stage { dur, dp }], false);
-        let interp = Simulator::new(&m);
-        let vm = CompiledSim::new(&m).unwrap();
-        let j = job(&vals);
-        for mode in [ExecMode::Step, ExecMode::FastForward, ExecMode::Compressed] {
-            let want = interp.run_with_state(&j, mode, None).unwrap();
-            let got = vm.run_with_state(&j, mode, None).unwrap();
-            prop_assert_eq!(want, got, "mode {:?}", mode);
-        }
+        let m = build(&[Stage { dur, dp }], false, aux);
+        let analysis = analyze(&m, aux);
+        let interp = Simulator::with_analysis(&m, &analysis);
+        let vm = CompiledSim::with_analysis(&m, &analysis).unwrap();
+        run_both(&interp, &vm, &job(&vals), None)?;
     }
 }
