@@ -6,6 +6,10 @@
 //! the reference interpreter, probed, in all three execution modes — and
 //! then times both engines on the same job set, reporting cycles/sec and
 //! the VM speedup per `(benchmark, mode)` plus a per-mode geometric mean.
+//! Cycles/sec divides by every simulated cycle, skipped ones included, so
+//! in the skip modes it reads 10⁸–10¹⁰ and hides what a cycle the VM
+//! actually executes costs; `vm_ns/step` divides the VM time by the
+//! stepped cycles only.
 //! The skip modes are timed twice: unprobed, and with the benchmark's
 //! full probe program attached, which is how production runs them —
 //! `FastForward` for the training profile, `Compressed` for the hardware
@@ -36,6 +40,8 @@ struct Run {
     /// Total simulated cycles across the job set (identical for both
     /// engines — the gate already proved it).
     cycles: u64,
+    /// The stepped part of `cycles` (`JobTrace::stepped_cycles`).
+    stepped: u64,
     interp_s: f64,
     vm_s: f64,
 }
@@ -49,6 +55,9 @@ impl Run {
     }
     fn vm_cps(&self) -> f64 {
         self.cycles as f64 / self.vm_s
+    }
+    fn vm_ns_per_step(&self) -> f64 {
+        self.vm_s * 1e9 / self.stepped as f64
     }
 }
 
@@ -148,10 +157,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             };
             let subset = &jobs[..n.min(jobs.len())];
             let p = probed.then_some(&probes);
-            let cycles: u64 = subset
+            let traces: Vec<_> = subset
                 .iter()
-                .map(|j| interp.run(j, mode, p).unwrap().cycles)
-                .sum();
+                .map(|j| interp.run(j, mode, p).unwrap())
+                .collect();
+            let cycles = traces.iter().map(|t| t.cycles).sum();
+            let stepped = traces.iter().map(|t| t.stepped_cycles).sum();
             let interp_s = time_engine(subset, reps, |j| {
                 interp.run(j, mode, p).unwrap();
             });
@@ -163,6 +174,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 mode: mode_name,
                 jobs: subset.len(),
                 cycles,
+                stepped,
                 interp_s,
                 vm_s,
             });
@@ -180,6 +192,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "vm_s",
             "interp_c/s",
             "vm_c/s",
+            "vm_ns/step",
             "speedup",
         ],
     );
@@ -193,6 +206,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             format!("{:.4}", r.vm_s),
             format!("{:.2e}", r.interp_cps()),
             format!("{:.2e}", r.vm_cps()),
+            format!("{:.1}", r.vm_ns_per_step()),
             format!("{:.2}x", r.speedup()),
         ]);
     }
@@ -222,9 +236,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("wrote {}", csv.display());
 
     // Schema-v1 report: per-configuration geomean speedups (gated,
-    // higher-better) plus the VM throughput of the reference per-cycle
-    // mode and of the slice configuration. Per-(benchmark, mode) detail
-    // lives in the CSV.
+    // higher-better), the VM throughput of the reference per-cycle mode
+    // and of the slice configuration, and the VM's cost per stepped cycle
+    // on the test-trace path (FastForward, unprobed) and the slice path
+    // (Compressed, probed). Per-(benchmark, mode) detail lives in the CSV.
     let mut report = BenchReport::new("rtl", quick);
     for (mode, g) in &geo {
         report.metric(&format!("geomean_speedup_{mode}"), *g);
@@ -235,6 +250,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             geomean(runs.iter().filter(|r| r.mode == mode).map(Run::vm_cps)),
         );
     }
+    for mode in ["fast_forward", "compressed_probed"] {
+        report.metric(
+            &format!("vm_ns_per_step_{mode}"),
+            geomean(
+                runs.iter()
+                    .filter(|r| r.mode == mode)
+                    .map(Run::vm_ns_per_step),
+            ),
+        );
+    }
     report.notes(
         "Target speedup: 10x (reported, not asserted). Step is the \
          reference per-cycle mode and is where the compiled pipeline pays \
@@ -243,8 +268,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          cycles in the skip modes, so there the VM wins only on the cycles \
          it still steps. The *_probed rows attach the full probe program: \
          FastForward probed is the training profile, Compressed probed is \
-         a hardware slice. Per-(benchmark, mode) detail is in \
-         results/bench_rtl.csv.",
+         a hardware slice. vm_ns_per_step_* divide VM time by stepped \
+         cycles only (c/s also counts skipped ones). Per-(benchmark, mode) \
+         detail is in results/bench_rtl.csv.",
     );
     let path = report.write_into(std::path::Path::new("."))?;
     println!("wrote {}", path.display());

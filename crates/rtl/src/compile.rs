@@ -21,10 +21,12 @@
 //!    hash-consed expression DAG with the FSM register *partially
 //!    evaluated* to that state's constant. Constant folding then deletes
 //!    every `state == K` test and, transitively, every rule and datapath
-//!    that provably cannot fire in the state; what survives is shared via
-//!    common-subexpression elimination and emitted in dependency
-//!    (topological) order — interning a DAG node after its operands makes
-//!    node-id order a valid schedule for free.
+//!    that provably cannot fire in the state. Folding is boolean-aware:
+//!    the live state's `state == K & cond` guard becomes `1 & cond`, and
+//!    that folds to `cond` whenever `cond` provably yields 0 or 1. What
+//!    survives is shared via common-subexpression elimination and emitted
+//!    in dependency (topological) order — interning a DAG node after its
+//!    operands makes node-id order a valid schedule for free.
 //!
 //! 3. **Lower.** Each per-state update graph becomes one straight-line
 //!    bytecode program for a register machine ([`crate::vm::Instr`]):
@@ -33,7 +35,11 @@
 //!    hardware register's rule chain with `Jz` short-circuits and
 //!    first-fire-wins jumps, computing rule values in private (rolled-back)
 //!    scratch so a conditionally-executed body can never satisfy another
-//!    body's CSE lookup.
+//!    body's CSE lookup. Constants emit no instruction: every program of
+//!    the module shares one interned constant pool, placed above the
+//!    working slots of the largest program, and operands read their pool
+//!    slot directly. The VM copies the pool in once per run, and since no
+//!    instruction writes it, rollback scopes never reuse a pool slot.
 //!
 //! A generic (unspecialized) program is always compiled as well: it is the
 //! whole design when no FSM is detected, and the fallback bucket when the
@@ -42,7 +48,9 @@
 //!
 //! Wait-state skipping stays in Rust (it is control flow, not dataflow),
 //! but its bound and datapath-activity expressions are compiled to
-//! [`ExprProgram`]s specialized to the waiting state.
+//! [`ExprProgram`]s specialized to the waiting state, and each bucket of
+//! the bucketing FSM records the index of its state's wait plan, so the
+//! VM's wait scan reads it instead of searching.
 //!
 //! Everything here is semantics-preserving by construction *and* checked:
 //! the interpreter remains the differential-testing oracle, and the
@@ -53,7 +61,7 @@ use std::collections::HashMap;
 
 use crate::analysis::{Analysis, WaitDir, WaitState};
 use crate::error::RtlError;
-use crate::expr::{BinOp, Expr};
+use crate::expr::{BinOp, Expr, UnOp};
 use crate::module::Module;
 use crate::vm::Instr;
 
@@ -68,7 +76,7 @@ enum Node {
     Input(u32),
     StreamEmpty,
     Bin(BinOp, u32, u32),
-    Un(crate::expr::UnOp, u32),
+    Un(UnOp, u32),
     /// `Sel(c, t, f)`: both arms are evaluated — expressions are pure and
     /// total, so this matches the interpreter's lazy `Mux` bit for bit.
     Sel(u32, u32, u32),
@@ -78,6 +86,8 @@ enum Node {
 /// register (the FSM register pinned to the bucket's state).
 struct Dag {
     nodes: Vec<Node>,
+    /// `boolean[id]`: node `id` provably evaluates to 0 or 1.
+    boolean: Vec<bool>,
     memo: HashMap<Node, u32>,
     fold: Option<(u32, u64)>,
 }
@@ -86,6 +96,7 @@ impl Dag {
     fn new(fold: Option<(usize, u64)>) -> Dag {
         Dag {
             nodes: Vec::new(),
+            boolean: Vec::new(),
             memo: HashMap::new(),
             fold: fold.map(|(r, v)| (r as u32, v)),
         }
@@ -96,9 +107,27 @@ impl Dag {
             return id;
         }
         let id = self.nodes.len() as u32;
+        let boolean = self.yields_bool(n);
         self.nodes.push(n);
+        self.boolean.push(boolean);
         self.memo.insert(n, id);
         id
+    }
+
+    /// Whether `n` provably evaluates to 0 or 1: comparisons, `IsZero`,
+    /// `IsNonZero` and `StreamEmpty`; an `And` with a boolean operand; an
+    /// `Or`, `Min` or `Max` of two booleans.
+    fn yields_bool(&self, n: Node) -> bool {
+        let b = |id: u32| self.boolean[id as usize];
+        match n {
+            Node::Const(k) => k <= 1,
+            Node::StreamEmpty => true,
+            Node::Un(op, _) => matches!(op, UnOp::IsZero | UnOp::IsNonZero),
+            Node::Bin(BinOp::Lt | BinOp::Le | BinOp::Eq | BinOp::Ne, _, _) => true,
+            Node::Bin(BinOp::And, x, y) => b(x) || b(y),
+            Node::Bin(BinOp::Or | BinOp::Min | BinOp::Max, x, y) => b(x) && b(y),
+            Node::Load(_) | Node::Input(_) | Node::Bin(..) | Node::Sel(..) => false,
+        }
     }
 
     fn konst(&self, id: u32) -> Option<u64> {
@@ -110,11 +139,14 @@ impl Dag {
 
     /// Lowers an expression into the DAG with constant folding.
     ///
-    /// Folding only ever uses [`BinOp::apply`]/[`crate::expr::UnOp::apply`]
-    /// — the exact runtime semantics — so a folded constant is the value
-    /// the interpreter would have computed. The one algebraic identity,
-    /// `0 & x == 0` (bitwise), short-circuits the ubiquitous
-    /// `state == K & cond` guard shape without lowering the dead `cond`.
+    /// Folding only ever uses [`BinOp::apply`]/[`UnOp::apply`] — the
+    /// exact runtime semantics — so a folded constant is the value the
+    /// interpreter would have computed. Two algebraic identities of the
+    /// bitwise `&` finish off the ubiquitous `state == K & cond` guard
+    /// shape: `0 & x == 0` short-circuits without lowering the dead
+    /// `cond`, and `1 & b == b` drops the live bucket's test when `b` is
+    /// provably 0 or 1. A multi-bit `x` keeps its `1 & x`, which is its low
+    /// bit.
     fn lower(&mut self, e: &Expr) -> u32 {
         match e {
             Expr::Const(k) => self.intern(Node::Const(*k)),
@@ -133,9 +165,12 @@ impl Dag {
                     return self.intern(Node::Const(0));
                 }
                 let b = self.lower(b);
+                let and = *op == BinOp::And;
                 match (self.konst(a), self.konst(b)) {
                     (Some(x), Some(y)) => self.intern(Node::Const(op.apply(x, y))),
-                    (_, Some(0)) if *op == BinOp::And => self.intern(Node::Const(0)),
+                    (_, Some(0)) if and => self.intern(Node::Const(0)),
+                    (Some(1), _) if and && self.boolean[b as usize] => b,
+                    (_, Some(1)) if and && self.boolean[a as usize] => a,
                     _ => self.intern(Node::Bin(*op, a, b)),
                 }
             }
@@ -162,10 +197,37 @@ impl Dag {
     }
 }
 
+/// Tag of a constant-pool operand until [`relocate_code`] moves the pool
+/// above the working slots of every program.
+const POOL: u32 = 1 << 31;
+
+/// Every constant any program of a module reads, interned once. The VM
+/// loads the pool into the top of scratch before cycle 0, so no program
+/// executes a constant.
+#[derive(Default)]
+struct Pool {
+    values: Vec<u64>,
+    index: HashMap<u64, u32>,
+}
+
+impl Pool {
+    /// The (tagged) pool slot holding `k`.
+    fn slot(&mut self, k: u64) -> u32 {
+        let next = self.values.len() as u32;
+        let i = *self.index.entry(k).or_insert(next);
+        if i == next {
+            self.values.push(k);
+        }
+        POOL | i
+    }
+}
+
 /// Lowers DAG nodes to instructions, assigning scratch registers on first
-/// use (dead nodes are never emitted).
-struct Emitter {
+/// use (dead nodes are never emitted). Constants emit nothing: they read
+/// their pool slot, which no rollback scope can reuse.
+struct Emitter<'p> {
     dag: Dag,
+    pool: &'p mut Pool,
     /// Node id → scratch slot, once emitted in the current scope.
     slot: Vec<Option<u32>>,
     /// Log of node ids assigned since the last checkpoint (for rollback of
@@ -176,10 +238,11 @@ struct Emitter {
     code: Vec<Instr>,
 }
 
-impl Emitter {
-    fn new(fold: Option<(usize, u64)>) -> Emitter {
+impl<'p> Emitter<'p> {
+    fn new(fold: Option<(usize, u64)>, pool: &'p mut Pool) -> Emitter<'p> {
         Emitter {
             dag: Dag::new(fold),
+            pool,
             slot: Vec::new(),
             assigned: Vec::new(),
             next_slot: 0,
@@ -211,10 +274,7 @@ impl Emitter {
             return *s;
         }
         let instr = match self.dag.nodes[id as usize] {
-            Node::Const(k) => Instr::Const {
-                dst: self.alloc(id),
-                k,
-            },
+            Node::Const(k) => return self.pool.slot(k),
             Node::Load(reg) => Instr::Load {
                 dst: self.alloc(id),
                 slot: reg,
@@ -284,18 +344,61 @@ impl Emitter {
     }
 }
 
+/// Moves pool operands to their final slots `base + i`, above the working
+/// slots of every program. Only operands can be pool slots: destinations
+/// are always working slots.
+fn relocate_code(code: &mut [Instr], base: u32) {
+    let fix = |s: &mut u32| *s = relocated(*s, base);
+    for i in code {
+        match i {
+            Instr::Bin { a, b, .. } => {
+                fix(a);
+                fix(b);
+            }
+            Instr::Un { a, .. } => fix(a),
+            Instr::Sel { c, t, f, .. } => {
+                fix(c);
+                fix(t);
+                fix(f);
+            }
+            Instr::Jz { src, .. } | Instr::Store { src, .. } => fix(src),
+            Instr::Load { .. }
+            | Instr::Input { .. }
+            | Instr::StreamEmpty { .. }
+            | Instr::Jmp { .. }
+            | Instr::IncDp { .. } => {}
+        }
+    }
+}
+
+fn relocated(slot: u32, base: u32) -> u32 {
+    if slot & POOL != 0 {
+        base + (slot & !POOL)
+    } else {
+        slot
+    }
+}
+
 /// A straight-line program computing one expression; the result lands in
 /// scratch slot `out`.
 #[derive(Debug, Clone)]
 pub(crate) struct ExprProgram {
     pub code: Vec<Instr>,
     pub out: u32,
-    /// `Some(k)` when the whole program folded to the constant `k` —
-    /// state specialization makes this the common case for `done` checks
-    /// (e.g. `done` is provably 0 in every non-terminal FSM state), and
-    /// the VM then skips program execution entirely.
+    /// `Some(k)` when the whole program folded to the constant `k` (its
+    /// code is then empty) — state specialization makes this the common
+    /// case for `done` checks (e.g. `done` is provably 0 in every
+    /// non-terminal FSM state), and the VM then skips program execution
+    /// entirely.
     pub konst: Option<u64>,
     scratch: u32,
+}
+
+impl ExprProgram {
+    fn relocate(&mut self, base: u32) {
+        relocate_code(&mut self.code, base);
+        self.out = relocated(self.out, base);
+    }
 }
 
 /// One synchronous step of the design, specialized to (at most) one FSM
@@ -309,11 +412,22 @@ pub(crate) struct CycleProgram {
     scratch: u32,
 }
 
+impl CycleProgram {
+    fn relocate(&mut self, base: u32) {
+        relocate_code(&mut self.code, base);
+        self.advance = relocated(self.advance, base);
+    }
+}
+
 /// The `done` test plus the cycle step for one schedule bucket.
 #[derive(Debug, Clone)]
 pub(crate) struct StatePrograms {
     pub cycle: CycleProgram,
     pub done: ExprProgram,
+    /// In a bucket of the bucketing FSM: the index of this state's plan in
+    /// that FSM's wait table ([`Compiled::bucket_waits`]), so the wait scan
+    /// reads it instead of searching. Always `None` in the generic program.
+    pub wait: Option<usize>,
 }
 
 /// A wait state with its bound/activity expressions pre-lowered.
@@ -330,9 +444,11 @@ pub(crate) struct CompiledWait {
 /// The wait plans of one FSM register, sorted by state.
 ///
 /// The interpreter keys the same plans by `(fsm reg, state)` in a hash
-/// map; the VM's scan runs on every cycle that is not skipped, so it
-/// binary-searches this table instead. Its length is the number of wait
-/// states, however large the state encodings in the RTL text are.
+/// map; the VM's scan runs on every cycle that is not skipped, so it looks
+/// the bucketing FSM's plan up by the bucket's index
+/// ([`StatePrograms::wait`]) and binary-searches the other tables. Its
+/// length is the number of wait states, however large the state encodings
+/// in the RTL text are.
 #[derive(Debug, Clone)]
 pub(crate) struct WaitTable {
     pub fsm: usize,
@@ -340,13 +456,17 @@ pub(crate) struct WaitTable {
 }
 
 impl WaitTable {
+    /// The index in `plans` of state `state`'s plan, if it is a wait state
+    /// of this FSM.
+    #[inline]
+    fn position(&self, state: u64) -> Option<usize> {
+        self.plans.binary_search_by_key(&state, |(s, _)| *s).ok()
+    }
+
     /// The plan for state `state`, if it is a wait state of this FSM.
     #[inline]
     pub fn get(&self, state: u64) -> Option<&CompiledWait> {
-        self.plans
-            .binary_search_by_key(&state, |(s, _)| *s)
-            .ok()
-            .map(|i| &self.plans[i].1)
+        self.position(state).map(|i| &self.plans[i].1)
     }
 }
 
@@ -368,10 +488,14 @@ pub(crate) struct Compiled {
     /// ascending register order — the interpreter's wait-scan order. An
     /// FSM without wait states never decides a scan, so it has no table.
     pub waits: Vec<WaitTable>,
+    /// Index in `waits` of the bucketing FSM's table, if it has one.
+    pub bucket_waits: Option<usize>,
     /// `is_fsm_reg[r]`: does a probe transition apply to register `r`?
     pub is_fsm_reg: Vec<bool>,
-    /// Scratch registers needed by the largest program.
-    pub scratch: usize,
+    /// Initial scratch image: the working slots of the largest program,
+    /// zeroed, then the constant pool every program reads its constants
+    /// from.
+    pub scratch: Vec<u64>,
 }
 
 /// Compiles `module` under `analysis`.
@@ -385,26 +509,7 @@ pub(crate) fn compile(module: &Module, analysis: &Analysis) -> Result<Compiled, 
     for (i, r) in module.regs.iter().enumerate() {
         init[i] = r.init;
     }
-    let generic = StatePrograms {
-        cycle: build_cycle_program(module, None),
-        done: build_expr_program(&module.done, None),
-    };
-    // Mirror the interpreter's bucketing policy exactly: first detected
-    // FSM, states bucketed 0..=max, flat fallback past 4096 states.
-    let fsm = analysis.fsms.first().and_then(|f| {
-        let max_state = f.states.iter().max().copied().unwrap_or(0);
-        (max_state <= 4096).then_some((f.reg.index(), max_state))
-    });
-    let mut by_state = Vec::new();
-    if let Some((freg, max_state)) = fsm {
-        for s in 0..=max_state {
-            let fold = Some((freg, s));
-            by_state.push(StatePrograms {
-                cycle: build_cycle_program(module, fold),
-                done: build_expr_program(&module.done, fold),
-            });
-        }
-    }
+    let mut pool = Pool::default();
     let mut fsm_regs: Vec<usize> = analysis.fsms.iter().map(|f| f.reg.index()).collect();
     fsm_regs.sort_unstable();
     fsm_regs.dedup();
@@ -430,11 +535,35 @@ pub(crate) fn compile(module: &Module, analysis: &Analysis) -> Result<Compiled, 
         }
         let plans = entries
             .into_iter()
-            .map(|w| (w.state, compile_wait(module, w)))
+            .map(|w| (w.state, compile_wait(module, w, &mut pool)))
             .collect();
         waits.push(WaitTable { fsm: f, plans });
     }
-    let scratch = by_state
+    let mut generic = StatePrograms {
+        cycle: build_cycle_program(module, None, &mut pool),
+        done: build_expr_program(&module.done, None, &mut pool),
+        wait: None,
+    };
+    // Mirror the interpreter's bucketing policy exactly: first detected
+    // FSM, states bucketed 0..=max, flat fallback past 4096 states.
+    let fsm = analysis.fsms.first().and_then(|f| {
+        let max_state = f.states.iter().max().copied().unwrap_or(0);
+        (max_state <= 4096).then_some((f.reg.index(), max_state))
+    });
+    let bucket_waits = fsm.and_then(|(f, _)| waits.iter().position(|t| t.fsm == f));
+    let mut by_state = Vec::new();
+    if let Some((freg, max_state)) = fsm {
+        for s in 0..=max_state {
+            let fold = Some((freg, s));
+            by_state.push(StatePrograms {
+                cycle: build_cycle_program(module, fold, &mut pool),
+                done: build_expr_program(&module.done, fold, &mut pool),
+                wait: bucket_waits.and_then(|t| waits[t].position(s)),
+            });
+        }
+    }
+    // The pool goes above the working slots of the largest program.
+    let work = by_state
         .iter()
         .chain(std::iter::once(&generic))
         .flat_map(|p| [p.cycle.scratch, p.done.scratch])
@@ -445,8 +574,18 @@ pub(crate) fn compile(module: &Module, analysis: &Analysis) -> Result<Compiled, 
                 .chain(w.dps.iter().map(|(_, p)| p.scratch))
         }))
         .max()
-        .unwrap_or(0)
-        .max(1) as usize;
+        .unwrap_or(0);
+    for p in by_state.iter_mut().chain(std::iter::once(&mut generic)) {
+        p.cycle.relocate(work);
+        p.done.relocate(work);
+    }
+    for (_, w) in waits.iter_mut().flat_map(|t| &mut t.plans) {
+        for p in w.bound.iter_mut().chain(w.dps.iter_mut().map(|(_, p)| p)) {
+            p.relocate(work);
+        }
+    }
+    let mut scratch = vec![0; work as usize];
+    scratch.extend_from_slice(&pool.values);
     Ok(Compiled {
         n_regs: n,
         init,
@@ -454,12 +593,13 @@ pub(crate) fn compile(module: &Module, analysis: &Analysis) -> Result<Compiled, 
         by_state,
         fsm: fsm.map(|(f, _)| f),
         waits,
+        bucket_waits,
         is_fsm_reg,
         scratch,
     })
 }
 
-fn compile_wait(module: &Module, w: &WaitState) -> CompiledWait {
+fn compile_wait(module: &Module, w: &WaitState, pool: &mut Pool) -> CompiledWait {
     // During the wait the FSM register provably holds `w.state`, so
     // bound/activity programs may fold it; the counter is *not* folded —
     // activity is evaluated after it jumps to its terminal value, read
@@ -468,24 +608,24 @@ fn compile_wait(module: &Module, w: &WaitState) -> CompiledWait {
     CompiledWait {
         counter: w.counter.index(),
         dir: w.dir,
-        bound: w.bound.as_ref().map(|b| build_expr_program(b, fold)),
+        bound: w.bound.as_ref().map(|b| build_expr_program(b, fold, pool)),
         dps: w
             .maybe_active_dps
             .iter()
-            .map(|&di| (di, build_expr_program(&module.datapaths[di].active, fold)))
+            .map(|&di| {
+                let active = &module.datapaths[di].active;
+                (di, build_expr_program(active, fold, pool))
+            })
             .collect(),
         serial: w.serial,
     }
 }
 
-fn build_expr_program(e: &Expr, fold: Option<(usize, u64)>) -> ExprProgram {
-    let mut em = Emitter::new(fold);
+fn build_expr_program(e: &Expr, fold: Option<(usize, u64)>, pool: &mut Pool) -> ExprProgram {
+    let mut em = Emitter::new(fold, pool);
     let root = em.dag.lower(e);
     let out = em.ensure(root);
-    let konst = match em.code[..] {
-        [Instr::Const { k, .. }] => Some(k),
-        _ => None,
-    };
+    let konst = em.dag.konst(root);
     ExprProgram {
         code: em.code,
         out,
@@ -499,8 +639,12 @@ fn build_expr_program(e: &Expr, fold: Option<(usize, u64)>) -> ExprProgram {
 /// (always-winning) guard.
 type RuleChain = Vec<(usize, Option<u32>)>;
 
-fn build_cycle_program(module: &Module, fold: Option<(usize, u64)>) -> CycleProgram {
-    let mut em = Emitter::new(fold);
+fn build_cycle_program(
+    module: &Module,
+    fold: Option<(usize, u64)>,
+    pool: &mut Pool,
+) -> CycleProgram {
+    let mut em = Emitter::new(fold, pool);
     let n = module.regs.len() as u32;
 
     // Lower every guard, pruning rules that provably cannot fire in this
@@ -660,6 +804,65 @@ mod tests {
     }
 
     #[test]
+    fn constants_live_in_one_pool_above_the_working_slots() {
+        let m = toy();
+        let a = Analysis::run(&m);
+        let c = compile(&m, &a).unwrap();
+        let programs: Vec<&[Instr]> = c
+            .by_state
+            .iter()
+            .chain(std::iter::once(&c.generic))
+            .flat_map(|p| [&p.cycle.code[..], &p.done.code[..]])
+            .collect();
+        // The pool sits above the largest program's working slots (the
+        // toy's wait programs fold to constants and use none), holds each
+        // constant once, and no instruction writes it.
+        let base = c
+            .by_state
+            .iter()
+            .chain(std::iter::once(&c.generic))
+            .flat_map(|p| [p.cycle.scratch, p.done.scratch])
+            .max()
+            .unwrap() as usize;
+        assert!(c.scratch[..base].iter().all(|&k| k == 0));
+        let mut pool = c.scratch[base..].to_vec();
+        pool.sort_unstable();
+        pool.dedup();
+        assert_eq!(pool.len(), c.scratch.len() - base);
+        for code in &programs {
+            for i in code.iter() {
+                let dst = match *i {
+                    Instr::Load { dst, .. }
+                    | Instr::Input { dst, .. }
+                    | Instr::StreamEmpty { dst }
+                    | Instr::Bin { dst, .. }
+                    | Instr::Un { dst, .. }
+                    | Instr::Sel { dst, .. } => dst,
+                    Instr::Jz { .. }
+                    | Instr::Jmp { .. }
+                    | Instr::Store { .. }
+                    | Instr::IncDp { .. } => continue,
+                };
+                assert!((dst as usize) < base, "{i:?} writes the pool");
+            }
+        }
+        // FETCH stores the constant RUN (1) into the FSM's shadow slot,
+        // straight from the pool.
+        let fsm = c.fsm.unwrap();
+        let store = c.by_state[0]
+            .cycle
+            .code
+            .iter()
+            .find_map(|i| match *i {
+                Instr::Store { reg, src, .. } if reg as usize == fsm => Some(src),
+                _ => None,
+            })
+            .unwrap();
+        assert!(store as usize >= base);
+        assert_eq!(c.scratch[store as usize], 1);
+    }
+
+    #[test]
     fn constant_folding_uses_runtime_semantics() {
         let mut d = Dag::new(None);
         // (7 / 0) folds to 0, matching BinOp::apply, not to a panic.
@@ -707,9 +910,77 @@ mod tests {
         assert_eq!(c.waits[0].plans.len(), 1);
         let w = &c.waits[0].plans[0].1;
         assert_eq!(w.dir, WaitDir::Down);
-        // The RUN-state ALU activity (`state == RUN`) folds to a constant
-        // inside the wait, so its program is a single Const instruction.
+        // The RUN-state ALU activity (`state == RUN`) folds to the
+        // constant 1 inside the wait, so its program has no code at all.
         assert_eq!(w.dps.len(), 1);
-        assert_eq!(w.dps[0].1.code.len(), 1);
+        assert_eq!(w.dps[0].1.konst, Some(1));
+        assert!(w.dps[0].1.code.is_empty());
+    }
+
+    #[test]
+    fn specialized_state_guards_compile_without_an_and() {
+        // Every toy guard is `state == S & cond` with a boolean `cond`. In
+        // bucket S the test folds to 1 and `1 & cond` to `cond`; in other
+        // buckets the guard folds to 0. Either way no `And` survives.
+        let m = toy();
+        let a = Analysis::run(&m);
+        let c = compile(&m, &a).unwrap();
+        let is_and = |i: &Instr| matches!(i, Instr::Bin { op: BinOp::And, .. });
+        assert!(c.generic.cycle.code.iter().any(is_and));
+        for (s, p) in c.by_state.iter().enumerate() {
+            assert!(
+                !p.cycle.code.iter().any(is_and),
+                "state {s}: {:?}",
+                p.cycle.code
+            );
+            assert!(
+                !p.done.code.iter().any(is_and),
+                "state {s}: {:?}",
+                p.done.code
+            );
+        }
+        // FETCH's `done` is `1 & StreamEmpty`: one instruction, no And.
+        assert!(matches!(
+            c.by_state[0].done.code[..],
+            [Instr::StreamEmpty { .. }]
+        ));
+    }
+
+    #[test]
+    fn and_with_one_folds_only_boolean_operands() {
+        let mut d = Dag::new(None);
+        let x = E::reg(crate::module::RegId::new(0));
+        // `1 & x` is x's low bit: a multi-bit `x` keeps its And, on
+        // either side.
+        for e in [E::one() & x.clone(), x.clone() & E::one()] {
+            let id = d.lower(e.expr());
+            assert!(matches!(d.nodes[id as usize], Node::Bin(BinOp::And, _, _)));
+        }
+        // A boolean operand is its own `1 & b`, on either side.
+        let booleans = [
+            x.clone().lt(E::k(3)),
+            x.clone().is_zero(),
+            x.clone().nonzero(),
+            E::stream_empty(),
+            x.clone() & E::stream_empty(),
+            E::stream_empty().max(x.clone().eq_(E::k(2))),
+            E::stream_empty().min(x.clone().ne_(E::k(2))),
+            E::stream_empty() | x.clone().le(E::k(2)),
+        ];
+        for b in booleans {
+            let want = d.lower(b.expr());
+            assert!(d.boolean[want as usize], "{:?}", b.expr());
+            assert_eq!(d.lower((E::one() & b.clone()).expr()), want);
+            assert_eq!(d.lower((b.clone() & E::one()).expr()), want);
+        }
+        // An Or, Min or Max with a multi-bit operand is not boolean.
+        for e in [
+            E::stream_empty() | x.clone(),
+            E::stream_empty().min(x.clone()),
+            E::stream_empty().max(x.clone()),
+        ] {
+            let id = d.lower(e.expr());
+            assert!(!d.boolean[id as usize], "{:?}", e.expr());
+        }
     }
 }

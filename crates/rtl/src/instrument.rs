@@ -15,7 +15,11 @@
 //! write, so [`ProbeProgram`] resolves everything before cycle 0: a hook
 //! indexes a register-indexed table and at most binary-searches one FSM's
 //! sorted transition list. It never hashes, and linking a program to a
-//! module is a single bound check on the tables' register range.
+//! module is a single bound check on the tables' register range. The
+//! compiled VM narrows the search further: once per run it splits the
+//! bucketing FSM's sorted list by source state (`StcBySrc`), and a
+//! state-specialized program, whose source state is fixed, searches only
+//! that state's successors.
 
 use std::fmt;
 
@@ -282,13 +286,29 @@ impl ProbeProgram {
 
     /// Records an FSM transition `old -> new`.
     #[inline]
-    pub fn record_transition(&self, features: &mut [f64], reg: usize, old: u64, new: u64) {
+    pub(crate) fn record_transition(&self, features: &mut [f64], reg: usize, old: u64, new: u64) {
         let Some(p) = self.regs.get(reg) else {
             return;
         };
         if let Ok(i) = p.stc.binary_search_by_key(&(old, new), |&(pair, _)| pair) {
             features[p.stc[i].1] += 1.0;
         }
+    }
+
+    /// The STC columns of FSM register `reg` split by source state, for
+    /// sources `0..n_states`: one pass over the register's sorted list,
+    /// O(`n_states` + pairs).
+    pub(crate) fn stc_by_src(&self, reg: usize, n_states: usize) -> StcBySrc<'_> {
+        let stc = self.regs.get(reg).map_or(&[][..], |p| &p.stc[..]);
+        let mut start = Vec::with_capacity(n_states + 1);
+        let mut i = 0;
+        for src in 0..=n_states as u64 {
+            while stc.get(i).is_some_and(|&((s, _), _)| s < src) {
+                i += 1;
+            }
+            start.push(i);
+        }
+        StcBySrc { stc, start }
     }
 
     /// Checks that every register this program probes exists in
@@ -325,6 +345,30 @@ impl ProbeProgram {
             });
         }
         Ok(())
+    }
+}
+
+/// One FSM register's STC columns indexed by source state; see
+/// [`ProbeProgram::stc_by_src`].
+#[derive(Debug)]
+pub(crate) struct StcBySrc<'p> {
+    /// The register's `(src, dst)`-sorted STC list.
+    stc: &'p [((u64, u64), usize)],
+    /// `stc[start[s]..start[s + 1]]` holds the pairs leaving state `s`,
+    /// sorted by destination.
+    start: Vec<usize>,
+}
+
+impl StcBySrc<'_> {
+    /// Records the transition `src -> dst`, exactly as
+    /// [`ProbeProgram::record_transition`] would. `src` must be below the
+    /// `n_states` the table was built for.
+    #[inline]
+    pub(crate) fn record(&self, features: &mut [f64], src: usize, dst: u64) {
+        let row = &self.stc[self.start[src]..self.start[src + 1]];
+        if let Ok(i) = row.binary_search_by_key(&dst, |&((_, d), _)| d) {
+            features[row[i].1] += 1.0;
+        }
     }
 }
 
@@ -436,6 +480,36 @@ mod tests {
         for (i, &x) in f.iter().enumerate() {
             assert_eq!(x, if i == col { 1.0 } else { 0.0 }, "column {i}");
         }
+    }
+
+    #[test]
+    fn stc_by_src_records_what_record_transition_does() {
+        // Every (src, dst) over the toy's states and one past them, plus
+        // a register with no STC columns: the per-source rows touch the
+        // same column as the sorted search, or none.
+        let m = toy();
+        let a = Analysis::run(&m);
+        let p = FeatureSchema::from_analysis(&m, &a).probe_program(&a);
+        let fsm = m.reg_by_name("ctrl.state").unwrap().index();
+        let cnt = m.reg_by_name("ctrl.cnt").unwrap().index();
+        for reg in [fsm, cnt] {
+            let rows = p.stc_by_src(reg, 4);
+            for src in 0..4 {
+                for dst in 0..5 {
+                    let mut want = vec![0.0; p.feature_count()];
+                    let mut got = want.clone();
+                    p.record_transition(&mut want, reg, src, dst);
+                    rows.record(&mut got, src as usize, dst);
+                    assert_eq!(want, got, "r{reg}: {src} -> {dst}");
+                }
+            }
+        }
+        // Sources past the table's range are left out, not misfiled.
+        let narrow = p.stc_by_src(fsm, 2);
+        let mut f = vec![0.0; p.feature_count()];
+        narrow.record(&mut f, 1, 2);
+        assert_eq!(f.iter().sum::<f64>(), 1.0);
+        assert_eq!(narrow.start, [0, 1, 2]);
     }
 
     #[test]

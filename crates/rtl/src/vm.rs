@@ -34,20 +34,30 @@
 //!    stable in ascending register order, firing probe hooks with the same
 //!    `(old, new)` pairs the interpreter produces.
 //!
-//! Nothing on this per-cycle path hashes. Steps 3 and 4 run on every cycle
-//! that is not skipped, and a hardware slice is almost all such cycles;
-//! hashed lookups there once cost as much as the cycle's bytecode. The
-//! wait scan binary-searches one small table per FSM register (sorted by
-//! state, sized by the number of wait states), and the probe hooks index
-//! [`ProbeProgram`]'s register-indexed tables. CI fails if this file or
-//! `instrument.rs` names a hashed collection.
+//! Steps 3 and 4 run on every cycle that is not skipped, and a hardware
+//! slice is almost all such cycles, so everything they need is looked up
+//! through the current bucket and nothing on the path hashes (CI fails if
+//! this file or `instrument.rs` names a hashed collection):
+//!
+//! - the wait scan reads the bucketing FSM's plan from the bucket's plan
+//!   index and binary-searches only the other FSM registers' tables
+//!   (sorted by state, sized by the number of wait states);
+//! - the probe hooks index [`ProbeProgram`]'s register-indexed tables, and
+//!   a bucket's FSM transitions search only the STC columns leaving its
+//!   state, split out once per run before cycle 0;
+//! - no instruction loads a constant: the compiler interns every constant
+//!   into one pool at the top of scratch, copied in once per run, and
+//!   operands read it in place.
+//!
+//! The generic program, which has no state to key on, keeps the sorted
+//! searches, exactly as the interpreter's flat fallback keeps its maps.
 //!
 //! All run-time mutable state (state buffer, scratch, fired list) is
 //! allocated per [`run`](CompiledSim::run) call, so one `CompiledSim` can
 //! serve many threads — the same `&self` contract the interpreter offers.
 
 use crate::analysis::{Analysis, WaitDir};
-use crate::compile::{self, Compiled, ExprProgram};
+use crate::compile::{self, Compiled, CompiledWait, ExprProgram, StatePrograms};
 use crate::error::RtlError;
 use crate::expr::{BinOp, UnOp};
 use crate::instrument::ProbeProgram;
@@ -56,11 +66,11 @@ use crate::module::Module;
 
 /// One bytecode instruction. Operands named `dst`/`a`/`b`/`c`/`t`/`f`/`src`
 /// are scratch-register indices; `slot` indexes the flattened state buffer
-/// (stable region `[0, n)`, shadow region `[n, 2n)`).
+/// (stable region `[0, n)`, shadow region `[n, 2n)`). There is no constant
+/// instruction: a constant operand names its slot in the constant pool at
+/// the top of scratch, which is loaded once per run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Instr {
-    /// `scratch[dst] = k`.
-    Const { dst: u32, k: u64 },
     /// `scratch[dst] = state[slot]` (stable-region read).
     Load { dst: u32, slot: u32 },
     /// `scratch[dst] = job[tok].field` (0 past the end of the stream).
@@ -106,7 +116,6 @@ fn exec(
     while let Some(i) = code.get(pc) {
         pc += 1;
         match *i {
-            Instr::Const { dst, k } => scratch[dst as usize] = k,
             Instr::Load { dst, slot } => scratch[dst as usize] = state[slot as usize],
             Instr::Input { dst, field } => {
                 scratch[dst as usize] = if tok < job.len() {
@@ -264,13 +273,17 @@ impl CompiledSim {
         // One span per job, never per cycle: the inner loop stays free of
         // profiling branches beyond the wait-batch retirement below.
         let _span = predvfs_obs::span("rtl.vm.run");
-        if let Some(p) = probes {
-            p.validate_regs(&self.name, self.c.n_regs)?;
-        }
         let c = &self.c;
+        // Resolved before cycle 0: the bucketing FSM's STC columns by
+        // source state, so a bucket's commits search only its successors.
+        let mut bucket_stc = None;
+        if let Some(p) = probes {
+            p.validate_regs(&self.name, c.n_regs)?;
+            bucket_stc = c.fsm.map(|f| (f, p.stc_by_src(f, c.by_state.len())));
+        }
         let n = c.n_regs;
         let mut state = c.init.clone();
-        let mut scratch = vec![0u64; c.scratch];
+        let mut scratch = c.scratch.clone();
         let mut fired: Vec<(u32, u32)> = Vec::with_capacity(16);
         let mut trace = JobTrace {
             cycles: 0,
@@ -291,10 +304,8 @@ impl CompiledSim {
         loop {
             // Bucket selection mirrors the interpreter: out-of-range FSM
             // values fall back to the generic (flat-schedule) program.
-            let progs = match c.fsm {
-                Some(f) => c.by_state.get(state[f] as usize).unwrap_or(&c.generic),
-                None => &c.generic,
-            };
+            let bucket = c.fsm.and_then(|f| c.by_state.get(state[f] as usize));
+            let progs = bucket.unwrap_or(&c.generic);
             if exec_expr(&progs.done, &mut state, &mut scratch, job, tok) != 0 {
                 state.truncate(n);
                 return Ok((trace, state));
@@ -306,7 +317,7 @@ impl CompiledSim {
             }
             if mode != ExecMode::Step {
                 if let Some(skip) =
-                    self.try_skip(&mut state, &mut scratch, job, tok, mode, &mut trace)
+                    self.try_skip(bucket, &mut state, &mut scratch, job, tok, mode, &mut trace)
                 {
                     // Saturate exactly as the interpreter does: adversarial
                     // bounds can make one skip cover ~2^64 cycles.
@@ -315,7 +326,7 @@ impl CompiledSim {
                     continue;
                 }
             } else if let Some(m) =
-                self.try_batch_step(&mut state, &mut scratch, job, tok, &mut trace)
+                self.try_batch_step(bucket, &mut state, &mut scratch, job, tok, &mut trace)
             {
                 // Wait cycles retired in a batch still count as *stepped*:
                 // Step mode's accounting is per-cycle, only its execution
@@ -346,7 +357,14 @@ impl CompiledSim {
                 if let Some(p) = probes {
                     p.record_counter_init(&mut trace.features, reg, rule, old, v);
                     if old != v && c.is_fsm_reg[reg] {
-                        p.record_transition(&mut trace.features, reg, old, v);
+                        match &bucket_stc {
+                            // In a bucket, the bucketing FSM's `old` is the
+                            // bucket's state.
+                            Some((f, stc)) if *f == reg && bucket.is_some() => {
+                                stc.record(&mut trace.features, old as usize, v);
+                            }
+                            _ => p.record_transition(&mut trace.features, reg, old, v),
+                        }
                     }
                 }
             }
@@ -359,11 +377,31 @@ impl CompiledSim {
         }
     }
 
+    /// The plan that decides this cycle's wait scan: that of the lowest
+    /// FSM register whose current state is a wait state (the
+    /// interpreter's scan order). The bucketing FSM's plan comes straight
+    /// from the current bucket; other FSMs, and every FSM in the generic
+    /// program, binary-search their tables.
+    #[inline]
+    fn wait_plan(&self, bucket: Option<&StatePrograms>, state: &[u64]) -> Option<&CompiledWait> {
+        let c = &self.c;
+        c.waits
+            .iter()
+            .enumerate()
+            .find_map(|(t, table)| match bucket {
+                Some(b) if c.bucket_waits == Some(t) => b.wait.map(|i| &table.plans[i].1),
+                _ => table.get(state[table.fsm]),
+            })
+    }
+
     /// If the current configuration is a skippable wait, applies the skip
     /// and returns `(cycles_charged, cycles_skipped)` — the interpreter's
-    /// `try_skip`, with bound/activity expressions pre-compiled.
+    /// `try_skip`, with bound/activity expressions pre-compiled. A plan
+    /// with nothing left to skip, or without a bound, stops the scan.
+    #[allow(clippy::too_many_arguments)]
     fn try_skip(
         &self,
+        bucket: Option<&StatePrograms>,
         state: &mut [u64],
         scratch: &mut [u64],
         job: &JobInput,
@@ -371,43 +409,38 @@ impl CompiledSim {
         mode: ExecMode,
         trace: &mut JobTrace,
     ) -> Option<(u64, u64)> {
-        for table in &self.c.waits {
-            let Some(plan) = table.get(state[table.fsm]) else {
-                continue;
-            };
-            let cur = state[plan.counter];
-            let (remaining, terminal) = match plan.dir {
-                WaitDir::Down => (cur, 0),
-                WaitDir::Up => {
-                    let bound = exec_expr(plan.bound.as_ref()?, state, scratch, job, tok);
-                    (bound.saturating_sub(cur), bound)
-                }
-            };
-            if remaining == 0 {
-                return None;
+        let plan = self.wait_plan(bucket, state)?;
+        let cur = state[plan.counter];
+        let (remaining, terminal) = match plan.dir {
+            WaitDir::Down => (cur, 0),
+            WaitDir::Up => {
+                let bound = exec_expr(plan.bound.as_ref()?, state, scratch, job, tok);
+                (bound.saturating_sub(cur), bound)
             }
-            let charged = match mode {
-                ExecMode::FastForward => remaining,
-                ExecMode::Compressed => {
-                    if plan.serial {
-                        remaining
-                    } else {
-                        1
-                    }
-                }
-                ExecMode::Step => unreachable!("skip not attempted in Step mode"),
-            };
-            // Counter jumps to its terminal value *before* datapath
-            // activity is evaluated — the activity condition may read it.
-            state[plan.counter] = terminal;
-            for (di, prog) in &plan.dps {
-                if exec_expr(prog, state, scratch, job, tok) != 0 {
-                    trace.dp_active[*di] = trace.dp_active[*di].saturating_add(charged);
-                }
-            }
-            return Some((charged, remaining));
+        };
+        if remaining == 0 {
+            return None;
         }
-        None
+        let charged = match mode {
+            ExecMode::FastForward => remaining,
+            ExecMode::Compressed => {
+                if plan.serial {
+                    remaining
+                } else {
+                    1
+                }
+            }
+            ExecMode::Step => unreachable!("skip not attempted in Step mode"),
+        };
+        // Counter jumps to its terminal value *before* datapath activity
+        // is evaluated — the activity condition may read it.
+        state[plan.counter] = terminal;
+        for (di, prog) in &plan.dps {
+            if exec_expr(prog, state, scratch, job, tok) != 0 {
+                trace.dp_active[*di] = trace.dp_active[*di].saturating_add(charged);
+            }
+        }
+        Some((charged, remaining))
     }
 
     /// Step-mode analogue of [`CompiledSim::try_skip`]: retires a run of
@@ -431,53 +464,48 @@ impl CompiledSim {
     /// so it runs through the ordinary per-cycle path.
     fn try_batch_step(
         &self,
+        bucket: Option<&StatePrograms>,
         state: &mut [u64],
         scratch: &mut [u64],
         job: &JobInput,
         tok: usize,
         trace: &mut JobTrace,
     ) -> Option<u64> {
-        let c = &self.c;
-        for table in &c.waits {
-            let Some(plan) = table.get(state[table.fsm]) else {
-                continue;
-            };
-            if c.is_fsm_reg[plan.counter] {
-                // A counter that doubles as an FSM register would emit a
-                // transition probe per tick; step it cycle by cycle.
-                return None;
-            }
-            let cur = state[plan.counter];
-            let remaining = match plan.dir {
-                WaitDir::Down => cur,
-                WaitDir::Up => {
-                    let bound = exec_expr(plan.bound.as_ref()?, state, scratch, job, tok);
-                    bound.saturating_sub(cur)
-                }
-            };
-            if remaining == 0 {
-                return None;
-            }
-            // The span opens only once a batch is certain to retire, so
-            // non-wait Step cycles pay nothing for it.
-            let _span = predvfs_obs::span("rtl.vm.wait_batch");
-            // `cycles < cycle_limit` was checked just above, so the cap is
-            // at least 1; a capped batch leaves the counter mid-wait and
-            // the next loop iteration reports `CycleLimit` exactly where
-            // the interpreter would.
-            let m = remaining.min(self.cycle_limit - trace.cycles);
-            match plan.dir {
-                WaitDir::Down => state[plan.counter] = cur - m,
-                WaitDir::Up => state[plan.counter] = cur + m,
-            }
-            for (di, prog) in &plan.dps {
-                if exec_expr(prog, state, scratch, job, tok) != 0 {
-                    trace.dp_active[*di] = trace.dp_active[*di].saturating_add(m);
-                }
-            }
-            return Some(m);
+        let plan = self.wait_plan(bucket, state)?;
+        if self.c.is_fsm_reg[plan.counter] {
+            // A counter that doubles as an FSM register would emit a
+            // transition probe per tick; step it cycle by cycle.
+            return None;
         }
-        None
+        let cur = state[plan.counter];
+        let remaining = match plan.dir {
+            WaitDir::Down => cur,
+            WaitDir::Up => {
+                let bound = exec_expr(plan.bound.as_ref()?, state, scratch, job, tok);
+                bound.saturating_sub(cur)
+            }
+        };
+        if remaining == 0 {
+            return None;
+        }
+        // The span opens only once a batch is certain to retire, so
+        // non-wait Step cycles pay nothing for it.
+        let _span = predvfs_obs::span("rtl.vm.wait_batch");
+        // `cycles < cycle_limit` was checked just above, so the cap is at
+        // least 1; a capped batch leaves the counter mid-wait and the next
+        // loop iteration reports `CycleLimit` exactly where the
+        // interpreter would.
+        let m = remaining.min(self.cycle_limit - trace.cycles);
+        match plan.dir {
+            WaitDir::Down => state[plan.counter] = cur - m,
+            WaitDir::Up => state[plan.counter] = cur + m,
+        }
+        for (di, prog) in &plan.dps {
+            if exec_expr(prog, state, scratch, job, tok) != 0 {
+                trace.dp_active[*di] = trace.dp_active[*di].saturating_add(m);
+            }
+        }
+        Some(m)
     }
 }
 
@@ -649,6 +677,102 @@ mod tests {
         b.done_when(x.e().ge(E::k(200)));
         let m = b.build().unwrap();
         assert_identical(&m, &JobInput::new(0), false);
+    }
+
+    /// A toy-shaped design on an FSM with the explicit encodings
+    /// `{0, wait, exit}`: FETCH is 0, the counter wait is `wait` and EMIT
+    /// is `exit`, so the largest of them decides which side of the
+    /// 4096-state bucketing cap the FSM falls on.
+    fn sparse_fsm(wait: u64, exit: u64) -> Module {
+        let mut b = ModuleBuilder::new("sparse");
+        let dur = b.input("dur", 16);
+        let st = b.reg("ctrl.state", 13, 0);
+        let cnt = b.reg("ctrl.cnt", 32, 0);
+        let at = |s: u64| st.e().eq_(E::k(s));
+        let go = E::stream_empty().is_zero();
+        b.set(st, at(0) & go.clone(), E::k(wait));
+        b.set(st, at(wait) & cnt.e().eq_(E::zero()), E::k(exit));
+        b.set(st, at(exit), E::zero());
+        b.set(cnt, at(0) & go, dur);
+        b.set(cnt, at(wait) & cnt.e().gt(E::zero()), cnt.e() - E::one());
+        b.datapath_compute("alu", at(wait), 500.0, 2.0, 100, 1);
+        b.advance_when(at(exit));
+        b.done_when(at(0) & E::stream_empty());
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn fsms_on_both_sides_of_the_bucketing_cap_match_the_interpreter() {
+        // 4096 is bucketed (4097 state programs); 5000 is past the cap,
+        // so every cycle runs the generic program and its probe and wait
+        // lookups take their general paths.
+        for (exit, buckets) in [(4096, 4097), (5000, 0)] {
+            let m = sparse_fsm(7, exit);
+            let a = Analysis::run(&m);
+            let st = m.reg_by_name("ctrl.state").unwrap();
+            assert_eq!(a.fsms.len(), 1, "exit {exit}");
+            assert_eq!(a.fsms[0].reg, st);
+            assert_eq!(a.fsms[0].transition_pairs(), [(0, 7), (7, exit), (exit, 0)]);
+            assert_eq!(a.waits.len(), 1);
+            assert_eq!((a.waits[0].fsm, a.waits[0].state), (st, 7));
+            assert_eq!(a.waits[0].exit_to, exit);
+            let schema = FeatureSchema::from_analysis(&m, &a);
+            let stc: Vec<_> = schema
+                .descs()
+                .iter()
+                .filter(|d| matches!(d.kind, crate::instrument::FeatureKind::Stc { .. }))
+                .map(|d| d.name.as_str())
+                .collect();
+            assert_eq!(
+                stc,
+                [
+                    "stc[ctrl.state:0->7]".to_owned(),
+                    format!("stc[ctrl.state:7->{exit}]"),
+                    format!("stc[ctrl.state:{exit}->0]"),
+                ]
+            );
+            let vm = CompiledSim::with_analysis(&m, &a).unwrap();
+            assert_eq!(vm.c.by_state.len(), buckets);
+            for durs in [&[0u64][..], &[4], &[6, 0, 3]] {
+                for probed in [false, true] {
+                    let traces = assert_identical_under(&m, &a, &job(durs), probed);
+                    let want: u64 = durs.iter().sum();
+                    assert_eq!(traces[1].skipped_cycles, want, "the wait is skipped");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn states_without_a_bucket_keep_the_sorted_lookups() {
+        // An analysis that knows only the states {0, 2} buckets 0..=2, so
+        // the wait state 9 runs the generic program: its wait plan and
+        // its 9 -> 2 transition are found by search, while 0 -> 9 and
+        // 2 -> 0 are recorded through their buckets.
+        let m = sparse_fsm(9, 2);
+        let mut a = Analysis::run(&m);
+        assert_eq!(
+            a.fsms[0].states.iter().copied().collect::<Vec<_>>(),
+            [0, 2, 9]
+        );
+        assert_eq!(a.waits[0].state, 9);
+        a.fsms[0].states.remove(&9);
+        let vm = CompiledSim::with_analysis(&m, &a).unwrap();
+        assert_eq!(vm.c.by_state.len(), 3);
+        assert!(vm.c.by_state.iter().all(|p| p.wait.is_none()));
+        let schema = FeatureSchema::from_analysis(&m, &a);
+        for probed in [false, true] {
+            let traces = assert_identical_under(&m, &a, &job(&[5, 0, 2]), probed);
+            assert_eq!(traces[1].skipped_cycles, 5 + 2, "the wait is skipped");
+            if probed {
+                // One tour of FETCH -> W -> EMIT -> FETCH per token.
+                for (i, d) in schema.descs().iter().enumerate() {
+                    if d.name.starts_with("stc[") {
+                        assert_eq!(traces[0].features[i], 3.0, "{}", d.name);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

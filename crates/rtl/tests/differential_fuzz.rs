@@ -15,6 +15,14 @@
 //! The same harness also checks the mode-equivalence law on the random
 //! designs: `FastForward` and `Compressed` must agree with `Step` on the
 //! final register state.
+//!
+//! A second property fuzzes the compiler's constant folding at the
+//! expression level: a random expression tree over every operator, edge
+//! constants and all four kinds of leaf (a multi-bit register, the FSM
+//! register that state specialization folds, an input field and
+//! `StreamEmpty`) becomes a rule guard, a rule value and a datapath
+//! activity of a small FSM design, and both engines must return the same
+//! `Result` under a low cycle limit.
 
 use proptest::prelude::*;
 
@@ -305,5 +313,201 @@ proptest! {
         let interp = Simulator::with_analysis(&m, &analysis);
         let vm = CompiledSim::with_analysis(&m, &analysis).unwrap();
         run_both(&interp, &vm, &job(&vals), None)?;
+    }
+}
+
+/// Constants a random expression draws from besides fully random ones:
+/// the identities of `&` (0 and 1), a small value, the shift-amount edge
+/// (63, 64) and all ones.
+const EDGE_CONSTANTS: [u64; 6] = [0, 1, 2, 63, 64, u64::MAX];
+
+/// Cycle budget of the random-expression designs: small enough that a
+/// drawn expression stalling the design ends in `CycleLimit` quickly.
+const EXPR_CYCLE_LIMIT: u64 = 400;
+
+/// Decodes a drawn word stream into an expression tree (the vendored
+/// proptest shim has no recursive strategies). Each node consumes one word
+/// that picks its kind, and a depth cap bounds the tree; words past the
+/// end read 0, a leaf, so a short stream decodes to a small tree.
+struct ExprDecoder<'a> {
+    words: &'a [u64],
+    pos: usize,
+    /// Register leaves: a multi-bit register and the FSM register.
+    regs: [E; 2],
+    input: E,
+}
+
+impl ExprDecoder<'_> {
+    fn word(&mut self) -> u64 {
+        let w = self.words.get(self.pos).copied().unwrap_or(0);
+        self.pos += 1;
+        w
+    }
+
+    /// 5 leaf kinds, then 16 binary operators, 3 unary ones and `Mux`;
+    /// at depth 0 only leaves.
+    fn expr(&mut self, depth: u32) -> E {
+        let kinds = if depth == 0 { 5 } else { 28 };
+        let kind = match self.word() % kinds {
+            // `&` is where the bitwise and the boolean reading part, so it
+            // is drawn four times as often as any other operator.
+            25.. => 10,
+            k => k,
+        };
+        if kind < 5 {
+            return match kind {
+                0 | 1 => self.regs[kind as usize].clone(),
+                2 => self.input.clone(),
+                3 => E::stream_empty(),
+                _ => {
+                    let pick = self.word() % 7;
+                    E::k(match EDGE_CONSTANTS.get(pick as usize) {
+                        Some(&k) => k,
+                        None => self.word(),
+                    })
+                }
+            };
+        }
+        if kind == 24 {
+            let c = self.expr(depth - 1);
+            let t = self.expr(depth - 1);
+            return c.mux(t, self.expr(depth - 1));
+        }
+        let a = self.expr(depth - 1);
+        match kind {
+            21 => return a.not(),
+            22 => return a.is_zero(),
+            23 => return a.nonzero(),
+            _ => {}
+        }
+        let b = self.expr(depth - 1);
+        match kind {
+            5 => a + b,
+            6 => a - b,
+            7 => a * b,
+            8 => a.div(b),
+            9 => a.rem(b),
+            10 => a & b,
+            11 => a | b,
+            12 => a ^ b,
+            13 => a << b,
+            14 => a >> b,
+            15 => a.lt(b),
+            16 => a.le(b),
+            17 => a.eq_(b),
+            18 => a.ne_(b),
+            19 => a.min(b),
+            _ => a.max(b),
+        }
+    }
+}
+
+/// A toy-shaped design (FETCH → counter wait RUN → EMIT per token) where
+/// the expression decoded from `words` is the guard and the value of the
+/// first rule of a 12-bit register `x`, and a datapath's activity. With
+/// `gated`, the guard is `ctrl == EMIT & expr`: the wait in RUN stays
+/// provable, and in the EMIT bucket the guard folds to `1 & expr`.
+fn expr_design(words: &[u64], gated: bool) -> Module {
+    let mut b = ModuleBuilder::new("expr");
+    let a = b.input("a", 8);
+    let fsm = b.fsm("ctrl", &["FETCH", "RUN", "EMIT"]);
+    let x = b.reg("x", 12, 5);
+    let tree = ExprDecoder {
+        words,
+        pos: 0,
+        regs: [x.e(), fsm.reg().e()],
+        input: a.clone(),
+    }
+    .expr(4);
+    b.timed(
+        &fsm,
+        "FETCH",
+        "RUN",
+        "EMIT",
+        a,
+        E::stream_empty().is_zero(),
+        "ctrl.cnt",
+    );
+    b.trans(&fsm, "EMIT", "FETCH", E::one());
+    let guard = if gated {
+        fsm.in_state("EMIT") & tree.clone()
+    } else {
+        tree.clone()
+    };
+    b.set(x, guard, tree.clone());
+    // A step rule: `x` becomes a probed counter whenever the expression
+    // does not read it.
+    b.set(x, fsm.in_state("EMIT"), x.e() + E::one());
+    b.datapath_compute("expr", tree, 10.0, 1.0, 4, 0);
+    b.advance_when(fsm.in_state("EMIT"));
+    b.done_when(fsm.in_state("FETCH") & E::stream_empty());
+    b.build().expect("generated module must be valid")
+}
+
+/// Runs `j` on `m` under both engines in every mode, probed and unprobed,
+/// with [`EXPR_CYCLE_LIMIT`], and requires equal `Result`s: traces
+/// (feature bits included) and final state, or the same error.
+fn engines_agree(m: &Module, j: &JobInput) -> Result<(), TestCaseError> {
+    let analysis = Analysis::run(m);
+    let probes = FeatureSchema::from_analysis(m, &analysis).probe_program(&analysis);
+    let mut interp = Simulator::with_analysis(m, &analysis);
+    interp.set_cycle_limit(EXPR_CYCLE_LIMIT);
+    let mut vm = CompiledSim::with_analysis(m, &analysis).unwrap();
+    vm.set_cycle_limit(EXPR_CYCLE_LIMIT);
+    let bits = |t: &JobTrace| t.features.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+    for p in [Some(&probes), None] {
+        for mode in [ExecMode::Step, ExecMode::FastForward, ExecMode::Compressed] {
+            let want = interp.run_with_state(j, mode, p);
+            let got = vm.run_with_state(j, mode, p);
+            prop_assert_eq!(&want, &got, "{:?}, probed={}", mode, p.is_some());
+            if let (Ok((want, _)), Ok((got, _))) = (&want, &got) {
+                prop_assert_eq!(bits(want), bits(got), "feature bits in {:?}", mode);
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn vm_matches_interpreter_on_random_expressions(
+        words in prop::collection::vec(any::<u64>(), 1..48),
+        gated in any::<bool>(),
+        vals in prop::collection::vec(0..40u64, 0..5),
+    ) {
+        let m = expr_design(&words, gated);
+        engines_agree(&m, &job(&vals))
+            .map_err(|e| TestCaseError::fail(format!("{e} (words={words:?}, gated={gated}, vals={vals:?})")))?;
+    }
+}
+
+#[test]
+fn and_with_one_keeps_multibit_operands() {
+    // `&` is bitwise: `1 & x` is the low bit of `x`, not `x`. The literal
+    // form and the one state specialization produces (`ctrl == A & x` in
+    // A's bucket), with the 1 on either side, must all read 0 for `x = 6`.
+    let mut b = ModuleBuilder::new("and1");
+    let fsm = b.fsm("ctrl", &["A", "B"]);
+    let x = b.reg("x", 8, 6);
+    let a = fsm.in_state("A");
+    b.trans(&fsm, "A", "B", E::one());
+    for (name, value) in [
+        ("lit", E::one() & x.e()),
+        ("lit.r", x.e() & E::one()),
+        ("folded", a.clone() & x.e()),
+        ("folded.r", x.e() & a.clone()),
+    ] {
+        let r = b.reg(name, 8, 9);
+        b.set(r, a.clone(), value);
+    }
+    b.done_when(fsm.in_state("B"));
+    let m = b.build().unwrap();
+    engines_agree(&m, &JobInput::new(1)).unwrap();
+    let vm = CompiledSim::new(&m).unwrap();
+    for mode in [ExecMode::Step, ExecMode::FastForward, ExecMode::Compressed] {
+        let (_, state) = vm.run_with_state(&JobInput::new(1), mode, None).unwrap();
+        assert_eq!(state, [1, 6, 0, 0, 0, 0], "{mode:?}");
     }
 }
