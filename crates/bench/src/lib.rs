@@ -1,22 +1,23 @@
 //! # predvfs-bench
 //!
-//! Experiment binaries regenerating every table and figure of the paper's
-//! evaluation (one binary per exhibit; see DESIGN.md's experiment index),
-//! plus Criterion micro-benchmarks of the framework itself.
+//! The paper's reproduction, the bench binaries, and Criterion
+//! micro-benchmarks of the framework itself.
 //!
-//! Each binary prints a paper-style text table, writes the same data as
-//! CSV under `results/`, and — where the paper reports a headline number —
-//! prints the paper's value next to the measured one.
+//! The `repro` binary regenerates every table and figure of the paper's
+//! evaluation, plus the ablations and extensions (see DESIGN.md's
+//! experiment index). Each exhibit is a function in [`repro::EXHIBITS`]
+//! over one shared [`repro::Context`]: it prints a paper-style text
+//! table, writes the same data as CSV under `results/`, and — where the
+//! paper reports a headline number — prints the paper's value next to the
+//! measured one.
 
 #![warn(missing_docs)]
 
 use std::path::PathBuf;
 
-use predvfs_accel::{all, Benchmark};
-use predvfs_sim::{Experiment, ExperimentConfig, Platform, TraceCache};
-
 pub mod bench_report;
 pub mod gate;
+pub mod repro;
 
 /// Paper reference values used for side-by-side reporting.
 pub mod paper {
@@ -63,60 +64,6 @@ pub mod paper {
     pub const H264_SLICE_ENERGY_PCT: f64 = 2.8;
 }
 
-/// Prepares experiments for every benchmark on a platform, fanning the
-/// per-benchmark work out in parallel.
-///
-/// # Errors
-///
-/// Propagates preparation failures.
-pub fn prepare_all(config: &ExperimentConfig) -> Result<Vec<Experiment>, predvfs::CoreError> {
-    prepare_all_cached(config, &TraceCache::new())
-}
-
-/// Like [`prepare_all`], but serves trace simulation from `cache` so
-/// several configurations (e.g. ASIC then FPGA) share one pass per
-/// benchmark.
-///
-/// # Errors
-///
-/// Propagates preparation failures.
-pub fn prepare_all_cached(
-    config: &ExperimentConfig,
-    cache: &TraceCache,
-) -> Result<Vec<Experiment>, predvfs::CoreError> {
-    predvfs_par::par_try_map(&all(), |b| {
-        Experiment::prepare_cached(*b, config.clone(), cache)
-    })
-}
-
-/// Prepares a single benchmark.
-///
-/// # Errors
-///
-/// Propagates preparation failures.
-///
-/// # Panics
-///
-/// Panics if `name` is not a registered benchmark.
-pub fn prepare_one(
-    name: &str,
-    config: &ExperimentConfig,
-) -> Result<Experiment, predvfs::CoreError> {
-    let bench: Benchmark =
-        predvfs_accel::by_name(name).unwrap_or_else(|| panic!("unknown benchmark `{name}`"));
-    Experiment::prepare(bench, config.clone())
-}
-
-/// The standard paper configuration, honoring `PREDVFS_QUICK=1` for fast
-/// smoke runs.
-pub fn standard_config(platform: Platform) -> ExperimentConfig {
-    let mut cfg = ExperimentConfig::paper_default(platform);
-    if std::env::var("PREDVFS_QUICK").as_deref() == Ok("1") {
-        cfg.size = predvfs_accel::WorkloadSize::Quick;
-    }
-    cfg
-}
-
 /// Directory where experiment CSVs are written.
 pub fn results_dir() -> PathBuf {
     PathBuf::from("results")
@@ -134,18 +81,9 @@ mod tests {
 
     #[test]
     fn paper_constants_cover_all_benchmarks() {
-        let names: Vec<&str> = all().iter().map(|b| b.name).collect();
+        let names: Vec<&str> = predvfs_accel::all().iter().map(|b| b.name).collect();
         for (name, ..) in paper::TABLE4 {
             assert!(names.contains(&name), "{name} missing from registry");
         }
-    }
-
-    #[test]
-    fn standard_config_respects_quick_env() {
-        // Not setting the variable: full size.
-        let cfg = standard_config(Platform::Asic);
-        // The test runner may set PREDVFS_QUICK; accept either but ensure
-        // the call succeeds and deadline matches the paper.
-        assert!((cfg.deadline_s - 16.7e-3).abs() < 1e-9);
     }
 }

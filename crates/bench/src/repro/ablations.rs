@@ -1,0 +1,313 @@
+//! Ablations of the framework's design choices (§2.4, §3.5, §5.1 and the
+//! paper's fixed parameters).
+
+use predvfs::train::{fit, profile, TrainerConfig};
+use predvfs::{
+    DvfsModel, IntervalGovernor, PredictiveController, SliceFlavor, SlicePredictor, WcetController,
+};
+use predvfs_accel::{all, djpeg};
+use predvfs_power::{AlphaPowerCurve, EnergyModel, Ladder, PowerParams, SwitchingModel};
+use predvfs_rtl::{AsicAreaModel, CompiledSim, ExecMode, SliceOptions};
+use predvfs_sim::{run_scheme, Platform, RunConfig, Scheme, Table};
+
+use super::{cells, run_controller, run_schemes, versus, with_average, Context, Outcome};
+
+/// The Lasso weight γ controls how many features survive selection (the
+/// 257→7 story of §3.7) and how much accuracy that costs.
+pub(super) fn ablation_gamma(ctx: &Context) -> Outcome {
+    let (module, bundle) = ctx.bundle("h264")?;
+    let train_data = &bundle.data;
+    let test_data = profile(&module, &bundle.workloads.test)?;
+
+    let mut t = Table::new(
+        "ablation — Lasso weight gamma (h264)",
+        &["gamma", "features", "median_err%", "worst_err%", "under%"],
+    );
+    // Each gamma's fit is independent; fan the grid out and emit rows in
+    // grid order.
+    let gammas = [0.0, 0.05, 0.2, 0.6, 1.5, 4.0, 10.0];
+    let rows = predvfs_par::par_try_map(&gammas, |&gamma| {
+        let cfg = TrainerConfig {
+            gamma,
+            ..TrainerConfig::default()
+        };
+        let model = fit(train_data, &cfg)?;
+        let mut errs: Vec<f64> = Vec::new();
+        for i in 0..test_data.x.rows() {
+            let p = model.predict_cycles(test_data.x.row(i));
+            errs.push(100.0 * (p - test_data.y[i]) / test_data.y[i]);
+        }
+        let worst = errs.iter().cloned().fold(0.0f64, |a, b| a.max(b.abs()));
+        let median = predvfs_opt::quantile(&errs, 0.5);
+        let under = errs.iter().filter(|&&e| e < 0.0).count();
+        Ok::<_, predvfs::CoreError>([
+            format!("{gamma}"),
+            model.selected_nonbias().len().to_string(),
+            format!("{median:.2}"),
+            format!("{worst:.2}"),
+            format!("{:.1}", 100.0 * under as f64 / errs.len() as f64),
+        ])
+    })?;
+    for row in &rows {
+        t.row(row);
+    }
+    ctx.emit(&t, "ablation_gamma.csv")?;
+    println!(
+        "raw features detected: {} — gamma trades support size against \
+         accuracy; the default keeps a handful of features at low error.",
+        train_data.schema.len()
+    );
+    Ok(())
+}
+
+/// The under-prediction penalty α makes the model conservative. djpeg is
+/// the interesting case: its hidden Huffman drain guarantees residual
+/// error, and α decides on which side of the deadline it lands.
+///
+/// The energy model and ladder are this ablation's own: leakage is
+/// calibrated on the first test trace at a 9% share, and no boost level
+/// is attached.
+pub(super) fn ablation_alpha(ctx: &Context) -> Outcome {
+    let (module, bundle) = ctx.bundle("djpeg")?;
+    let (tests, traces) = (&bundle.workloads.test, &bundle.test_traces);
+    let f_hz = djpeg::F_NOMINAL_MHZ * 1e6;
+
+    let area = AsicAreaModel::default().area(&module);
+    let mut energy = EnergyModel::new(&module, &area, &PowerParams::default(), f_hz, 1.0);
+    energy.calibrate_leakage(
+        energy.dynamic_pj_nominal(traces[0].cycles, &traces[0].dp_active) / traces[0].cycles as f64,
+        0.09,
+    );
+    let curve = AlphaPowerCurve::default();
+    let dvfs = DvfsModel::new(Ladder::asic(&curve), SwitchingModel::off_chip());
+    let run_cfg = RunConfig {
+        deadline_s: 16.7e-3,
+        switching: SwitchingModel::off_chip(),
+        leak_voltage_exp: 1.0,
+    };
+
+    let mut t = Table::new(
+        "ablation — under-prediction penalty alpha (djpeg)",
+        &["alpha", "under%", "miss%", "energy_uJ"],
+    );
+    for alpha in [1.0, 2.0, 4.0, 8.0, 16.0, 64.0] {
+        let cfg = TrainerConfig {
+            alpha,
+            ..TrainerConfig::default()
+        };
+        let model = fit(&bundle.data, &cfg)?;
+        let slices =
+            SlicePredictor::generate(&module, &model, SliceOptions::default(), SliceFlavor::Rtl)?
+                .run_all(tests)?;
+        let mut ctrl = PredictiveController::new(dvfs.clone(), f_hz, &slices, &model);
+        let res = run_scheme(&mut ctrl, tests, traces, &energy, None, &dvfs, &run_cfg)?;
+        let errs = res.prediction_errors_pct();
+        let under = errs.iter().filter(|&&e| e < 0.0).count();
+        t.row(&[
+            format!("{alpha}"),
+            format!("{:.1}", 100.0 * under as f64 / errs.len() as f64),
+            format!("{:.2}", res.miss_pct()),
+            format!("{:.2}", res.total_energy_pj() / 1e6),
+        ]);
+    }
+    ctx.emit(&t, "ablation_alpha.csv")?;
+    println!(
+        "alpha > 1 pushes residual error to the over-prediction side: fewer \
+         misses for slightly more energy — the paper's design goal 3."
+    );
+    Ok(())
+}
+
+/// The safety margin added to predictions (the paper uses 5 % for the
+/// predictive scheme).
+pub(super) fn ablation_margin(ctx: &Context) -> Outcome {
+    let experiments = ctx.asic()?;
+    let mut t = Table::new(
+        "ablation — prediction margin (average across benchmarks)",
+        &["margin%", "energy%", "miss%"],
+    );
+    // One baseline per benchmark, shared across the whole margin grid.
+    let baselines = predvfs_par::par_try_map(experiments, |e| e.run(Scheme::Baseline))?;
+    for margin in [0.0, 0.02, 0.05, 0.10, 0.20] {
+        let results = predvfs_par::par_try_map(experiments, |e| {
+            let mut dvfs = e.dvfs.clone();
+            dvfs.margin_frac = margin;
+            let f_hz = e.bench.f_nominal_mhz * 1e6;
+            let mut ctrl =
+                PredictiveController::new(dvfs.clone(), f_hz, e.slice_table()?, &e.model);
+            run_controller(e, &mut ctrl, &dvfs, Some(&e.slice_energy))
+        })?;
+        let mut energy_acc = 0.0;
+        let mut miss_acc = 0.0;
+        for (res, base) in results.iter().zip(&baselines) {
+            energy_acc += res.normalized_energy_pct(base);
+            miss_acc += res.miss_pct();
+        }
+        let n = experiments.len() as f64;
+        t.row(&cells(
+            &format!("{:.0}", margin * 100.0),
+            &[energy_acc / n, miss_acc / n],
+            &[1, 2],
+        ));
+    }
+    ctx.emit(&t, "ablation_margin.csv")?;
+    println!("the paper's 5% sits at the knee: little energy for robustness.");
+    Ok(())
+}
+
+/// DVFS transition time: the paper budgets a conservative 100 µs for
+/// off-chip regulators and notes on-chip regulation reaches tens of
+/// nanoseconds. The 100 µs row is the paper's ASIC configuration; the
+/// faster regulators are one-off configurations over the same traces.
+pub(super) fn ablation_switching(ctx: &Context) -> Outcome {
+    let mut t = Table::new(
+        "ablation — DVFS switching time (average across benchmarks)",
+        &["switch", "energy%", "miss%"],
+    );
+    for (label, transition_s) in [
+        ("100us", 100e-6),
+        ("10us", 10e-6),
+        ("1us", 1e-6),
+        ("50ns", 50e-9),
+    ] {
+        let mut cfg = ctx.config(Platform::Asic);
+        cfg.switching = SwitchingModel {
+            transition_s,
+            transition_pj: 0.0,
+        };
+        let one_off;
+        let experiments = if cfg.switching == SwitchingModel::off_chip() {
+            ctx.asic()?
+        } else {
+            one_off = ctx.prepare(&format!("ASIC with {label} switching"), &cfg, &all())?;
+            &one_off
+        };
+        let (_, avg) = with_average(experiments, |e| {
+            let [base, pred] = run_schemes(e, [Scheme::Baseline, Scheme::Prediction])?;
+            Ok([pred.normalized_energy_pct(&base), pred.miss_pct()])
+        })?;
+        t.row(&cells(label, &avg, &[1, 2]));
+    }
+    ctx.emit(&t, "ablation_switching.csv")?;
+    println!("faster regulators reclaim budget: slightly lower levels and fewer residual misses.");
+    Ok(())
+}
+
+/// Wait-state compression (§3.5). Without modifying the FSM transition
+/// table, the slice is small but as *slow* as the original accelerator —
+/// the inefficiency the paper removes.
+pub(super) fn ablation_compression(ctx: &Context) -> Outcome {
+    let mut t = Table::new(
+        "ablation — wait-state compression",
+        &[
+            "bench",
+            "full_kcyc",
+            "slice_kcyc",
+            "norewrite_nocompress_kcyc",
+            "area%",
+            "norewrite_area%",
+        ],
+    );
+    let area = AsicAreaModel::default();
+    for e in ctx.asic()? {
+        let without = SlicePredictor::generate(
+            &e.module,
+            &e.model,
+            SliceOptions {
+                rewrite_waits: false,
+            },
+            SliceFlavor::Rtl,
+        )?;
+        let job = &e.workloads.test[0];
+        // The un-rewritten slice, executed without runtime compression,
+        // takes as long as the original accelerator.
+        let uncompressed =
+            CompiledSim::new(without.module())?.run(job, ExecMode::FastForward, None)?;
+        let full_area = area.area(&e.module).total_um2();
+        t.row(&cells(
+            e.bench.name,
+            &[
+                e.test_traces[0].cycles as f64 / 1e3,
+                e.slice_table()?.get(0)?.cycles / 1e3,
+                uncompressed.cycles as f64 / 1e3,
+                100.0 * area.area(e.predictor.module()).total_um2() / full_area,
+                100.0 * area.area(without.module()).total_um2() / full_area,
+            ],
+            &[0, 0, 0, 1, 1],
+        ));
+    }
+    ctx.emit(&t, "ablation_compression.csv")?;
+    println!(
+        "without the FSM rewrite the slice still waits for hardware that \
+         no longer exists — same cycles as the full design (paper §3.5)."
+    );
+    Ok(())
+}
+
+/// §2.4 comparison: the coarse worst-case lookup table (Exynos MFC style)
+/// against fine-grained prediction. The table keys on a coarse input
+/// class, so it runs every job at that class's worst case — leaving most
+/// of the slack on the table.
+pub(super) fn ablation_table(ctx: &Context) -> Outcome {
+    let mut t = Table::new(
+        "§2.4 — table-based vs predictive DVFS",
+        &[
+            "bench",
+            "table_energy%",
+            "pred_energy%",
+            "table_miss%",
+            "pred_miss%",
+        ],
+    );
+    versus(&mut t, ctx.asic()?, Scheme::Table, Scheme::Prediction)?;
+    ctx.emit(&t, "ablation_table.csv")?;
+    println!(
+        "the coarse table misses the fine-grained job-to-job variation the \
+         paper's Fig. 2 shows, so its savings are a fraction of prediction's."
+    );
+    Ok(())
+}
+
+/// The full controller landscape (§2.4 + §5.1): interval governor,
+/// static-WCET, coarse table, reactive PID, and look-ahead prediction,
+/// all against the constant-frequency baseline.
+pub(super) fn ablation_governors(ctx: &Context) -> Outcome {
+    let mut t = Table::new(
+        "controller landscape — normalized energy % (misses %)",
+        &["bench", "governor", "wcet", "table", "pid", "prediction"],
+    );
+    let schemes = [
+        Scheme::Baseline,
+        Scheme::Table,
+        Scheme::Pid,
+        Scheme::Prediction,
+    ];
+    let (rows, _) = with_average(ctx.asic()?, |e| {
+        let [base, table, pid, pred] = run_schemes(e, schemes)?;
+        let f_hz = e.bench.f_nominal_mhz * 1e6;
+        let mut gov = IntervalGovernor::new(e.dvfs.clone(), f_hz);
+        let gov_res = run_controller(e, &mut gov, &e.dvfs, None)?;
+        let mut wcet = WcetController::from_module(e.dvfs.clone(), f_hz, &e.module)?;
+        let wcet_res = run_controller(e, &mut wcet, &e.dvfs, None)?;
+        let mut cells = [0.0; 10];
+        for (i, r) in [&gov_res, &wcet_res, &table, &pid, &pred]
+            .iter()
+            .enumerate()
+        {
+            cells[2 * i] = r.normalized_energy_pct(&base);
+            cells[2 * i + 1] = r.miss_pct();
+        }
+        Ok(cells)
+    })?;
+    for (name, v) in &rows {
+        let mut row = vec![(*name).to_owned()];
+        row.extend(v.chunks(2).map(|c| format!("{:.1} ({:.1})", c[0], c[1])));
+        t.row(&row);
+    }
+    ctx.emit(&t, "ablation_governors.csv")?;
+    println!(
+        "wcet never misses but barely saves; the interval governor saves by \
+         missing; prediction dominates on both axes."
+    );
+    Ok(())
+}
