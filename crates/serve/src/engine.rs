@@ -10,9 +10,14 @@
 //! regardless of thread count, so the whole pipeline is deterministic:
 //! same scenario, same result, any `--threads`.
 //!
-//! Ties on the virtual clock are broken by a monotonic sequence number,
-//! so simultaneous events (two streams arriving in the same instant)
-//! always play out in submission order.
+//! Pending events wait in one `EventQueue`, a monotone radix heap keyed
+//! by `(time, seq)`: ties on the virtual clock are broken by a monotonic
+//! sequence number, so simultaneous events (two streams arriving in the
+//! same instant) always play out in submission order. No handler
+//! schedules an event before the one it is handling, which is what lets
+//! the queue pop by sequential bucket scans instead of a binary heap's
+//! scattered walk; `queue.rs` states the contract and what happens when
+//! a configuration built in code breaks it.
 //!
 //! ## Observability
 //!
@@ -66,7 +71,7 @@
 //! exchanging budget grants and stream migrations in between. Three
 //! properties make the sharded composition deterministic:
 //!
-//! * streams never interact inside the loop — the heap is just a merged
+//! * streams never interact inside the loop — the queue is just a merged
 //!   timeline, so a stream's evolution depends only on its own events
 //!   and on fault queries keyed by its **global** stream id;
 //! * with [`EngineConfig::defer_escalations`] the watchdog records a
@@ -74,11 +79,11 @@
 //!   grants requests in globally sorted `(t_s, gid)` order — so the
 //!   budget outcome is independent of how streams map to shards;
 //! * with [`EngineConfig::one_ahead_arrivals`] each arrival schedules
-//!   only its successor, so an engine's heap stays proportional to its
+//!   only its successor, so an engine's queue stays proportional to its
 //!   live streams and migrated streams carry their pending events along.
 
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::{Arc, OnceLock};
 
 use predvfs::{
@@ -92,6 +97,7 @@ use predvfs_power::OperatingPoint;
 use predvfs_rtl::JobTrace;
 use predvfs_sim::{Experiment, ExperimentConfig, TraceCache};
 
+use crate::queue::EventQueue;
 use crate::scenario::{ControllerKind, OverloadPolicy, Scenario, ServeError, StreamSpec};
 use crate::slo::{SloConfig, SloTracker};
 
@@ -253,9 +259,10 @@ pub struct EngineConfig {
     pub defer_escalations: bool,
     /// Schedule each stream's next arrival while processing the current
     /// one instead of pre-pushing the whole arrival schedule. Keeps the
-    /// heap proportional to live streams and lets migrated streams carry
-    /// their pending arrivals; the legacy single-engine path keeps the
-    /// pre-push for bit-exact compatibility with recorded traces.
+    /// event queue proportional to live streams and lets migrated
+    /// streams carry their pending arrivals; the legacy single-engine
+    /// path keeps the pre-push for bit-exact compatibility with recorded
+    /// traces.
     pub one_ahead_arrivals: bool,
 }
 
@@ -489,34 +496,6 @@ fn retarget(event: Event, slot: usize) -> Event {
             stream: slot,
             epoch,
         },
-    }
-}
-
-/// Heap entry: earliest time first, submission order on ties.
-struct Scheduled {
-    time: f64,
-    seq: u64,
-    event: Event,
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap and we pop earliest-first.
-        other
-            .time
-            .total_cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
     }
 }
 
@@ -810,7 +789,7 @@ pub struct ShardLoad {
     pub active: usize,
     /// Jobs waiting in admission queues.
     pub queued: usize,
-    /// Events pending in the shard's heap.
+    /// Events pending in the shard's event queue.
     pub pending_events: usize,
     /// Jobs completed by this shard so far.
     pub jobs_done: u64,
@@ -1295,8 +1274,7 @@ impl ServeRuntime {
             one_ahead: config.one_ahead_arrivals,
             slots: Vec::with_capacity(members.len()),
             by_gid: BTreeMap::new(),
-            heap: BinaryHeap::new(),
-            seq: 0,
+            queue: EventQueue::new(),
             horizon_s: 0.0,
             events: 0,
             jobs_done: 0,
@@ -1314,7 +1292,7 @@ impl ServeRuntime {
             if config.one_ahead_arrivals {
                 // Job 0 arrives at its nominal instant; each arrival
                 // then schedules its successor.
-                engine.push(
+                engine.queue.push(
                     0.0,
                     Event::Arrival {
                         stream: slot_idx,
@@ -1336,7 +1314,7 @@ impl ServeRuntime {
                         nominal
                     };
                     prev_arrival = t;
-                    engine.push(
+                    engine.queue.push(
                         t,
                         Event::Arrival {
                             stream: slot_idx,
@@ -1431,7 +1409,7 @@ fn new_state<'rt>(
 /// single-engine entry points).
 ///
 /// The engine owns its members' virtual clocks, admission queues, and
-/// event heap; [`ShardEngine::run_until`] advances strictly below a time
+/// event queue; [`ShardEngine::run_until`] advances strictly below a time
 /// bound and returns, so a coordinator can advance many engines to a
 /// common epoch boundary, exchange [`BoostRequest`] grants and stream
 /// migrations, and resume.
@@ -1451,8 +1429,7 @@ pub struct ShardEngine<'rt> {
     /// or traces walks streams gid-ascending (a `HashMap` here would
     /// make checkpoint bytes depend on hasher seeding).
     by_gid: BTreeMap<usize, usize>,
-    heap: BinaryHeap<Scheduled>,
-    seq: u64,
+    queue: EventQueue<Event>,
     horizon_s: f64,
     events: usize,
     jobs_done: u64,
@@ -1460,26 +1437,11 @@ pub struct ShardEngine<'rt> {
 }
 
 impl<'rt> ShardEngine<'rt> {
-    fn push(&mut self, time: f64, event: Event) {
-        self.heap.push(Scheduled {
-            time,
-            seq: self.seq,
-            event,
-        });
-        self.seq += 1;
-    }
-
-    /// Virtual time of the next pending event, if any.
-    pub fn next_time(&self) -> Option<f64> {
-        // The heap orders earliest-first, so peek is the minimum.
-        self.heap.peek().map(|s| s.time)
-    }
-
     /// Whether the engine has nothing left to do. (A job in flight
-    /// always has a pending completion event, so an empty heap means
+    /// always has a pending completion event, so an empty queue means
     /// fully drained.)
     pub fn is_idle(&self) -> bool {
-        self.heap.is_empty()
+        self.queue.is_empty()
     }
 
     /// Virtual time of the latest event processed so far.
@@ -1524,11 +1486,11 @@ impl<'rt> ShardEngine<'rt> {
     /// stream, and streams never interact inside the loop.
     pub fn checkpoint(&self) -> EngineCheckpoint<'rt> {
         let mut per_slot: BTreeMap<usize, Vec<(f64, u64, Event)>> = BTreeMap::new();
-        for sch in self.heap.iter() {
+        for (time, seq, &event) in self.queue.iter() {
             per_slot
-                .entry(event_slot(&sch.event))
+                .entry(event_slot(&event))
                 .or_default()
-                .push((sch.time, sch.seq, sch.event));
+                .push((time, seq, event));
         }
         let mut streams = Vec::with_capacity(self.by_gid.len());
         for (&gid, &slot_idx) in &self.by_gid {
@@ -1564,11 +1526,7 @@ impl<'rt> ShardEngine<'rt> {
     ///
     /// Propagates controller failures (e.g. a hung slice).
     pub fn run_until(&mut self, t_end: f64) -> Result<(), ServeError> {
-        while let Some(top) = self.heap.peek() {
-            if top.time >= t_end {
-                break;
-            }
-            let Scheduled { time, event, .. } = self.heap.pop().expect("peeked above");
+        while let Some((time, event)) = self.queue.pop_before(t_end) {
             self.horizon_s = self.horizon_s.max(time);
             self.events += 1;
             self.step(time, event)?;
@@ -1595,8 +1553,7 @@ impl<'rt> ShardEngine<'rt> {
             lean: self.lean,
             defer: self.defer,
             one_ahead: self.one_ahead,
-            heap: &mut self.heap,
-            seq: &mut self.seq,
+            queue: &mut self.queue,
             boosts: &mut self.boost_requests,
         };
         let slot = self.slots[slot_idx].as_mut().expect("by_gid maps to slot");
@@ -1617,16 +1574,10 @@ impl<'rt> ShardEngine<'rt> {
     pub fn extract_stream(&mut self, gid: usize) -> Option<MigratedStream<'rt>> {
         let slot_idx = self.by_gid.remove(&gid)?;
         let slot = self.slots[slot_idx].take().expect("by_gid maps to slot");
-        let drained = std::mem::take(&mut self.heap).into_vec();
-        let (mut mine, rest): (Vec<Scheduled>, Vec<Scheduled>) = drained
-            .into_iter()
-            .partition(|e| event_slot(&e.event) == slot_idx);
-        self.heap = BinaryHeap::from(rest);
-        mine.sort_by(|a, b| a.time.total_cmp(&b.time).then_with(|| a.seq.cmp(&b.seq)));
         Some(MigratedStream {
             gid,
             state: slot.state,
-            events: mine.into_iter().map(|e| (e.time, e.event)).collect(),
+            events: self.queue.extract(|e| event_slot(e) == slot_idx),
         })
     }
 
@@ -1641,15 +1592,14 @@ impl<'rt> ShardEngine<'rt> {
             state: migrated.state,
         }));
         for (time, event) in migrated.events {
-            let event = retarget(event, slot_idx);
-            self.push(time, event);
+            self.queue.push(time, retarget(event, slot_idx));
         }
     }
 
     /// Current load summary (the rebalancer's input).
     pub fn load(&self) -> ShardLoad {
         let mut load = ShardLoad {
-            pending_events: self.heap.len(),
+            pending_events: self.queue.len(),
             jobs_done: self.jobs_done,
             ..ShardLoad::default()
         };
@@ -1700,7 +1650,7 @@ impl<'rt> ShardEngine<'rt> {
         out
     }
 
-    /// Processes one event. Stream slots, the heap, and the counters are
+    /// Processes one event. Stream slots, the queue, and the counters are
     /// disjoint fields, so the borrow splits cleanly between the slot
     /// being served and the scheduling context.
     fn step(&mut self, time: f64, event: Event) -> Result<(), ServeError> {
@@ -1735,8 +1685,7 @@ impl<'rt> ShardEngine<'rt> {
             lean: self.lean,
             defer: self.defer,
             one_ahead: self.one_ahead,
-            heap: &mut self.heap,
-            seq: &mut self.seq,
+            queue: &mut self.queue,
             boosts: &mut self.boost_requests,
         };
         match event {
@@ -1755,7 +1704,7 @@ impl<'rt> ShardEngine<'rt> {
                     } else {
                         next as f64 * spec.period_s
                     };
-                    cx.push(t, Event::Arrival { stream, job: next });
+                    cx.queue.push(t, Event::Arrival { stream, job: next });
                 }
                 let adm = Admitted {
                     job,
@@ -2050,7 +1999,7 @@ impl<'rt> ShardEngine<'rt> {
                 // and the phantom is dropped as stale.
                 if cx.faults_on && cx.injector.spurious_done(gid, fly.adm.job) {
                     state.note_fault(time, cx.sink, &FaultKind::SpuriousDone, fly.adm.job);
-                    cx.push(
+                    cx.queue.push(
                         time,
                         Event::JobDone {
                             stream,
@@ -2084,21 +2033,11 @@ struct Loop<'a, 'rt> {
     lean: bool,
     defer: bool,
     one_ahead: bool,
-    heap: &'a mut BinaryHeap<Scheduled>,
-    seq: &'a mut u64,
+    queue: &'a mut EventQueue<Event>,
     boosts: &'a mut Vec<BoostRequest>,
 }
 
 impl Loop<'_, '_> {
-    fn push(&mut self, time: f64, event: Event) {
-        self.heap.push(Scheduled {
-            time,
-            seq: *self.seq,
-            event,
-        });
-        *self.seq += 1;
-    }
-
     /// Mid-job deadline check: if the in-flight attempt `epoch` is
     /// projected to miss, either escalate in place (legacy mode) or
     /// record a [`BoostRequest`] for the coordinator (deferred mode).
@@ -2230,7 +2169,7 @@ impl Loop<'_, '_> {
                     .with_f64("done_s", new_done),
             );
         }
-        self.push(
+        self.queue.push(
             new_done,
             Event::JobDone {
                 stream: slot,
@@ -2479,7 +2418,7 @@ impl Loop<'_, '_> {
         });
 
         if slice_s > 0.0 {
-            self.push(
+            self.queue.push(
                 now + slice_s,
                 Event::SliceDone {
                     stream: slot,
@@ -2488,7 +2427,7 @@ impl Loop<'_, '_> {
             );
         }
         if switch_s > 0.0 {
-            self.push(
+            self.queue.push(
                 exec_start_s,
                 Event::SwitchDone {
                     stream: slot,
@@ -2496,7 +2435,7 @@ impl Loop<'_, '_> {
                 },
             );
         }
-        self.push(
+        self.queue.push(
             done_s,
             Event::JobDone {
                 stream: slot,
@@ -2506,7 +2445,7 @@ impl Loop<'_, '_> {
         if self.degrade.watchdog {
             let headroom = adm.deadline_abs_s - now;
             if headroom > 0.0 {
-                self.push(
+                self.queue.push(
                     now + self.degrade.watchdog_frac * headroom,
                     Event::Watchdog {
                         stream: slot,

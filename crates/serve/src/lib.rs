@@ -39,6 +39,7 @@
 #![warn(missing_docs)]
 
 mod engine;
+mod queue;
 mod scenario;
 mod slo;
 
