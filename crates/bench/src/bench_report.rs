@@ -28,14 +28,17 @@
 //! * `unasserted` lists asserts that were *skipped* in this environment;
 //!   [`BenchReport::unassert`] also prints them as loud warnings.
 //!
-//! Serialization is hand-rolled (no serde in the tree); parsing uses the
-//! minimal JSON reader in this module, which accepts any valid JSON and
-//! extracts the schema fields.
+//! The layout above is written by hand, every string and number through
+//! [`predvfs_obs::json`]'s escaper and float writer; [`BenchReport::parse`]
+//! reads any valid JSON with that module's parser and extracts the schema
+//! fields.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
 use std::process::Command;
+
+use predvfs_obs::json::{self, Value};
 
 /// Current schema version.
 pub const SCHEMA_VERSION: u64 = 1;
@@ -145,35 +148,34 @@ impl BenchReport {
 
     /// Renders the report as schema-v1 JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": {SCHEMA_VERSION},");
-        let _ = writeln!(out, "  \"area\": {},", json_string(&self.area));
-        let _ = writeln!(
+        let mut out = format!("{{\n  \"schema\": {SCHEMA_VERSION},\n  \"area\": ");
+        json::write_str(&mut out, &self.area);
+        let _ = write!(
             out,
-            "  \"env\": {{ \"cores\": {}, \"quick\": {}, \"git_rev\": {} }},",
-            self.env.cores,
-            self.env.quick,
-            json_string(&self.env.git_rev)
+            ",\n  \"env\": {{ \"cores\": {}, \"quick\": {}, \"git_rev\": ",
+            self.env.cores, self.env.quick
         );
-        out.push_str("  \"metrics\": {\n");
+        json::write_str(&mut out, &self.env.git_rev);
+        out.push_str(" },\n  \"metrics\": {\n");
         for (i, (name, value)) in self.metrics.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "    {}: {}{}",
-                json_string(name),
-                json_number(*value),
-                if i + 1 == self.metrics.len() { "" } else { "," }
-            );
+            out.push_str("    ");
+            json::write_str(&mut out, name);
+            out.push_str(": ");
+            json::write_f64(&mut out, *value);
+            out.push_str(if i + 1 == self.metrics.len() {
+                "\n"
+            } else {
+                ",\n"
+            });
         }
-        out.push_str("  },\n");
-        let _ = writeln!(out, "  \"notes\": {},", json_string(&self.notes));
-        out.push_str("  \"unasserted\": [");
+        out.push_str("  },\n  \"notes\": ");
+        json::write_str(&mut out, &self.notes);
+        out.push_str(",\n  \"unasserted\": [");
         for (i, u) in self.unasserted.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&json_string(u));
+            json::write_str(&mut out, u);
         }
         out.push_str("]\n}\n");
         out
@@ -197,33 +199,41 @@ impl BenchReport {
     /// Returns a message for malformed JSON, a missing/mismatched schema
     /// version, or missing required fields.
     pub fn parse(text: &str) -> Result<BenchReport, String> {
-        let value = Json::parse(text)?;
-        let obj = value.as_object().ok_or("top level is not an object")?;
-        let schema = get(obj, "schema")
-            .and_then(Json::as_f64)
+        let doc = json::parse(text).map_err(|e| e.to_string())?;
+        if doc.as_object().is_none() {
+            return Err("top level is not an object".to_owned());
+        }
+        let schema = doc
+            .get("schema")
+            .and_then(Value::as_f64)
             .ok_or("missing schema version")?;
         if schema != SCHEMA_VERSION as f64 {
             return Err(format!("unsupported schema version {schema}"));
         }
-        let area = get(obj, "area")
-            .and_then(Json::as_str)
+        let area = doc
+            .get("area")
+            .and_then(Value::as_str)
             .ok_or("missing area")?
             .to_owned();
-        let env_obj = get(obj, "env")
-            .and_then(Json::as_object)
+        let env_obj = doc
+            .get("env")
+            .filter(|v| v.as_object().is_some())
             .ok_or("missing env object")?;
         let env = BenchEnv {
-            cores: get(env_obj, "cores").and_then(Json::as_f64).unwrap_or(0.0) as usize,
-            quick: get(env_obj, "quick")
-                .and_then(Json::as_bool)
+            cores: env_obj.get("cores").and_then(Value::as_f64).unwrap_or(0.0) as usize,
+            quick: env_obj
+                .get("quick")
+                .and_then(Value::as_bool)
                 .unwrap_or(false),
-            git_rev: get(env_obj, "git_rev")
-                .and_then(Json::as_str)
+            git_rev: env_obj
+                .get("git_rev")
+                .and_then(Value::as_str)
                 .unwrap_or("unknown")
                 .to_owned(),
         };
-        let metrics_obj = get(obj, "metrics")
-            .and_then(Json::as_object)
+        let metrics_obj = doc
+            .get("metrics")
+            .and_then(Value::as_object)
             .ok_or("missing metrics object")?;
         let mut metrics = BTreeMap::new();
         for (k, v) in metrics_obj {
@@ -232,17 +242,18 @@ impl BenchReport {
                 .ok_or_else(|| format!("metric `{k}` is not a number"))?;
             metrics.insert(k.clone(), v);
         }
-        let notes = get(obj, "notes")
-            .and_then(Json::as_str)
+        let notes = doc
+            .get("notes")
+            .and_then(Value::as_str)
             .unwrap_or("")
             .to_owned();
-        let unasserted = match get(obj, "unasserted") {
-            Some(Json::Array(items)) => items
-                .iter()
-                .filter_map(|v| v.as_str().map(str::to_owned))
-                .collect(),
-            _ => Vec::new(),
-        };
+        let unasserted = doc
+            .get("unasserted")
+            .and_then(Value::as_array)
+            .unwrap_or_default()
+            .iter()
+            .filter_map(|v| v.as_str().map(str::to_owned))
+            .collect();
         Ok(BenchReport {
             area,
             env,
@@ -260,255 +271,6 @@ impl BenchReport {
     pub fn load(path: &Path) -> Result<BenchReport, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
         BenchReport::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
-    }
-}
-
-fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_number(v: f64) -> String {
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{:.1}", v)
-    } else {
-        format!("{v}")
-    }
-}
-
-/// A minimal JSON value (objects keep insertion order).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Array(Vec<Json>),
-    /// An object, as ordered key/value pairs.
-    Object(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Parses one JSON document (trailing whitespace allowed, nothing
-    /// else after the value).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message pointing at the first malformed byte offset.
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing data at byte {pos}"));
-        }
-        Ok(value)
-    }
-
-    /// The object fields, if this is an object.
-    pub fn as_object(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Object(fields) => Some(fields),
-            _ => None,
-        }
-    }
-
-    /// The number, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The string, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The boolean, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(bytes: &[u8], pos: &mut usize, ch: u8) -> Result<(), String> {
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&ch) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected `{}` at byte {}", ch as char, *pos))
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
-        Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
-        Some(_) => parse_number(bytes, pos),
-        None => Err("unexpected end of input".to_owned()),
-    }
-}
-
-fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("invalid literal at byte {}", *pos))
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
-        *pos += 1;
-    }
-    std::str::from_utf8(&bytes[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .filter(|v| v.is_finite())
-        .map(Json::Num)
-        .ok_or_else(|| format!("invalid number at byte {start}"))
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".to_owned()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .ok_or_else(|| format!("bad \\u escape at byte {}", *pos))?;
-                        out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {}", *pos)),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (the input came from &str, so
-                // boundaries are valid).
-                let rest =
-                    std::str::from_utf8(&bytes[*pos..]).map_err(|_| "invalid UTF-8".to_owned())?;
-                let ch = rest.chars().next().expect("non-empty checked above");
-                out.push(ch);
-                *pos += ch.len_utf8();
-            }
-        }
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(bytes, pos, b'{')?;
-    let mut fields = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Object(fields));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
-        fields.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Object(fields));
-            }
-            _ => return Err(format!("expected `,` or `}}` at byte {}", *pos)),
-        }
-    }
-}
-
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(bytes, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Array(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Array(items));
-            }
-            _ => return Err(format!("expected `,` or `]` at byte {}", *pos)),
-        }
     }
 }
 
@@ -539,7 +301,12 @@ mod tests {
         assert!(BenchReport::parse("not json").is_err());
         assert!(BenchReport::parse("{\"area\": \"x\"}").is_err());
         // Trailing garbage after a valid document is an error, not a skip.
-        assert!(Json::parse("{} extra").is_err());
+        let valid = BenchReport::new("rtl", true).to_json();
+        assert!(BenchReport::parse(&valid).is_ok());
+        assert!(BenchReport::parse(&format!("{valid} extra")).is_err());
+        // A hostile nest is an error, not a stack overflow.
+        let nest = format!("{{\"schema\": 1, \"notes\": {}", "[".repeat(100_000));
+        assert!(BenchReport::parse(&nest).is_err());
     }
 
     #[test]
@@ -564,14 +331,16 @@ mod tests {
 
     #[test]
     fn json_parser_handles_nesting_and_escapes() {
-        let v = Json::parse(r#"{"a": [1, 2.5, {"b": "x\ny"}], "c": null}"#).unwrap();
-        let obj = v.as_object().unwrap();
-        assert_eq!(obj.len(), 2);
-        let Json::Array(items) = &obj[0].1 else {
-            panic!("expected array");
-        };
-        assert_eq!(items[0].as_f64(), Some(1.0));
-        assert_eq!(items[2].as_object().unwrap()[0].1.as_str(), Some("x\ny"));
-        assert_eq!(obj[1].1, Json::Null);
+        // Unknown fields, however nested, are skipped; escapes decode.
+        let text = r#"{"schema": 1, "area": "a\"b", "extra": [1, {"b": [null]}],
+            "env": {"cores": 2, "quick": false, "git_rev": "x\u0041"},
+            "metrics": {"m_s": 220, "n": -2.5e-3}, "notes": "x\ny", "unasserted": ["u"]}"#;
+        let r = BenchReport::parse(text).unwrap();
+        assert_eq!(r.area, "a\"b");
+        assert_eq!(r.env.git_rev, "xA");
+        assert_eq!(r.metrics["m_s"], 220.0);
+        assert_eq!(r.metrics["n"], -2.5e-3);
+        assert_eq!(r.notes, "x\ny");
+        assert_eq!(r.unasserted, ["u"]);
     }
 }

@@ -13,13 +13,17 @@
 //!
 //! Everything here is derived from the trace text alone (no shared state
 //! with the engine), and every collection is keyed by `BTreeMap` or
-//! sorted explicitly, so a given trace byte-produces one report.
+//! sorted explicitly, so a given trace byte-produces one report. Lines
+//! are read with [`crate::json::parse`] and the export is written with
+//! its escaper and float writer, so every stream or fault name, however
+//! awkward, survives into a file any JSON reader accepts.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
 use std::io::BufRead;
 
+use crate::json::{self, Value};
 use crate::kinds;
 use crate::span;
 
@@ -40,177 +44,20 @@ impl fmt::Display for AnalyzeError {
 
 impl std::error::Error for AnalyzeError {}
 
-/// A decoded flat-JSON field value.
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Str(String),
-    Num(f64),
-    Bool(bool),
-    Null,
-}
-
-/// One parsed trace line: the ordered fields of a flat JSON object.
-#[derive(Debug, Clone, Default)]
-struct Fields(Vec<(String, Value)>);
-
-impl Fields {
-    fn get(&self, key: &str) -> Option<&Value> {
-        self.0.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+/// Parses one trace line: a flat JSON object (string / number / bool /
+/// null values — the exact shape [`crate::TraceEvent::to_json`] emits).
+/// Nested objects and arrays are rejected: the trace format is flat by
+/// construction, and a reader that guesses would misattribute.
+fn parse_line(line: &str) -> Result<Value, String> {
+    let value = json::parse(line).map_err(|e| e.to_string())?;
+    let fields = value.as_object().ok_or("not a JSON object")?;
+    if let Some((key, _)) = fields
+        .iter()
+        .find(|(_, v)| matches!(v, Value::Array(_) | Value::Object(_)))
+    {
+        return Err(format!("nested value for key {key:?} (flat JSON only)"));
     }
-
-    fn num(&self, key: &str) -> Option<f64> {
-        match self.get(key) {
-            Some(Value::Num(v)) => Some(*v),
-            _ => None,
-        }
-    }
-
-    fn u64(&self, key: &str) -> Option<u64> {
-        self.num(key).map(|v| v as u64)
-    }
-
-    fn str(&self, key: &str) -> Option<&str> {
-        match self.get(key) {
-            Some(Value::Str(s)) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn bool_or(&self, key: &str, default: bool) -> bool {
-        match self.get(key) {
-            Some(Value::Bool(b)) => *b,
-            _ => default,
-        }
-    }
-}
-
-/// Parses one flat JSON object (`{"k":v,...}` with string / number /
-/// bool / null values — the exact shape [`crate::TraceEvent::to_json`]
-/// emits). Nested objects and arrays are rejected: the trace format is
-/// flat by construction, and a parser that guesses would misattribute.
-fn parse_flat_object(line: &str) -> Result<Fields, String> {
-    let bytes = line.as_bytes();
-    let mut i = 0usize;
-    let mut fields = Vec::new();
-
-    let skip_ws = |i: &mut usize| {
-        while *i < bytes.len() && (bytes[*i] as char).is_ascii_whitespace() {
-            *i += 1;
-        }
-    };
-    let parse_string = |i: &mut usize| -> Result<String, String> {
-        if bytes.get(*i) != Some(&b'"') {
-            return Err(format!("expected string at byte {i}", i = *i));
-        }
-        *i += 1;
-        let mut out = String::new();
-        loop {
-            let Some(&b) = bytes.get(*i) else {
-                return Err("unterminated string".to_owned());
-            };
-            *i += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&esc) = bytes.get(*i) else {
-                        return Err("unterminated escape".to_owned());
-                    };
-                    *i += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = line
-                                .get(*i..*i + 4)
-                                .ok_or_else(|| "truncated \\u escape".to_owned())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                            *i += 4;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => return Err(format!("bad escape \\{}", other as char)),
-                    }
-                }
-                _ => {
-                    // Multi-byte UTF-8: copy the full scalar.
-                    let start = *i - 1;
-                    let mut end = *i;
-                    while end < bytes.len() && (bytes[end] & 0xC0) == 0x80 {
-                        end += 1;
-                    }
-                    out.push_str(&line[start..end]);
-                    *i = end;
-                }
-            }
-        }
-    };
-
-    skip_ws(&mut i);
-    if bytes.get(i) != Some(&b'{') {
-        return Err("expected '{'".to_owned());
-    }
-    i += 1;
-    skip_ws(&mut i);
-    if bytes.get(i) == Some(&b'}') {
-        return Ok(Fields(fields));
-    }
-    loop {
-        skip_ws(&mut i);
-        let key = parse_string(&mut i)?;
-        skip_ws(&mut i);
-        if bytes.get(i) != Some(&b':') {
-            return Err(format!("expected ':' after key {key:?}"));
-        }
-        i += 1;
-        skip_ws(&mut i);
-        let value = match bytes.get(i) {
-            Some(b'"') => Value::Str(parse_string(&mut i)?),
-            Some(b't') if line[i..].starts_with("true") => {
-                i += 4;
-                Value::Bool(true)
-            }
-            Some(b'f') if line[i..].starts_with("false") => {
-                i += 5;
-                Value::Bool(false)
-            }
-            Some(b'n') if line[i..].starts_with("null") => {
-                i += 4;
-                Value::Null
-            }
-            Some(c) if c.is_ascii_digit() || *c == b'-' || *c == b'+' => {
-                let start = i;
-                while i < bytes.len()
-                    && matches!(bytes[i], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-                {
-                    i += 1;
-                }
-                let text = &line[start..i];
-                Value::Num(
-                    text.parse::<f64>()
-                        .map_err(|_| format!("bad number {text:?}"))?,
-                )
-            }
-            _ => {
-                return Err(format!(
-                    "unsupported value for key {key:?} (flat JSON only)"
-                ))
-            }
-        };
-        fields.push((key, value));
-        skip_ws(&mut i);
-        match bytes.get(i) {
-            Some(b',') => i += 1,
-            Some(b'}') => break,
-            _ => return Err("expected ',' or '}'".to_owned()),
-        }
-    }
-    Ok(Fields(fields))
+    Ok(value)
 }
 
 /// Why a deadline miss happened, by fixed precedence (first match wins),
@@ -483,7 +330,7 @@ impl TraceAnalysis {
             return Ok(());
         }
         {
-            let fields = parse_flat_object(line).map_err(|message| AnalyzeError {
+            let event = parse_line(line).map_err(|message| AnalyzeError {
                 line: lineno,
                 message,
             })?;
@@ -491,11 +338,15 @@ impl TraceAnalysis {
                 line: lineno,
                 message: message.to_owned(),
             };
-            let t_s = fields.num("t_s").ok_or_else(|| err("missing t_s"))?;
-            let scope = fields.str("scope").ok_or_else(|| err("missing scope"))?;
-            let kind = fields.str("event").ok_or_else(|| err("missing event"))?;
+            let num = |key| event.get(key).and_then(Value::as_f64);
+            let int = |key| event.get(key).and_then(Value::as_u64);
+            let text = |key| event.get(key).and_then(Value::as_str);
+            let flag = |key| event.get(key).and_then(Value::as_bool).unwrap_or(false);
+            let t_s = num("t_s").ok_or_else(|| err("missing t_s"))?;
+            let scope = text("scope").ok_or_else(|| err("missing scope"))?;
+            let kind = text("event").ok_or_else(|| err("missing event"))?;
             if kind == kinds::TRACE_TRUNCATED {
-                let dropped = fields.u64("dropped").unwrap_or(0);
+                let dropped = int("dropped").unwrap_or(0);
                 self.truncated_dropped =
                     Some(self.truncated_dropped.unwrap_or(0).saturating_add(dropped));
                 return Ok(());
@@ -513,7 +364,7 @@ impl TraceAnalysis {
             match kind {
                 kinds::ARRIVAL => {
                     stream.arrivals += 1;
-                    if let Some(job) = fields.u64("job") {
+                    if let Some(job) = int("job") {
                         sc.arrivals.insert(job, t_s);
                     }
                 }
@@ -521,20 +372,16 @@ impl TraceAnalysis {
                 kinds::RELAX => stream.relaxed += 1,
                 kinds::FAULT => {
                     stream.faults += 1;
-                    let fault = fields
-                        .str("kind")
-                        .ok_or_else(|| err("fault without kind"))?;
-                    let job = fields.u64("job").ok_or_else(|| err("fault without job"))?;
+                    let fault = text("kind").ok_or_else(|| err("fault without kind"))?;
+                    let job = int("job").ok_or_else(|| err("fault without job index"))?;
                     sc.faults.entry(job).or_default().push(fault.to_owned());
                 }
                 kinds::SWITCH_RETRY | kinds::SWITCH_FAILED => {
-                    let job = fields.u64("job").ok_or_else(|| err("switch without job"))?;
+                    let job = int("job").ok_or_else(|| err("switch without job index"))?;
                     *sc.switches.entry(job).or_insert(0) += 1;
                 }
                 kinds::LEVEL_SWITCH | kinds::WATCHDOG_BOOST => {
-                    if let (Some(from), Some(to)) =
-                        (fields.u64("from_level"), fields.u64("to_level"))
-                    {
+                    if let (Some(from), Some(to)) = (int("from_level"), int("to_level")) {
                         if sc.initial_level.is_none() {
                             sc.initial_level = Some(from);
                         }
@@ -544,23 +391,18 @@ impl TraceAnalysis {
                     // classification sees it through the job_done
                     // `escalated` flag, so nothing job-specific to track.
                 }
-                kinds::QUARANTINE if fields.bool_or("engaged", false) => {
+                kinds::QUARANTINE if flag("engaged") => {
                     stream.quarantines += 1;
                 }
                 kinds::JOB_DONE => {
-                    let job = fields
-                        .u64("job")
-                        .ok_or_else(|| err("job_done without job"))?;
-                    let response_s = fields
-                        .num("response_s")
-                        .ok_or_else(|| err("job_done without response_s"))?;
-                    let slack_s = fields
-                        .num("slack_s")
-                        .ok_or_else(|| err("job_done without slack_s"))?;
+                    let job = int("job").ok_or_else(|| err("job_done without job index"))?;
+                    let response_s =
+                        num("response_s").ok_or_else(|| err("job_done without response_s"))?;
+                    let slack_s = num("slack_s").ok_or_else(|| err("job_done without slack_s"))?;
                     // Older traces lack queue_s/deadline_s; derive what
                     // is derivable and default the rest conservatively.
-                    let deadline_s = fields.num("deadline_s").unwrap_or(response_s + slack_s);
-                    let queue_s = fields.num("queue_s").unwrap_or(0.0);
+                    let deadline_s = num("deadline_s").unwrap_or(response_s + slack_s);
+                    let queue_s = num("queue_s").unwrap_or(0.0);
                     let arrival_s = sc.arrivals.remove(&job).unwrap_or(t_s - response_s);
                     let mut timeline = JobTimeline {
                         job,
@@ -570,16 +412,16 @@ impl TraceAnalysis {
                         queue_s,
                         deadline_s,
                         slack_s,
-                        missed: fields.bool_or("missed", false),
-                        relaxed: fields.bool_or("relaxed", false),
-                        degraded: fields.bool_or("degraded", false),
-                        escalated: fields.bool_or("escalated", false),
-                        safe_mode: fields.bool_or("safe_mode", false),
-                        level: fields.u64("level").unwrap_or(0),
-                        energy_pj: fields.num("energy_pj").unwrap_or(0.0),
-                        slice_pj: fields.num("slice_pj").unwrap_or(0.0),
-                        predicted_cycles: fields.num("predicted_cycles"),
-                        actual_cycles: fields.u64("actual_cycles").unwrap_or(0),
+                        missed: flag("missed"),
+                        relaxed: flag("relaxed"),
+                        degraded: flag("degraded"),
+                        escalated: flag("escalated"),
+                        safe_mode: flag("safe_mode"),
+                        level: int("level").unwrap_or(0),
+                        energy_pj: num("energy_pj").unwrap_or(0.0),
+                        slice_pj: num("slice_pj").unwrap_or(0.0),
+                        predicted_cycles: num("predicted_cycles"),
+                        actual_cycles: int("actual_cycles").unwrap_or(0),
                         faults: sc.faults.remove(&job).unwrap_or_default(),
                         switch_events: sc.switches.remove(&job).unwrap_or(0),
                         cause: None,
@@ -745,56 +587,48 @@ impl TraceAnalysis {
     /// virtual time.
     pub fn to_perfetto(&self) -> String {
         let _span = span::span("analyze.perfetto");
+        // Three decimals: nanoseconds of virtual time, femtojoules.
+        let milli = |v: f64| (v * 1e3).round() / 1e3;
         let mut out = String::from("{\"traceEvents\":[");
-        let mut first = true;
-        let push = |out: &mut String, first: &mut bool, item: String| {
-            if !*first {
-                out.push(',');
-            }
-            *first = false;
-            out.push_str(&item);
-        };
         for (tid, stream) in self.streams.values().enumerate() {
             let tid = tid + 1;
-            push(
-                &mut out,
-                &mut first,
-                format!(
-                    "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{tid},\
-                     \"args\":{{\"name\":\"{}\"}}}}",
-                    stream.name
-                ),
+            // Every stream opens with its track name, so only the first
+            // event of the document goes without a comma.
+            if tid > 1 {
+                out.push(',');
+            }
+            let _ = write!(
+                out,
+                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{tid},\"args\":{{\"name\":"
             );
+            json::write_str(&mut out, &stream.name);
+            out.push_str("}}");
             for job in &stream.jobs {
-                let cause = job
-                    .cause
-                    .map_or(String::new(), |c| format!(",\"cause\":\"{}\"", c.name()));
-                push(
-                    &mut out,
-                    &mut first,
-                    format!(
-                        "{{\"name\":\"job {}\",\"cat\":\"{}\",\"ph\":\"X\",\
-                         \"ts\":{:.3},\"dur\":{:.3},\"pid\":0,\"tid\":{tid},\
-                         \"args\":{{\"missed\":{},\"level\":{},\"energy_pj\":{:.3}{cause}}}}}",
-                        job.job,
-                        if job.missed { "miss" } else { "ok" },
-                        job.arrival_s * 1e6,
-                        job.response_s * 1e6,
-                        job.missed,
-                        job.level,
-                        job.energy_pj,
-                    ),
+                let cat = if job.missed { "miss" } else { "ok" };
+                let _ = write!(
+                    out,
+                    ",{{\"name\":\"job {}\",\"cat\":\"{cat}\",\"ph\":\"X\",\"ts\":",
+                    job.job
                 );
+                json::write_f64(&mut out, milli(job.arrival_s * 1e6));
+                out.push_str(",\"dur\":");
+                json::write_f64(&mut out, milli(job.response_s * 1e6));
+                let _ = write!(
+                    out,
+                    ",\"pid\":0,\"tid\":{tid},\"args\":{{\"missed\":{},\"level\":{},\"energy_pj\":",
+                    job.missed, job.level
+                );
+                json::write_f64(&mut out, milli(job.energy_pj));
+                if let Some(cause) = job.cause {
+                    let _ = write!(out, ",\"cause\":\"{}\"", cause.name());
+                }
+                out.push_str("}}");
                 for fault in &job.faults {
-                    push(
-                        &mut out,
-                        &mut first,
-                        format!(
-                            "{{\"name\":\"{fault}\",\"cat\":\"fault\",\"ph\":\"i\",\
-                             \"ts\":{:.3},\"pid\":0,\"tid\":{tid},\"s\":\"t\"}}",
-                            job.arrival_s * 1e6,
-                        ),
-                    );
+                    out.push_str(",{\"name\":");
+                    json::write_str(&mut out, fault);
+                    out.push_str(",\"cat\":\"fault\",\"ph\":\"i\",\"ts\":");
+                    json::write_f64(&mut out, milli(job.arrival_s * 1e6));
+                    let _ = write!(out, ",\"pid\":0,\"tid\":{tid},\"s\":\"t\"}}");
                 }
             }
         }
@@ -857,23 +691,39 @@ mod tests {
             .with_f64("slack_s", -2.5e-3)
             .with_bool("missed", true)
             .with_str("note", "a\"b\\c");
-        let f = parse_flat_object(&e.to_json()).unwrap();
-        assert_eq!(f.num("t_s"), Some(1.5));
-        assert_eq!(f.str("scope"), Some("sha"));
-        assert_eq!(f.u64("job"), Some(3));
-        assert_eq!(f.num("slack_s"), Some(-2.5e-3));
-        assert!(f.bool_or("missed", false));
-        assert_eq!(f.str("note"), Some("a\"b\\c"));
+        let v = parse_line(&e.to_json()).unwrap();
+        assert_eq!(v.get("t_s").and_then(Value::as_f64), Some(1.5));
+        assert_eq!(v.get("scope").and_then(Value::as_str), Some("sha"));
+        assert_eq!(v.get("job").and_then(Value::as_u64), Some(3));
+        assert_eq!(v.get("slack_s").and_then(Value::as_f64), Some(-2.5e-3));
+        assert_eq!(v.get("missed").and_then(Value::as_bool), Some(true));
+        assert_eq!(v.get("note").and_then(Value::as_str), Some("a\"b\\c"));
     }
 
     #[test]
     fn parser_rejects_garbage() {
-        assert!(parse_flat_object("not json").is_err());
-        assert!(parse_flat_object("{\"k\":").is_err());
-        assert!(parse_flat_object("{\"k\":[1]}").is_err());
-        let analysis = TraceAnalysis::from_jsonl("{\"broken\"\n");
-        assert!(analysis.is_err());
-        assert_eq!(analysis.unwrap_err().line, 1);
+        assert!(parse_line("not json").is_err());
+        assert!(parse_line("{\"k\":").is_err());
+        assert!(parse_line("{\"k\":[1]}").is_err());
+        assert!(parse_line("[1]").is_err());
+        let nest = format!("{{\"k\":{}", "[".repeat(100_000));
+        for (text, line) in [("{\"broken\"\n".to_owned(), 1), (format!("\n{nest}\n"), 2)] {
+            let analysis = TraceAnalysis::from_jsonl(&text);
+            assert_eq!(analysis.unwrap_err().line, line);
+        }
+        // A required job index must be a non-negative integer; an
+        // optional one that is not reads as absent.
+        let arrival = "{\"t_s\":0,\"scope\":\"s\",\"event\":\"arrival\",\"job\":-1}\n";
+        assert!(TraceAnalysis::from_jsonl(arrival).is_ok());
+        for job in ["-1", "-1.7", "0.5", "\"0\""] {
+            let done = format!(
+                "{{\"t_s\":1,\"scope\":\"s\",\"event\":\"job_done\",\"job\":{job},\
+                 \"response_s\":1,\"slack_s\":0}}\n"
+            );
+            let err = TraceAnalysis::from_jsonl(&format!("{arrival}{done}")).unwrap_err();
+            assert_eq!(err.line, 2, "job {job}");
+            assert!(err.message.contains("job index"), "job {job}: {err}");
+        }
     }
 
     #[test]
@@ -1010,16 +860,51 @@ mod tests {
 
     #[test]
     fn perfetto_export_is_json_with_one_slice_per_job() {
-        let events = vec![
+        let plain = vec![
             TraceEvent::new(0.0, "sha", kinds::ARRIVAL).with_u64("job", 0),
             done(0.02, "sha", 0, true, 0.0, 0.0167),
         ];
-        let a = TraceAnalysis::from_jsonl(&jsonl(&events)).unwrap();
-        let p = a.to_perfetto();
-        assert!(p.starts_with("{\"traceEvents\":["));
-        assert!(p.ends_with("]}"));
-        assert_eq!(p.matches("\"ph\":\"X\"").count(), 1);
-        assert!(p.contains("\"cat\":\"miss\""));
-        assert!(p.contains("\"thread_name\""));
+        // Names that need escaping must survive the export.
+        let awkward = vec![
+            TraceEvent::new(0.0, "cam\"1", kinds::ARRIVAL).with_u64("job", 0),
+            TraceEvent::new(0.001, "cam\"1", kinds::FAULT)
+                .with_str("kind", "trace \"spike\"\n")
+                .with_u64("job", 0),
+            done(0.02, "cam\"1", 0, true, 0.0, 0.0167),
+            TraceEvent::new(0.0, "back\\slash", kinds::ARRIVAL).with_u64("job", 0),
+            done(0.01, "back\\slash", 0, false, 0.0, 0.0167),
+        ];
+        for events in [plain, awkward] {
+            let a = TraceAnalysis::from_jsonl(&jsonl(&events)).unwrap();
+            let p = a.to_perfetto();
+            let doc = json::parse(&p).unwrap_or_else(|e| panic!("{e}: {p}"));
+            let items = doc.get("traceEvents").and_then(Value::as_array).unwrap();
+            let ph = |want: &'static str| {
+                items
+                    .iter()
+                    .filter(move |e| e.get("ph").and_then(Value::as_str) == Some(want))
+            };
+            let jobs: usize = a.streams.values().map(|s| s.jobs.len()).sum();
+            assert_eq!(ph("X").count(), jobs);
+            let tracks: Vec<&str> = ph("M")
+                .filter_map(|e| e.get("args")?.get("name")?.as_str())
+                .collect();
+            assert_eq!(
+                tracks,
+                a.streams.keys().map(String::as_str).collect::<Vec<_>>()
+            );
+            let faults: Vec<&str> = ph("i").filter_map(|e| e.get("name")?.as_str()).collect();
+            let want: Vec<&str> = a
+                .streams
+                .values()
+                .flat_map(|s| {
+                    s.jobs
+                        .iter()
+                        .flat_map(|j| j.faults.iter().map(String::as_str))
+                })
+                .collect();
+            assert_eq!(faults, want);
+            assert!(p.contains("\"cat\":\"miss\""));
+        }
     }
 }

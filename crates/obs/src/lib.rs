@@ -20,6 +20,10 @@
 //!   traces (the serve engine) only emit from their serial event loop and
 //!   stamp events with the **virtual** clock, so the JSONL output is
 //!   byte-identical regardless of worker-thread count.
+//! * **JSON** ([`json`]) is the workspace's one JSON module: the string
+//!   escaper and float writer every JSON writer renders through, and
+//!   the depth-limited parser that reads traces ([`analyze`]) and BENCH
+//!   reports back.
 //! * **Sinks** ([`ObsSink`]) decouple instrumentation points from the
 //!   backing store. [`NullSink`] drops everything; [`Recorder`] combines
 //!   a registry and a ring. Deep components (the FISTA solver's caller,
@@ -45,6 +49,7 @@
 #![warn(missing_docs)]
 
 pub mod analyze;
+pub mod json;
 pub mod kinds;
 mod registry;
 mod ring;

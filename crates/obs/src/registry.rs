@@ -470,9 +470,9 @@ impl MetricsRegistry {
     }
 }
 
-/// Formats a float the way the exporters need: finite shortest-roundtrip,
-/// with non-finite values spelled the Prometheus way.
-pub(crate) fn fmt_f64(v: f64) -> String {
+/// Formats a float for the Prometheus exposition: finite
+/// shortest-roundtrip, with non-finite values spelled the Prometheus way.
+fn fmt_f64(v: f64) -> String {
     if v.is_nan() {
         "NaN".to_owned()
     } else if v == f64::INFINITY {

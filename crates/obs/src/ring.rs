@@ -10,7 +10,7 @@ use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::Mutex;
 
-use crate::registry::fmt_f64;
+use crate::json;
 
 /// A typed trace-event field value.
 #[derive(Debug, Clone, PartialEq)]
@@ -96,16 +96,15 @@ impl TraceEvent {
     /// path bulk exporters use so one buffer serves the whole trace.
     pub fn write_json(&self, out: &mut String) {
         out.push_str("{\"t_s\":");
-        write_json_f64(out, self.t_s);
-        out.push_str(",\"scope\":\"");
-        escape_into(out, &self.scope);
-        out.push_str("\",\"event\":\"");
-        escape_into(out, self.kind);
-        out.push('"');
+        json::write_f64(out, self.t_s);
+        out.push_str(",\"scope\":");
+        json::write_str(out, &self.scope);
+        out.push_str(",\"event\":");
+        json::write_str(out, self.kind);
         for (key, value) in &self.fields {
-            out.push_str(",\"");
-            escape_into(out, key);
-            out.push_str("\":");
+            out.push(',');
+            json::write_str(out, key);
+            out.push(':');
             match value {
                 FieldValue::U64(v) => {
                     let _ = write!(out, "{v}");
@@ -113,43 +112,14 @@ impl TraceEvent {
                 FieldValue::I64(v) => {
                     let _ = write!(out, "{v}");
                 }
-                FieldValue::F64(v) => write_json_f64(out, *v),
+                FieldValue::F64(v) => json::write_f64(out, *v),
                 FieldValue::Bool(v) => {
                     let _ = write!(out, "{v}");
                 }
-                FieldValue::Str(v) => {
-                    out.push('"');
-                    escape_into(out, v);
-                    out.push('"');
-                }
+                FieldValue::Str(v) => json::write_str(out, v),
             }
         }
         out.push('}');
-    }
-}
-
-/// JSON has no non-finite numbers; render them as `null`.
-fn write_json_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        out.push_str(&fmt_f64(v));
-    } else {
-        out.push_str("null");
-    }
-}
-
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
     }
 }
 
@@ -280,18 +250,22 @@ mod tests {
 
     #[test]
     fn non_finite_floats_render_as_null() {
-        let e = TraceEvent::new(f64::NAN, "x", "k").with_f64("v", f64::INFINITY);
+        let e = TraceEvent::new(f64::NAN, "x", "k")
+            .with_f64("v", f64::INFINITY)
+            .with_f64("w", f64::NEG_INFINITY);
         assert_eq!(
             e.to_json(),
-            "{\"t_s\":null,\"scope\":\"x\",\"event\":\"k\",\"v\":null}"
+            "{\"t_s\":null,\"scope\":\"x\",\"event\":\"k\",\"v\":null,\"w\":null}"
         );
     }
 
     #[test]
     fn control_characters_are_escaped() {
-        let mut out = String::new();
-        escape_into(&mut out, "a\nb\tc\u{1}");
-        assert_eq!(out, "a\\nb\\tc\\u0001");
+        let e = TraceEvent::new(0.0, "a\nb", "k").with_str("v", "\tc\u{1}\r\\é");
+        assert_eq!(
+            e.to_json(),
+            "{\"t_s\":0,\"scope\":\"a\\nb\",\"event\":\"k\",\"v\":\"\\tc\\u0001\\r\\\\é\"}"
+        );
     }
 
     #[test]

@@ -35,9 +35,7 @@
 //!
 //! [`SelfProfile::collapsed`] renders the classic collapsed-stack
 //! flamegraph text format (`a;b;c <self-nanoseconds>` per line, sorted),
-//! [`SelfProfile::perfetto`] renders Chrome trace-event JSON (synthetic
-//! timeline laid out from the aggregate tree) for Perfetto, and
-//! [`SelfProfile::report`] renders a plain-text table.
+//! and [`SelfProfile::report`] renders a plain-text table.
 //!
 //! ```
 //! use predvfs_obs::span;
@@ -406,25 +404,6 @@ impl SelfProfile {
         out
     }
 
-    /// Renders both domains as Chrome trace-event JSON (Perfetto-
-    /// loadable). The aggregate tree has no per-occurrence timestamps,
-    /// so the timeline is synthetic: each node is a complete (`X`)
-    /// event, children laid out sequentially inside their parent, wall
-    /// spans on track 1 and virtual spans on track 2.
-    pub fn perfetto(&self) -> String {
-        let mut out = String::from("[");
-        let mut first = true;
-        for (domain, cat, tid) in [
-            (SpanDomain::Wall, "wall", 1),
-            (SpanDomain::Virtual, "virtual", 2),
-        ] {
-            let root = lock(self.tree(domain));
-            perfetto_into(&root, 0, cat, tid, &mut out, &mut first);
-        }
-        out.push_str("]\n");
-        out
-    }
-
     /// Renders one domain as an aligned plain-text table (span path,
     /// calls, total/self milliseconds, bytes).
     pub fn report(&self, domain: SpanDomain) -> String {
@@ -471,34 +450,6 @@ fn collapse_into(node: &SpanNode, path: &mut String, out: &mut String) {
         }
         collapse_into(child, path, out);
         path.truncate(len0);
-    }
-}
-
-fn perfetto_into(
-    node: &SpanNode,
-    start_ns: u64,
-    cat: &str,
-    tid: u32,
-    out: &mut String,
-    first: &mut bool,
-) {
-    let mut cursor = start_ns;
-    for (name, child) in &node.children {
-        if !*first {
-            out.push(',');
-        }
-        *first = false;
-        let _ = write!(
-            out,
-            "\n{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"X\",\"ts\":{:.3},\
-             \"dur\":{:.3},\"pid\":1,\"tid\":{tid},\"args\":{{\"count\":{},\"bytes\":{}}}}}",
-            cursor as f64 / 1e3,
-            child.ns as f64 / 1e3,
-            child.count,
-            child.bytes,
-        );
-        perfetto_into(child, cursor, cat, tid, out, first);
-        cursor = cursor.saturating_add(child.ns);
     }
 }
 
@@ -637,23 +588,6 @@ mod tests {
             folded, "serve;arrival 0\nserve;bad 0\nserve;job 2000000\n",
             "virtual collapsed output must be exact and sorted"
         );
-    }
-
-    #[test]
-    fn perfetto_is_json_with_both_tracks() {
-        let _g = GATE.lock().unwrap_or_else(|e| e.into_inner());
-        profile().reset();
-        set_profiling(true);
-        {
-            let _a = span("compile");
-        }
-        record_virtual(&["dispatch"], 1e-6);
-        set_profiling(false);
-        let json = profile().perfetto();
-        assert!(json.starts_with('[') && json.ends_with("]\n"));
-        assert!(json.contains("\"name\":\"compile\""));
-        assert!(json.contains("\"cat\":\"virtual\""));
-        assert!(json.contains("\"ph\":\"X\""));
     }
 
     #[test]
