@@ -5,9 +5,11 @@
 //! 2. each shard's own trace is byte-identical run to run;
 //! 3. rebalancing conserves work — every migrated stream's jobs appear
 //!    exactly once, and per-stream results match an unsharded run;
-//! 4. the boost budget is shard-count invariant, and a one-shard
-//!    sharded run with no boost activity reproduces the legacy serial
-//!    engine's per-stream counters.
+//! 4. the boost budget is shard-count invariant, and a sharded run with
+//!    no boost activity reproduces the legacy serial engine's per-stream
+//!    counters, event count and merged trace, with and without faults;
+//! 5. a configuration built in code that schedules events before the
+//!    one being handled still finishes, on any shard count.
 
 use std::collections::HashMap;
 
@@ -420,14 +422,62 @@ fn quarantine_probe_state_survives_forced_migration() {
 fn one_shard_matches_legacy_serial_engine_without_boosts() {
     let rt = small_runtime();
     // Degradation off: no watchdog, so deferral has nothing to defer
-    // and the sharded run must reproduce the legacy serial counters.
+    // and the sharded run must reproduce the legacy serial engine, whose
+    // one time-ordered queue is the oracle of the sharded event order:
+    // the same counters, the same event count and the same merged trace,
+    // with and without faults.
     let base = ShardConfig {
         epoch_s: 2e-3,
         degrade: DegradeConfig::disabled(),
         ..ShardConfig::default()
     };
-    let (sharded, _, _) = run_at(&rt, &base, 1, &NullInjector);
-    assert_eq!(sharded.boosts_granted, 0);
-    let legacy = rt.run().expect("legacy run");
-    assert_same_streams(&legacy.streams, &sharded.streams);
+    let plan = FaultPlan::new(7, FaultConfig::standard());
+    for injector in [&NullInjector as &dyn FaultInjector, &plan] {
+        let rec = Recorder::new(RING);
+        let legacy = rt
+            .run_chaos(None, &rec, injector, &DegradeConfig::disabled())
+            .expect("legacy run");
+        assert_eq!(rec.ring().dropped(), 0, "ring too small for the test");
+        let legacy_trace = merged_trace_jsonl(&rt, vec![rec.ring().snapshot()]);
+        assert!(!legacy_trace.is_empty());
+        for shards in [1, 4] {
+            let (sharded, merged, _) = run_at(&rt, &base, shards, injector);
+            assert_eq!(sharded.boosts_granted, 0);
+            assert_same_streams(&legacy.streams, &sharded.streams);
+            assert_eq!(sharded.events, legacy.events, "{shards} shards: events");
+            assert_eq!(merged, legacy_trace, "{shards} shards: merged trace");
+        }
+    }
+}
+
+/// The sharded counterpart of the serve suite's
+/// `engine_finishes_when_a_config_built_in_code_schedules_before_now`.
+/// A negative watchdog fraction and a jitter fraction above 1, which
+/// only a configuration built in code can set, schedule events before
+/// the one being handled. The run must still finish, conserve every job
+/// and merge to one trace on any shard count.
+#[test]
+fn sharded_run_finishes_when_a_config_built_in_code_schedules_before_now() {
+    let rt = ServeRuntime::prepare(&Scenario::demo(), &TraceCache::new())
+        .expect("demo scenario prepares");
+    let mut faults = FaultConfig::none();
+    faults.clock_jitter_p = 0.2;
+    faults.clock_jitter_frac = 1.5;
+    let plan = FaultPlan::new(7, faults);
+    let base = ShardConfig {
+        degrade: DegradeConfig {
+            watchdog_frac: -0.5,
+            ..DegradeConfig::enabled()
+        },
+        ..ShardConfig::default()
+    };
+    let (r1, m1, _) = run_at(&rt, &base, 1, &plan);
+    let (r4, m4, _) = run_at(&rt, &base, 4, &plan);
+    for s in &r1.streams {
+        assert_eq!(s.completed() + s.shed, s.submitted, "stream {}", s.name);
+    }
+    assert!(!m1.is_empty());
+    assert_eq!(m1, m4, "merged trace differs between 1 and 4 shards");
+    assert_same_streams(&r1.streams, &r4.streams);
+    assert_eq!(r1.events, r4.events);
 }
