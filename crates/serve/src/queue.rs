@@ -1,9 +1,24 @@
-//! The serve engine's event queue: a monotone radix heap.
+//! The serve engine's event stores.
+//!
+//! Both pop in one order: earliest time first under `f64::total_cmp`,
+//! push order on ties. [`order_bits`] maps an `f64` to a `u64` whose
+//! integer order is `f64::total_cmp`'s, so both compare integer keys.
+//!
+//! - [`StreamQueue`] holds one stream's pending events. A stream-major
+//!   engine, the sharded posture, keeps one per stream slot and runs each
+//!   stream's events before an epoch's end without touching another's.
+//!   One-ahead arrivals keep a stream's pending set to a handful of
+//!   events, so the list keeps its first four in place, sorted, and
+//!   spills the rest to the heap.
+//! - [`EventQueue`] holds every stream's events in one time-major queue,
+//!   for the legacy single-engine posture, whose recorded traces
+//!   interleave streams in push order.
+//!
+//! ## The shard-wide queue
 //!
 //! Every event is keyed by `(order_bits(time), seq)`, one 128-bit
-//! integer. [`order_bits`] maps an `f64` to a `u64` whose integer order
-//! is `f64::total_cmp`'s, and `seq` counts pushes, so keys are unique and
-//! the pop order is exactly "earliest time first, push order on ties".
+//! integer. `seq` counts pushes, so keys are unique and the pop order is
+//! exactly "earliest time first, push order on ties".
 //!
 //! The queue pops with the radix heap of Ahuja, Mehlhorn, Orlin and
 //! Tarjan ("Faster algorithms for the shortest path problem", JACM 1990)
@@ -24,6 +39,8 @@
 //! parsers would reject (a negative `DegradeConfig::watchdog_frac`, say);
 //! such a push re-bases the queue: `last` drops to the new key and every
 //! entry is re-bucketed against it, in O(n). The pop order stays exact.
+//! A [`StreamQueue`] needs no such contract: a push below its first entry
+//! simply becomes its first entry.
 //!
 //! **Capacity.** A drained bucket is freed, a redistribution reserves
 //! exactly what each target bucket receives, a push into a full bucket
@@ -259,5 +276,114 @@ impl<E> EventQueue<E> {
         for entry in head.into_iter().chain(buckets.into_iter().flatten()) {
             self.insert(entry);
         }
+    }
+}
+
+/// Entries a [`StreamQueue`] holds in place before it spills to the heap:
+/// a stream's next arrival plus its job's slice-done, switch-done and
+/// job-done events.
+const INLINE: usize = 4;
+
+/// One stream's pending events, earliest first, push order on ties.
+///
+/// The first [`INLINE`] entries live in the list itself and only the rest
+/// on the heap. So a scan over a shard's lists reads whether each has an
+/// event due without following a pointer, and the lists of a shard are
+/// one allocation, not one per stream.
+#[derive(Clone)]
+pub(crate) struct StreamQueue<E> {
+    /// The first entries in pop order, `(order_bits(time), event)`, the
+    /// occupied ones first.
+    inline: [Option<(u64, E)>; INLINE],
+    /// The entries after the inline ones, in pop order. Empty unless
+    /// every inline entry is occupied.
+    spill: Vec<(u64, E)>,
+}
+
+impl<E> Default for StreamQueue<E> {
+    fn default() -> StreamQueue<E> {
+        StreamQueue {
+            inline: std::array::from_fn(|_| None),
+            spill: Vec::new(),
+        }
+    }
+}
+
+impl<E> StreamQueue<E> {
+    /// Schedules `event` at `time`, after every event already queued at
+    /// the same time.
+    pub(crate) fn push(&mut self, time: f64, event: E) {
+        let key = order_bits(time);
+        let held = self.inline.iter().take_while(|e| e.is_some()).count();
+        let at =
+            self.inline[..held].partition_point(|e| e.as_ref().is_some_and(|(k, _)| *k <= key));
+        if at == INLINE {
+            let at = self.spill.partition_point(|(k, _)| *k <= key);
+            self.spill.insert(at, (key, event));
+            return;
+        }
+        if held == INLINE {
+            let last = self.inline[INLINE - 1]
+                .take()
+                .expect("every inline entry is held");
+            self.spill.insert(0, last);
+        }
+        // `free` is empty now: fill it and rotate the entry back to `at`.
+        let free = held.min(INLINE - 1);
+        self.inline[free] = Some((key, event));
+        self.inline[at..=free].rotate_right(1);
+    }
+
+    /// Removes and returns the first event unless its time is at or
+    /// after `t_end`, the test [`EventQueue::pop_before`] applies.
+    pub(crate) fn pop_before(&mut self, t_end: f64) -> Option<(f64, E)> {
+        let time = from_order_bits(self.inline[0].as_ref()?.0);
+        if time >= t_end {
+            return None;
+        }
+        let (_, event) = self.inline[0].take().expect("checked above");
+        self.inline.rotate_left(1);
+        if !self.spill.is_empty() {
+            self.inline[INLINE - 1] = Some(self.spill.remove(0));
+        }
+        Some((time, event))
+    }
+
+    /// The queued events with their times, in pop order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (f64, &E)> {
+        self.inline
+            .iter()
+            .map_while(Option::as_ref)
+            .chain(&self.spill)
+            .map(|(key, event)| (from_order_bits(*key), event))
+    }
+
+    /// Consumes the list, yielding its events with their times in pop
+    /// order.
+    pub(crate) fn into_events(self) -> impl Iterator<Item = (f64, E)> {
+        self.inline
+            .into_iter()
+            .flatten()
+            .chain(self.spill)
+            .map(|(key, event)| (from_order_bits(key), event))
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.inline.iter().take_while(|e| e.is_some()).count() + self.spill.len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.inline[0].is_none()
+    }
+}
+
+impl<E> FromIterator<(f64, E)> for StreamQueue<E> {
+    /// Pushes each `(time, event)` in turn.
+    fn from_iter<I: IntoIterator<Item = (f64, E)>>(iter: I) -> StreamQueue<E> {
+        let mut queue = StreamQueue::default();
+        for (time, event) in iter {
+            queue.push(time, event);
+        }
+        queue
     }
 }

@@ -1,4 +1,4 @@
-//! The serve engine's event queue against a binary-heap oracle.
+//! The serve engine's event stores against their oracles.
 //!
 //! The engine used to keep its events in a `BinaryHeap` ordered by
 //! `(time.total_cmp, seq)`. Its radix queue must pop exactly what that
@@ -7,8 +7,13 @@
 //! pops re-bases it. Its buckets must never hold room for more than twice
 //! the most events ever queued at once.
 //!
-//! The queue is a private module of the crate, so this test compiles the
-//! same source file in.
+//! A stream-major engine keeps each stream's events in a `StreamQueue`,
+//! which must pop in `(total_cmp time, push index)` order: on the same
+//! times, on both sides of its inline entries, and after a push below
+//! the last pop.
+//!
+//! The stores are a private module of the crate, so this test compiles
+//! the same source file in.
 
 #[path = "../src/queue.rs"]
 mod queue;
@@ -20,7 +25,7 @@ use predvfs_faults::{FaultConfig, FaultPlan};
 use predvfs_obs::NullSink;
 use predvfs_serve::{DegradeConfig, Scenario, ServeRuntime};
 use predvfs_sim::TraceCache;
-use queue::EventQueue;
+use queue::{EventQueue, StreamQueue};
 
 /// An `f64` ordered by `total_cmp`: the oracle's time key.
 #[derive(Debug, Clone, Copy)]
@@ -345,6 +350,158 @@ fn serve_shaped_schedule_pops_in_oracle_order_within_twice_the_high_water() {
     }
     assert!(p.high_water >= STREAMS as usize);
     p.check();
+}
+
+/// A [`StreamQueue`] and its oracle, every queued `(time, push index)`,
+/// driven in lock step. Each event is its push index.
+#[derive(Default)]
+struct ListPair {
+    list: StreamQueue<u64>,
+    oracle: Vec<(f64, u64)>,
+    pushes: u64,
+    /// Time of the last pop.
+    floor: Option<f64>,
+}
+
+impl ListPair {
+    fn push(&mut self, time: f64) -> u64 {
+        let id = self.pushes;
+        self.pushes += 1;
+        self.list.push(time, id);
+        self.oracle.push((time, id));
+        self.oracle
+            .sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+        id
+    }
+
+    /// Pops from both with the engine's bound check; returns the pop.
+    fn pop_before(&mut self, t_end: f64) -> Option<(f64, u64)> {
+        let want = match self.oracle.first() {
+            Some(&(t, _)) if t >= t_end => None,
+            Some(_) => Some(self.oracle.remove(0)),
+            None => None,
+        };
+        let got = self.list.pop_before(t_end);
+        assert_eq!(
+            got.map(|(t, id)| (t.to_bits(), id)),
+            want.map(|(t, id)| (t.to_bits(), id)),
+            "pop before {t_end}"
+        );
+        if let Some((t, _)) = want {
+            self.floor = Some(t);
+        }
+        want
+    }
+
+    /// Same contents in the same order.
+    fn check(&self) {
+        assert_eq!(self.list.len(), self.oracle.len());
+        assert_eq!(self.list.is_empty(), self.oracle.is_empty());
+        let got: Vec<(u64, u64)> = self.list.iter().map(|(t, &id)| (t.to_bits(), id)).collect();
+        let want: Vec<(u64, u64)> = self
+            .oracle
+            .iter()
+            .map(|&(t, id)| (t.to_bits(), id))
+            .collect();
+        assert_eq!(got, want);
+    }
+
+    /// Pops everything left, NaN-timed events included.
+    fn drain(&mut self) -> Vec<u64> {
+        let popped = std::iter::from_fn(|| self.pop_before(f64::NAN).map(|(_, id)| id)).collect();
+        assert!(self.list.pop_before(f64::NAN).is_none());
+        self.check();
+        popped
+    }
+}
+
+/// One random interleaving of pushes (some below the last pop), bounded
+/// pops, copies and round trips through a migration's hand-over.
+fn list_interleaving(seed: u64, ops: usize) {
+    let mut rng = Rng(seed);
+    let mut p = ListPair::default();
+    for _ in 0..ops {
+        match rng.below(100) {
+            0..=49 => {
+                let time = match (rng.below(4), p.floor) {
+                    (0, Some(floor)) => floor,
+                    (1, Some(floor)) => below(floor).unwrap_or(floor),
+                    _ => rng.pick(&TIMES),
+                };
+                p.push(time);
+            }
+            50..=89 => {
+                let t_end = match rng.below(4) {
+                    0 => f64::INFINITY,
+                    1 => f64::NAN,
+                    _ => rng.pick(&TIMES),
+                };
+                p.pop_before(t_end);
+            }
+            90..=94 => p.list = p.list.clone(),
+            _ => {
+                // The legacy posture's migration path: the events leave
+                // in pop order and are pushed back in that order.
+                p.list = std::mem::take(&mut p.list).into_events().collect();
+            }
+        }
+        p.check();
+    }
+    p.drain();
+}
+
+#[test]
+fn stream_queue_pops_in_oracle_order() {
+    for seed in 2000..2400 {
+        list_interleaving(seed, 200);
+    }
+}
+
+#[test]
+fn stream_queue_equal_times_pop_in_push_order() {
+    let mut p = ListPair::default();
+    let ids: Vec<u64> = (0..12).map(|_| p.push(0.5)).collect();
+    p.check();
+    let popped: Vec<u64> = std::iter::from_fn(|| p.pop_before(1.0).map(|(_, id)| id)).collect();
+    assert_eq!(popped, ids);
+}
+
+#[test]
+fn stream_queue_orders_signed_zeros_infinities_and_nans_by_total_cmp() {
+    let mut p = ListPair::default();
+    let times = [
+        f64::NAN,
+        f64::INFINITY,
+        0.0,
+        -0.0,
+        f64::NEG_INFINITY,
+        -f64::NAN,
+    ];
+    let ids: Vec<u64> = times.iter().map(|&t| p.push(t)).collect();
+    p.check();
+    // -NaN, -inf, -0.0, +0.0, +inf, NaN.
+    let want: Vec<u64> = [5, 4, 3, 2, 1, 0].iter().map(|&i| ids[i]).collect();
+    assert_eq!(p.drain(), want);
+}
+
+#[test]
+fn stream_queue_push_below_the_last_pop_comes_out_next() {
+    let mut p = ListPair::default();
+    for k in 0..8 {
+        p.push(k as f64);
+    }
+    for _ in 0..3 {
+        p.pop_before(f64::INFINITY);
+    }
+    assert_eq!(p.floor, Some(2.0));
+    let low = p.push(1.5);
+    assert_eq!(p.pop_before(f64::INFINITY).map(|(_, id)| id), Some(low));
+    let lower = p.push(-0.0);
+    let lowest = p.push(-1.0);
+    assert_eq!(p.pop_before(f64::INFINITY).map(|(_, id)| id), Some(lowest));
+    assert_eq!(p.pop_before(f64::INFINITY).map(|(_, id)| id), Some(lower));
+    p.check();
+    p.drain();
 }
 
 /// The parsers reject every setting that schedules before `now`, but a

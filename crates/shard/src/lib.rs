@@ -1,13 +1,15 @@
 //! # predvfs-shard
 //!
 //! The sharded serve tier: N [`ShardEngine`]s — each owning a partition
-//! of the scenario's streams, its own virtual clock, event heap,
-//! admission queues, and trace stream — run under a budget-owning
-//! coordinator that advances them in lock-step epochs.
+//! of the scenario's streams, its own virtual clock, per-stream pending
+//! events, admission queues, and trace stream — run under a
+//! budget-owning coordinator that advances them in lock-step epochs.
 //!
 //! Each epoch the coordinator:
 //!
 //! 1. lets every shard run its event loop up to the epoch boundary,
+//!    stream-major: one stream's events to the boundary, then the next
+//!    stream's,
 //! 2. collects the shards' deferred escalation requests and grants the
 //!    first `boost_tokens_per_epoch` of them in global `(t_s, gid)`
 //!    order (the power/level budget),
@@ -16,14 +18,17 @@
 //! 4. stops once every shard is idle with nothing left to grant or move.
 //!
 //! Determinism is the contract, and it is *shard-count invariant*:
-//! streams never interact inside the event loop (the heap is just a
-//! merged timeline), fault injection is keyed by global stream id, and
-//! budget grants are decided from a globally sorted request list and
-//! applied at the epoch boundary by whichever shard owns the stream
-//! after migration. So every stream replays the exact same event
-//! sequence whether the scenario runs on 1, 4, or 16 shards, and the
-//! merged trace (see [`merged_trace_jsonl`]) is byte-identical across
-//! shard counts — the `shard_determinism` integration suite pins this.
+//! streams never interact inside the event loop (which is why a shard
+//! can run them one after another), fault injection is keyed by global
+//! stream id, and budget grants are decided from a globally sorted
+//! request list and applied at the epoch boundary by whichever shard
+//! owns the stream after migration. So every stream replays the exact
+//! same event sequence whether the scenario runs on 1, 4, or 16 shards,
+//! and the merged trace (see [`merged_trace_jsonl`]) is byte-identical
+//! across shard counts, and to the legacy single engine's when no boost
+//! fires — the `shard_determinism` integration suite pins this. A
+//! shard's own trace is in (epoch, stream slot, time) order; only the
+//! merge puts events in time order.
 //!
 //! ## Crash recovery
 //!
@@ -32,10 +37,10 @@
 //! deterministic* failover. Each worker keeps two recovery artifacts:
 //!
 //! * a [`ShardSnapshot`] — the engine's complete logical state
-//!   (virtual clock, heap, admission queues, SLO/quarantine/controller
-//!   state, one-ahead arrivals), captured at epoch boundaries every
-//!   [`ShardConfig::checkpoint_every`] epochs via the same
-//!   [`MigratedStream`] extraction path migration uses; and
+//!   (virtual clock, pending events, admission queues,
+//!   SLO/quarantine/controller state, one-ahead arrivals), captured at
+//!   epoch boundaries every [`ShardConfig::checkpoint_every`] epochs
+//!   via the same [`MigratedStream`] extraction path migration uses; and
 //! * an **epoch journal** of the externally visible boundary decisions
 //!   it applied — the global boost-grant list, streams moved out, and
 //!   clones of streams admitted in.

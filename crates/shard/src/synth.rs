@@ -11,7 +11,8 @@
 //! prepare phase trains one model and simulates one job set per class
 //! (the runtime deduplicates on exactly those keys) no matter how many
 //! streams fan out from it. Arrival periods are staggered per stream so
-//! the event heap isn't one giant tie at every multiple of the period.
+//! the streams' timelines aren't one giant tie at every multiple of the
+//! period.
 
 use predvfs_accel::{all, WorkloadSize};
 use predvfs_serve::{ControllerKind, OverloadPolicy, Scenario, StreamSpec};
