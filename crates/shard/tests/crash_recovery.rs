@@ -16,9 +16,9 @@
 
 use std::sync::OnceLock;
 
-use predvfs_faults::{FaultInjector, NullInjector};
+use predvfs_faults::{FaultConfig, FaultInjector, FaultPlan, NullInjector};
 use predvfs_obs::{NullSink, ObsSink, Recorder};
-use predvfs_serve::{DegradeConfig, EngineConfig, ServeRuntime, StreamResult};
+use predvfs_serve::{ControllerKind, DegradeConfig, EngineConfig, ServeRuntime, StreamResult};
 use predvfs_shard::{
     merged_trace_jsonl, run_sharded, synth_scenario, MigrationConfig, ShardConfig, ShardSnapshot,
     ShardedResult, SynthSpec,
@@ -115,41 +115,100 @@ fn assert_matches_reference(faulty: &ShardedResult, reference: &ShardedResult) {
     }
 }
 
-/// Satellite: snapshot bytes are run-to-run identical. Two engines
+/// Snapshot bytes are run-to-run identical, and pinned. Two engines
 /// prepared and advanced identically must render byte-identical
 /// checkpoints with equal digests — the canonical rendering never
-/// touches hasher-seeded iteration order.
+/// touches hasher-seeded iteration order. Each rendering's length and
+/// digest are also checked against constants recorded before the
+/// stream state was compacted, so a layout change that alters what a
+/// checkpoint captures fails here even though two runs of one build
+/// agree. Three postures are pinned: full records with the degradation
+/// machinery on; lean `Cached` decisions, the scale benchmark's posture;
+/// and a standard fault plan, whose checkpoint renders queued jobs,
+/// in-flight jobs and quarantined streams.
 #[test]
 fn snapshot_bytes_identical_run_to_run() {
     let rt = small_runtime();
-    let cfg = EngineConfig {
+    let full = EngineConfig {
         force: None,
         degrade: DegradeConfig::enabled(),
         lean: false,
         defer_escalations: true,
         one_ahead_arrivals: true,
     };
+    let lean_cached = EngineConfig {
+        force: Some(ControllerKind::Cached),
+        degrade: DegradeConfig::disabled(),
+        lean: true,
+        ..full.clone()
+    };
+    let faults = FaultPlan::new(7, FaultConfig::standard());
+    let cases: [(&str, EngineConfig, &dyn FaultInjector, f64, usize, u64); 3] = [
+        (
+            "full records",
+            full.clone(),
+            &NullInjector,
+            3e-3,
+            5965,
+            0xb1bc_a7bb_3a3d_c72a,
+        ),
+        (
+            "lean cached",
+            lean_cached,
+            &NullInjector,
+            3e-3,
+            4631,
+            0x3345_ad1d_bf8a_a1e2,
+        ),
+        (
+            "standard faults",
+            full,
+            &faults,
+            70e-3,
+            8309,
+            0x1706_ea28_f79e_65af,
+        ),
+    ];
     let gids: Vec<usize> = (0..24).collect();
-    let mut render = Vec::new();
-    let mut digest = Vec::new();
-    for _ in 0..2 {
-        let mut eng = rt
-            .engine(&gids, cfg.clone(), &NullSink, &NullInjector)
-            .expect("engine");
-        eng.run_until(3e-3).expect("run");
-        let snap = ShardSnapshot {
-            epoch: 2,
-            checkpoint: eng.checkpoint(),
-        };
-        render.push(snap.render());
-        digest.push(snap.digest());
+    for (name, cfg, injector, t_end, pinned_len, pinned_digest) in cases {
+        let mut render = Vec::new();
+        let mut digest = Vec::new();
+        for _ in 0..2 {
+            let mut eng = rt
+                .engine(&gids, cfg.clone(), &NullSink, injector)
+                .expect("engine");
+            eng.run_until(t_end).expect("run");
+            let snap = ShardSnapshot {
+                epoch: 2,
+                checkpoint: eng.checkpoint(),
+            };
+            render.push(snap.render());
+            digest.push(snap.digest());
+        }
+        assert!(
+            render[0].lines().count() > 24,
+            "{name}: snapshot must carry per-stream state"
+        );
+        assert_eq!(
+            render[0], render[1],
+            "{name}: snapshot bytes differ run to run"
+        );
+        assert_eq!(digest[0], digest[1], "{name}");
+        assert_eq!(
+            (render[0].len(), digest[0]),
+            (pinned_len, pinned_digest),
+            "{name}: checkpoint bytes moved"
+        );
+        if name == "standard faults" {
+            for (what, needle) in [
+                ("a queued job", " q=("),
+                ("an in-flight job", " fly=("),
+                ("a quarantined stream", "quar=Some"),
+            ] {
+                assert!(render[0].contains(needle), "{name}: renders no {what}");
+            }
+        }
     }
-    assert!(
-        render[0].lines().count() > 24,
-        "snapshot must carry per-stream state"
-    );
-    assert_eq!(render[0], render[1], "snapshot bytes differ run to run");
-    assert_eq!(digest[0], digest[1]);
 }
 
 /// A known crash: shard 1 dies at epoch 2 of a 4-shard run with a
