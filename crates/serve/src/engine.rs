@@ -254,10 +254,15 @@ pub struct EngineConfig {
     /// Degradation machinery configuration.
     pub degrade: DegradeConfig,
     /// Skip per-job [`ServeRecord`]s and calibration/SLO tracking; keep
-    /// only the aggregate counters. Scale runs over millions of jobs
-    /// use this to stay allocation-flat; [`StreamResult::completed`],
-    /// [`StreamResult::misses`], [`StreamResult::miss_pct`] and
-    /// [`StreamResult::total_energy_pj`] stay exact either way.
+    /// only the aggregate counters. A lean stream holds no tracker and
+    /// no record buffer, so with [`ControllerKind::Cached`] decisions its
+    /// state owns no heap block at all: building the engine, capturing
+    /// [`ShardEngine::checkpoint`] and dropping either allocate and free
+    /// nothing per stream, and serving its jobs allocates nothing either.
+    /// Scale runs over millions of jobs use this to stay allocation-flat;
+    /// [`StreamResult::completed`], [`StreamResult::misses`],
+    /// [`StreamResult::miss_pct`] and [`StreamResult::total_energy_pj`]
+    /// stay exact either way.
     pub lean: bool,
     /// Watchdog records a [`BoostRequest`] instead of escalating in
     /// place; the owner (the shard coordinator) decides grants and
@@ -322,8 +327,6 @@ pub struct ServeRecord {
 pub struct StreamResult {
     /// The stream's display name.
     pub name: String,
-    /// The benchmark it served.
-    pub bench: String,
     /// Jobs the stream submitted.
     pub submitted: usize,
     /// Jobs that completed service (maintained even in lean mode, where
@@ -538,9 +541,9 @@ struct InFlight {
     /// Ground-truth cycles of the job as served (spiked when a
     /// trace-spike fault fired).
     actual_cycles: u64,
-    /// Spike-scaled ground truth, kept for escalation-time
-    /// re-accounting.
-    spiked: Option<JobTrace>,
+    /// The cycle scale of a trace-spike fault that fired on this job.
+    /// Escalation re-derives the spiked ground truth from it.
+    spike: Option<f64>,
 }
 
 /// The memoized predictive controller: the model read-out and slice
@@ -557,13 +560,15 @@ struct CachedCtrl<'p> {
 
 /// Per-stream controller dispatch. Boxing a `dyn DvfsController` would
 /// lose access to the adaptive controller's refit counter, so the enum
-/// keeps the concrete types.
+/// keeps the concrete types. Every controller but the cached one lives
+/// behind a box, so the enum is as small as [`CachedCtrl`] and a cached
+/// stream's controller owns no heap block.
 #[derive(Clone)]
 enum Ctrl<'p> {
-    Predictive(PredictiveController<'p>),
+    Predictive(Box<PredictiveController<'p>>),
     Adaptive(Box<AdaptiveController<'p>>),
-    Pid(PidController),
-    Hybrid(HybridController<'p>),
+    Pid(Box<PidController>),
+    Hybrid(Box<HybridController<'p>>),
     Cached(CachedCtrl<'p>),
 }
 
@@ -630,6 +635,13 @@ impl Ctrl<'_> {
 /// payloads rely on this): every field is plain data except the
 /// controller, which borrows its class's shared, immutable slice table
 /// instead of owning a slice runner, so a clone copies the borrow.
+///
+/// The state carries no identity: trace events borrow the stream's name
+/// from its [`StreamSpec`], and [`ShardEngine::finish`] attaches it to
+/// the result. A lean engine drops the per-job records and the trackers.
+/// With [`ControllerKind::Cached`] decisions a lean stream's state then
+/// owns no heap block until its admission queue fills, so building a
+/// shard and checkpointing it allocate nothing per stream.
 #[derive(Clone)]
 struct StreamState<'p> {
     ctrl: Ctrl<'p>,
@@ -653,6 +665,19 @@ struct StreamState<'p> {
     was_degraded: bool,
     /// Last observed refit count, for edge-triggered refit events.
     seen_refits: usize,
+    /// Prediction-quality and burn-rate tracking; `None` in a lean
+    /// engine.
+    trackers: Option<Box<Trackers>>,
+    /// The counters and records; `name` stays empty until
+    /// [`ShardEngine::finish`].
+    result: StreamResult,
+}
+
+/// The trackers of a stream that keeps full records. They feed gauges and
+/// edge-triggered alert events, never the results, so a lean engine keeps
+/// none.
+#[derive(Clone)]
+struct Trackers {
     /// Prediction-quality monitor for non-adaptive controllers (the
     /// adaptive controller's own trainer monitor is read instead, so the
     /// exported gauges and the refit trigger share one window).
@@ -661,7 +686,6 @@ struct StreamState<'p> {
     calib_alert: bool,
     /// Deadline-miss burn-rate tracker, clocked by the virtual clock.
     slo: SloTracker,
-    result: StreamResult,
 }
 
 impl StreamState<'_> {
@@ -673,13 +697,13 @@ impl StreamState<'_> {
     /// [`NullSink`](predvfs_obs::NullSink) and then swaps the real sink
     /// back in, and a tracker frozen during replay would re-emit (or
     /// mistime) transitions the lost engine already reported.
-    fn note_ctrl_transitions(&mut self, now: f64, sink: &dyn ObsSink) {
+    fn note_ctrl_transitions(&mut self, name: &str, now: f64, sink: &dyn ObsSink) {
         let degraded = self.ctrl.is_degraded();
         if degraded != self.was_degraded {
             self.was_degraded = degraded;
             if sink.enabled() {
                 sink.emit(
-                    TraceEvent::new(now, &self.result.name, kinds::DRIFT_FALLBACK)
+                    TraceEvent::new(now, name, kinds::DRIFT_FALLBACK)
                         .with_bool("engaged", degraded),
                 );
                 if degraded {
@@ -693,8 +717,7 @@ impl StreamState<'_> {
             self.seen_refits = refits;
             if sink.enabled() {
                 sink.emit(
-                    TraceEvent::new(now, &self.result.name, kinds::REFIT)
-                        .with_u64("refits", refits as u64),
+                    TraceEvent::new(now, name, kinds::REFIT).with_u64("refits", refits as u64),
                 );
                 sink.counter_add("predvfs_serve_refits_total", delta);
             }
@@ -702,11 +725,18 @@ impl StreamState<'_> {
     }
 
     /// Records one fired fault, and traces it when observability is on.
-    fn note_fault(&mut self, now: f64, sink: &dyn ObsSink, kind: &FaultKind, job: usize) {
+    fn note_fault(
+        &mut self,
+        name: &str,
+        now: f64,
+        sink: &dyn ObsSink,
+        kind: &FaultKind,
+        job: usize,
+    ) {
         self.result.faults += 1;
         if sink.enabled() {
             sink.counter_add("predvfs_serve_faults_total", 1);
-            let mut ev = TraceEvent::new(now, &self.result.name, kinds::FAULT)
+            let mut ev = TraceEvent::new(now, name, kinds::FAULT)
                 .with_str("kind", kind.name())
                 .with_u64("job", job as u64);
             if let Some(m) = kind.magnitude() {
@@ -717,7 +747,7 @@ impl StreamState<'_> {
     }
 
     /// Drops the stream into quarantine (no-op when already there).
-    fn enter_quarantine(&mut self, now: f64, sink: &dyn ObsSink, reason: &str) {
+    fn enter_quarantine(&mut self, name: &str, now: f64, sink: &dyn ObsSink, reason: &str) {
         if self.quarantine.is_some() {
             return;
         }
@@ -727,7 +757,7 @@ impl StreamState<'_> {
         if sink.enabled() {
             sink.counter_add("predvfs_serve_quarantines_total", 1);
             sink.emit(
-                TraceEvent::new(now, &self.result.name, kinds::QUARANTINE)
+                TraceEvent::new(now, name, kinds::QUARANTINE)
                     .with_bool("engaged", true)
                     .with_str("reason", reason),
             );
@@ -735,13 +765,13 @@ impl StreamState<'_> {
     }
 
     /// Leaves quarantine after a successful probe sequence.
-    fn exit_quarantine(&mut self, now: f64, sink: &dyn ObsSink) {
+    fn exit_quarantine(&mut self, name: &str, now: f64, sink: &dyn ObsSink) {
         self.quarantine = None;
         self.consec_misses = 0;
         self.consec_degraded = 0;
         if sink.enabled() {
             sink.emit(
-                TraceEvent::new(now, &self.result.name, kinds::QUARANTINE)
+                TraceEvent::new(now, name, kinds::QUARANTINE)
                     .with_bool("engaged", false)
                     .with_str("reason", "probe_recover"),
             );
@@ -834,11 +864,6 @@ impl MigratedStream<'_> {
         self.state.quarantine
     }
 
-    /// The stream's accumulated result counters (read-only view).
-    pub fn result(&self) -> &StreamResult {
-        &self.state.result
-    }
-
     /// Appends a canonical, byte-deterministic rendering of the full
     /// service state to `out` — every scalar exactly (floats as bit
     /// patterns), the admission queue, the in-flight job, and the
@@ -862,7 +887,7 @@ impl MigratedStream<'_> {
             st.quarantine,
             st.was_degraded,
             st.seen_refits,
-            st.calib_alert,
+            st.trackers.as_ref().is_some_and(|t| t.calib_alert),
         );
         let _ = write!(
             out,
@@ -1371,12 +1396,12 @@ fn new_state<'rt>(
     let f_hz = s.exp.energy.f_nominal_hz();
     let slices = || s.exp.slice_table().map_err(ServeError::Core);
     let ctrl = match kind {
-        ControllerKind::Predictive => Ctrl::Predictive(PredictiveController::new(
+        ControllerKind::Predictive => Ctrl::Predictive(Box::new(PredictiveController::new(
             dvfs.clone(),
             f_hz,
             slices()?,
             &s.exp.model,
-        )),
+        ))),
         ControllerKind::Adaptive => Ctrl::Adaptive(Box::new(AdaptiveController::new(
             dvfs.clone(),
             f_hz,
@@ -1384,13 +1409,13 @@ fn new_state<'rt>(
             s.exp.model.clone(),
             OnlineTrainerConfig::default(),
         ))),
-        ControllerKind::Pid => Ctrl::Pid(PidController::tuned(dvfs.clone(), f_hz)),
-        ControllerKind::Hybrid => Ctrl::Hybrid(HybridController::new(
+        ControllerKind::Pid => Ctrl::Pid(Box::new(PidController::tuned(dvfs.clone(), f_hz))),
+        ControllerKind::Hybrid => Ctrl::Hybrid(Box::new(HybridController::new(
             dvfs.clone(),
             f_hz,
             slices()?,
             &s.exp.model,
-        )),
+        ))),
         ControllerKind::Cached => Ctrl::Cached(CachedCtrl {
             dvfs,
             f_nominal_hz: f_hz,
@@ -1409,12 +1434,15 @@ fn new_state<'rt>(
         quarantine: None,
         was_degraded: false,
         seen_refits: 0,
-        calib: CalibrationMonitor::new(CalibrationConfig::default()),
-        calib_alert: false,
-        slo: SloTracker::new(SloConfig::for_deadline(s.spec.deadline_s)),
+        trackers: (!lean).then(|| {
+            Box::new(Trackers {
+                calib: CalibrationMonitor::new(CalibrationConfig::default()),
+                calib_alert: false,
+                slo: SloTracker::new(SloConfig::for_deadline(s.spec.deadline_s)),
+            })
+        }),
         result: StreamResult {
-            name: s.spec.name.clone(),
-            bench: s.spec.bench.name.to_owned(),
+            name: String::new(),
             submitted: s.spec.jobs,
             done: 0,
             missed: 0,
@@ -1684,49 +1712,57 @@ impl<'rt> ShardEngine<'rt> {
         }
     }
 
-    /// Current load summary (the rebalancer's input).
-    pub fn load(&self) -> ShardLoad {
+    /// The coordinator's end-of-epoch view, gathered in one pass over the
+    /// slots: the load summary (the engine is idle exactly when its
+    /// `pending_events` is 0) and the migration shortlist, the busiest
+    /// streams it owns (global ids, busiest first, gid ascending on ties),
+    /// capped at `limit`. Busyness weighs queued jobs double, plus the
+    /// in-flight job and the quarantine flag; idle streams never appear.
+    pub fn report(&self, limit: usize) -> (ShardLoad, Vec<usize>) {
         let mut load = ShardLoad {
-            pending_events: match &self.pending {
-                Pending::Shared(queue) => queue.len(),
-                Pending::PerSlot(lists) => lists.iter().map(StreamQueue::len).sum(),
-            },
             jobs_done: self.jobs_done,
             ..ShardLoad::default()
         };
-        for slot in self.slots.iter().flatten() {
-            load.streams += 1;
-            if slot.state.in_flight.is_some() {
-                load.active += 1;
+        let lists = match &self.pending {
+            Pending::Shared(queue) => {
+                load.pending_events = queue.len();
+                &[][..]
             }
-            load.queued += slot.state.queue.len();
+            Pending::PerSlot(lists) => lists.as_slice(),
+        };
+        let mut busy: Vec<(usize, usize)> = Vec::new();
+        for (slot_idx, slot) in self.slots.iter().enumerate() {
+            if let Some(list) = lists.get(slot_idx) {
+                load.pending_events += list.len();
+            }
+            let Some(slot) = slot else { continue };
+            let state = &slot.state;
+            load.streams += 1;
+            load.active += usize::from(state.in_flight.is_some());
+            load.queued += state.queue.len();
+            let b = state.queue.len() * 2
+                + usize::from(state.in_flight.is_some())
+                + usize::from(state.quarantine.is_some());
+            if limit > 0 && b > 0 {
+                busy.push((b, slot.gid));
+            }
         }
-        load
-    }
-
-    /// The busiest streams this engine owns (global ids, busiest first,
-    /// gid ascending on ties), capped at `limit` — the coordinator's
-    /// migration shortlist. Busyness weighs queued jobs double, plus the
-    /// in-flight job and the quarantine flag; idle streams never appear.
-    pub fn migration_candidates(&self, limit: usize) -> Vec<usize> {
-        let mut busy: Vec<(usize, usize)> = self
-            .slots
-            .iter()
-            .flatten()
-            .filter_map(|slot| {
-                let b = slot.state.queue.len() * 2
-                    + usize::from(slot.state.in_flight.is_some())
-                    + usize::from(slot.state.quarantine.is_some());
-                (b > 0).then_some((b, slot.gid))
-            })
-            .collect();
-        busy.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-        busy.into_iter().take(limit).map(|(_, gid)| gid).collect()
+        // Gids are unique, so this order is total and the `limit` first
+        // entries are the same whether or not the rest is sorted.
+        let busiest_first =
+            |a: &(usize, usize), b: &(usize, usize)| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1));
+        if busy.len() > limit {
+            busy.select_nth_unstable_by(limit, busiest_first);
+            busy.truncate(limit);
+        }
+        busy.sort_unstable_by(busiest_first);
+        (load, busy.into_iter().map(|(_, gid)| gid).collect())
     }
 
     /// Consumes the engine and returns each owned stream's result,
     /// keyed by global stream id, gid-ascending.
     pub fn finish(self) -> Vec<(usize, StreamResult)> {
+        let rt = self.rt;
         let mut out: Vec<(usize, StreamResult)> = self
             .slots
             .into_iter()
@@ -1734,6 +1770,7 @@ impl<'rt> ShardEngine<'rt> {
             .map(|slot| {
                 let mut state = slot.state;
                 state.result.refits = state.ctrl.refits();
+                state.result.name = rt.streams[slot.gid].spec.name.clone();
                 (slot.gid, state.result)
             })
             .collect();
@@ -1817,7 +1854,7 @@ impl<'rt> ShardEngine<'rt> {
                 // as at schedule time — the burst is traced from the
                 // serial loop to keep emission order deterministic.
                 if cx.faults_on && job > 0 && cx.injector.arrival_burst(gid, job) {
-                    state.note_fault(time, cx.sink, &FaultKind::ArrivalBurst, job);
+                    state.note_fault(&spec.name, time, cx.sink, &FaultKind::ArrivalBurst, job);
                 }
                 if cx.sink.enabled() {
                     cx.sink.counter_add("predvfs_serve_arrivals_total", 1);
@@ -1905,11 +1942,11 @@ impl<'rt> ShardEngine<'rt> {
                         cx.sink
                             .counter_add("predvfs_serve_internal_errors_total", 1);
                         cx.sink.emit(
-                            TraceEvent::new(time, &state.result.name, kinds::INTERNAL_ERROR)
+                            TraceEvent::new(time, &s.spec.name, kinds::INTERNAL_ERROR)
                                 .with_str("cause", "job_done_without_job"),
                         );
                     }
-                    state.enter_quarantine(time, cx.sink, kinds::INTERNAL_ERROR);
+                    state.enter_quarantine(&s.spec.name, time, cx.sink, kinds::INTERNAL_ERROR);
                     return Ok(());
                 }
                 let fly = state.in_flight.take().expect("checked above");
@@ -2005,33 +2042,37 @@ impl<'rt> ShardEngine<'rt> {
                         if cx.degrade.quarantine_misses > 0
                             && state.consec_misses >= cx.degrade.quarantine_misses
                         {
-                            state.enter_quarantine(time, cx.sink, "consecutive_misses");
+                            state.enter_quarantine(
+                                &s.spec.name,
+                                time,
+                                cx.sink,
+                                "consecutive_misses",
+                            );
                         }
                     }
                     Some(clean) => {
                         if missed {
                             state.quarantine = Some(0);
                         } else if clean + 1 >= cx.degrade.probe_jobs {
-                            state.exit_quarantine(time, cx.sink);
+                            state.exit_quarantine(&s.spec.name, time, cx.sink);
                         } else {
                             state.quarantine = Some(clean + 1);
                         }
                     }
                 }
                 state.ctrl.observe(actual_cycles);
-                state.note_ctrl_transitions(time, cx.sink);
-                // Prediction-quality and burn-rate accounting. Lean mode
-                // skips it: these trackers only feed gauges and
-                // edge-triggered alert events, never the results.
-                if !cx.lean {
+                state.note_ctrl_transitions(&s.spec.name, time, cx.sink);
+                // Prediction-quality and burn-rate accounting, for the
+                // streams that keep trackers (a lean engine keeps none).
+                if let Some(tr) = state.trackers.as_deref_mut() {
                     if !matches!(state.ctrl, Ctrl::Adaptive(_)) {
                         if let Some(p) = fly.predicted_cycles {
-                            state.calib.record(p, actual_cycles as f64);
+                            tr.calib.record(p, actual_cycles as f64);
                         }
                     }
                     let mon = match &state.ctrl {
                         Ctrl::Adaptive(c) => c.trainer().monitor(),
-                        _ => &state.calib,
+                        _ => &tr.calib,
                     };
                     let calib = (
                         mon.under_rate(),
@@ -2041,7 +2082,7 @@ impl<'rt> ShardEngine<'rt> {
                         mon.alert(),
                         mon.config().coverage_floor,
                     );
-                    let slo_edge = state.slo.record(time, missed);
+                    let slo_edge = tr.slo.record(time, missed);
                     if cx.sink.enabled() {
                         let name = &s.spec.name;
                         let labels = [("stream", name.as_str())];
@@ -2060,7 +2101,7 @@ impl<'rt> ShardEngine<'rt> {
                             &labels,
                             ratio,
                         );
-                        if alert != state.calib_alert {
+                        if alert != tr.calib_alert {
                             if alert {
                                 cx.sink
                                     .counter_add("predvfs_serve_calibration_alerts_total", 1);
@@ -2072,8 +2113,8 @@ impl<'rt> ShardEngine<'rt> {
                                     .with_f64("floor", floor),
                             );
                         }
-                        let fast = state.slo.fast_burn(time);
-                        let slow = state.slo.slow_burn(time);
+                        let fast = tr.slo.fast_burn(time);
+                        let slow = tr.slo.slow_burn(time);
                         cx.sink
                             .gauge_set_with("predvfs_slo_burn_fast", &labels, fast);
                         cx.sink
@@ -2090,7 +2131,7 @@ impl<'rt> ShardEngine<'rt> {
                             );
                         }
                     }
-                    state.calib_alert = calib.4;
+                    tr.calib_alert = calib.4;
                 }
                 // A spurious completion interrupt: schedule a
                 // phantom JobDone at the current epoch. If the
@@ -2098,7 +2139,13 @@ impl<'rt> ShardEngine<'rt> {
                 // another job dispatches first the epoch moves on
                 // and the phantom is dropped as stale.
                 if cx.faults_on && cx.injector.spurious_done(gid, fly.adm.job) {
-                    state.note_fault(time, cx.sink, &FaultKind::SpuriousDone, fly.adm.job);
+                    state.note_fault(
+                        &s.spec.name,
+                        time,
+                        cx.sink,
+                        &FaultKind::SpuriousDone,
+                        fly.adm.job,
+                    );
                     cx.events.push(time, Event::JobDone { epoch: state.epoch });
                 }
                 if let Some(next) = state.queue.pop_front() {
@@ -2177,7 +2224,7 @@ impl Loop<'_, '_> {
                 self.sink
                     .counter_add("predvfs_serve_boost_requests_total", 1);
                 self.sink.emit(
-                    TraceEvent::new(now, &state.result.name, kinds::BOOST_REQUEST)
+                    TraceEvent::new(now, &s.spec.name, kinds::BOOST_REQUEST)
                         .with_u64("job", job as u64)
                         .with_f64("projected_done_s", done_s)
                         .with_f64("deadline_s", deadline),
@@ -2202,7 +2249,8 @@ impl Loop<'_, '_> {
         let esc_key = level_key(&s.exp.dvfs, esc_choice);
         let esc_point = s.exp.dvfs.point(esc_choice);
         let cur_point = s.exp.dvfs.point(key_choice(&s.exp.dvfs, fly.key));
-        let trace = fly.spiked.as_ref().unwrap_or(&s.traces[fly.adm.job]);
+        let spiked = fly.spike.map(|scale| s.traces[fly.adm.job].scaled(scale));
+        let trace = spiked.as_ref().unwrap_or(&s.traces[fly.adm.job]);
         let total = trace.cycles as f64;
         // Cycles retired so far at the effective (possibly jittered)
         // frequency; slice/switch phases retire nothing.
@@ -2248,7 +2296,7 @@ impl Loop<'_, '_> {
         if self.sink.enabled() {
             self.sink.counter_add("predvfs_serve_escalations_total", 1);
             self.sink.emit(
-                TraceEvent::new(now, &state.result.name, kinds::WATCHDOG_BOOST)
+                TraceEvent::new(now, &s.spec.name, kinds::WATCHDOG_BOOST)
                     .with_u64("job", job as u64)
                     .with_u64("from_level", from_key as u64)
                     .with_u64("to_level", esc_key as u64)
@@ -2295,7 +2343,7 @@ impl Loop<'_, '_> {
             && self.degrade.quarantine_degraded > 0
             && state.consec_degraded >= self.degrade.quarantine_degraded
         {
-            state.enter_quarantine(now, self.sink, "sustained_degradation");
+            state.enter_quarantine(&s.spec.name, now, self.sink, "sustained_degradation");
         }
         let safe_mode = state.quarantine.is_some();
         // In quarantine the controller is bypassed entirely: no slice,
@@ -2314,7 +2362,7 @@ impl Loop<'_, '_> {
         } else {
             state.ctrl.decide(&ctx)?
         };
-        state.note_ctrl_transitions(now, self.sink);
+        state.note_ctrl_transitions(&s.spec.name, now, self.sink);
 
         let f_hz = s.exp.energy.f_nominal_hz();
         let mut slice_s = decision.slice_cycles / f_hz;
@@ -2328,14 +2376,14 @@ impl Loop<'_, '_> {
                         decision.choice =
                             s.exp.dvfs.choose(corrupted, f_hz, ctx.deadline_s, slice_s);
                         decision.predicted_cycles = Some(corrupted);
-                        state.note_fault(now, self.sink, &kind, adm.job);
+                        state.note_fault(&s.spec.name, now, self.sink, &kind, adm.job);
                     }
                 }
                 // A hung slice costs time after the decision was read
                 // out; the controller never learns it happened.
                 Some(kind @ FaultKind::SliceTimeout { time_stretch }) => {
                     slice_s *= time_stretch;
-                    state.note_fault(now, self.sink, &kind, adm.job);
+                    state.note_fault(&s.spec.name, now, self.sink, &kind, adm.job);
                 }
                 _ => {}
             }
@@ -2353,7 +2401,13 @@ impl Loop<'_, '_> {
             let mut attempt = 0u32;
             loop {
                 if faults_on && self.injector.switch_rejected(gid, adm.job, attempt) {
-                    state.note_fault(now, self.sink, &FaultKind::SwitchReject, adm.job);
+                    state.note_fault(
+                        &s.spec.name,
+                        now,
+                        self.sink,
+                        &FaultKind::SwitchReject,
+                        adm.job,
+                    );
                     if attempt >= self.degrade.max_switch_retries {
                         switch_failed = true;
                         break;
@@ -2367,7 +2421,13 @@ impl Loop<'_, '_> {
                     .then(|| self.injector.switch_stall(gid, adm.job))
                     .flatten()
                 {
-                    state.note_fault(now, self.sink, &FaultKind::SwitchStall { stretch }, adm.job);
+                    state.note_fault(
+                        &s.spec.name,
+                        now,
+                        self.sink,
+                        &FaultKind::SwitchStall { stretch },
+                        adm.job,
+                    );
                     switch_s += base_s * stretch;
                 } else {
                     switch_s += base_s;
@@ -2414,19 +2474,20 @@ impl Loop<'_, '_> {
         state.prev_key = key;
 
         // Ground truth, possibly spiked by a fault.
-        let spiked = if faults_on {
-            self.injector.trace_spike(gid, adm.job).map(|scale| {
+        let spike = if faults_on {
+            self.injector.trace_spike(gid, adm.job).inspect(|&scale| {
                 state.note_fault(
+                    &s.spec.name,
                     now,
                     self.sink,
                     &FaultKind::TraceSpike { cycle_scale: scale },
                     adm.job,
                 );
-                s.traces[adm.job].scaled(scale)
             })
         } else {
             None
         };
+        let spiked = spike.map(|scale| s.traces[adm.job].scaled(scale));
         let trace = spiked.as_ref().unwrap_or(&s.traces[adm.job]);
 
         // Clock jitter shifts execution time; energy stays keyed to the
@@ -2436,6 +2497,7 @@ impl Loop<'_, '_> {
         if faults_on {
             if let Some(fscale) = self.injector.clock_jitter(gid, adm.job) {
                 state.note_fault(
+                    &s.spec.name,
                     now,
                     self.sink,
                     &FaultKind::ClockJitter { freq_scale: fscale },
@@ -2495,7 +2557,7 @@ impl Loop<'_, '_> {
             transition_pj,
             predicted_cycles: decision.predicted_cycles,
             actual_cycles: trace.cycles,
-            spiked,
+            spike,
         });
 
         if slice_s > 0.0 {
@@ -2515,5 +2577,122 @@ impl Loop<'_, '_> {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use predvfs_accel::WorkloadSize;
+    use predvfs_sim::Platform;
+
+    fn admitted(job: usize) -> Admitted {
+        Admitted {
+            job,
+            arrival_s: 0.0,
+            deadline_abs_s: 1.0,
+            relaxed: false,
+        }
+    }
+
+    fn in_flight(job: usize) -> InFlight {
+        InFlight {
+            adm: admitted(job),
+            epoch: 1,
+            start_s: 0.0,
+            exec_start_s: 0.0,
+            done_s: 0.5,
+            key: 0,
+            f_eff_hz: 1e9,
+            degraded: false,
+            safe_mode: false,
+            escalated: false,
+            boost_requested: false,
+            volts: 1.0,
+            job_pj: 0.0,
+            slice_pj: 0.0,
+            transition_pj: 0.0,
+            predicted_cycles: None,
+            actual_cycles: 0,
+            spike: None,
+        }
+    }
+
+    fn state_of<'e, 'rt>(eng: &'e mut ShardEngine<'rt>, gid: usize) -> &'e mut StreamState<'rt> {
+        let slot = eng.by_gid[&gid];
+        &mut eng.slots[slot].as_mut().expect("owned slot").state
+    }
+
+    /// `report` against a load and shortlist worked out by hand: streams
+    /// with queued jobs, in-flight jobs and quarantine, slots out of gid
+    /// order (ties must rank by gid, not slot), and one vacated slot.
+    #[test]
+    fn report_matches_hand_computed_load_and_candidates() {
+        let bench = predvfs_accel::by_name("sha").expect("sha benchmark");
+        let scenario = Scenario {
+            platform: Platform::Asic,
+            size: WorkloadSize::Quick,
+            streams: (0..6)
+                .map(|i| StreamSpec {
+                    name: format!("s{i}"),
+                    jobs: 4,
+                    ..StreamSpec::new(bench)
+                })
+                .collect(),
+            faults: None,
+        };
+        let rt = ServeRuntime::prepare(&scenario, &TraceCache::new()).expect("prepare");
+        let config = EngineConfig {
+            force: Some(ControllerKind::Cached),
+            lean: true,
+            defer_escalations: true,
+            one_ahead_arrivals: true,
+            ..EngineConfig::default()
+        };
+        let mut eng = rt
+            .engine(&[5, 3, 0, 4, 1, 2], config, &NullSink, &NullInjector)
+            .expect("engine");
+        // Each slot starts with its first arrival pending; slot 0 (gid 5)
+        // gets one more event, and gid 1's slot is vacated with its list.
+        if let Pending::PerSlot(lists) = &mut eng.pending {
+            lists[0].push(1.0, Event::JobDone { epoch: 1 });
+        }
+        assert!(eng.extract_stream(1).is_some());
+        // Busyness: queued × 2 + in flight + quarantined.
+        let gid5 = state_of(&mut eng, 5); // 2 × 2 + 1 = 5
+        gid5.queue.extend([admitted(1), admitted(2)]);
+        gid5.in_flight = Some(in_flight(0));
+        state_of(&mut eng, 3).quarantine = Some(0); // 1
+        state_of(&mut eng, 0).in_flight = Some(in_flight(0)); // 1
+        let gid4 = state_of(&mut eng, 4); // 2 + 1 = 3
+        gid4.queue.push_back(admitted(1));
+        gid4.quarantine = Some(2);
+        let gid2 = state_of(&mut eng, 2); // 1 + 1 = 2
+        gid2.in_flight = Some(in_flight(0));
+        gid2.quarantine = Some(1);
+
+        let load = ShardLoad {
+            streams: 5,
+            active: 3,
+            queued: 3,
+            pending_events: 6,
+            jobs_done: 0,
+        };
+        for (limit, candidates) in [
+            (0, vec![]),
+            (3, vec![5, 4, 2]),
+            (4, vec![5, 4, 2, 0]),
+            (5, vec![5, 4, 2, 0, 3]),
+            (16, vec![5, 4, 2, 0, 3]),
+        ] {
+            assert_eq!(eng.report(limit), (load, candidates), "limit {limit}");
+        }
+        assert!(!eng.is_idle());
+
+        let empty = rt
+            .engine(&[], EngineConfig::default(), &NullSink, &NullInjector)
+            .expect("empty engine");
+        assert_eq!(empty.report(4), (ShardLoad::default(), vec![]));
+        assert!(empty.is_idle());
     }
 }

@@ -10,7 +10,6 @@ use predvfs_serve::{ServeResult, StreamResult};
 fn empty_stream() -> StreamResult {
     StreamResult {
         name: "empty".to_owned(),
-        bench: "sha".to_owned(),
         submitted: 0,
         done: 0,
         missed: 0,

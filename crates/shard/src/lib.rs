@@ -303,9 +303,9 @@ struct JournalEntry<'rt> {
     inbound: Vec<MigratedStream<'rt>>,
 }
 
-/// One shard's end-of-epoch report to the coordinator.
+/// One shard's end-of-epoch report to the coordinator. The shard is idle
+/// when no event is pending in it.
 struct Report {
-    idle: bool,
     load: ShardLoad,
     candidates: Vec<usize>,
     requests: Vec<BoostRequest>,
@@ -653,18 +653,20 @@ fn run_worker<'rt>(
         }
         {
             let report = match engine.as_mut() {
-                Some(eng) => Report {
-                    idle: eng.is_idle(),
-                    load: eng.load(),
-                    candidates: if config.migration.enabled {
-                        eng.migration_candidates(config.migration.max_moves_per_epoch)
+                Some(eng) => {
+                    let limit = if config.migration.enabled {
+                        config.migration.max_moves_per_epoch
                     } else {
-                        Vec::new()
-                    },
-                    requests: eng.drain_boost_requests(),
-                },
+                        0
+                    };
+                    let (load, candidates) = eng.report(limit);
+                    Report {
+                        load,
+                        candidates,
+                        requests: eng.drain_boost_requests(),
+                    }
+                }
                 None => Report {
-                    idle: true,
                     load: ShardLoad::default(),
                     candidates: Vec::new(),
                     requests: Vec::new(),
@@ -933,7 +935,7 @@ fn coordinate(
         .iter_mut()
         .map(|r| r.take().expect("every shard reports before the barrier"))
         .collect();
-    let all_idle = reports.iter().all(|r| r.idle);
+    let all_idle = reports.iter().all(|r| r.load.pending_events == 0);
 
     // Budget: grant the earliest requests across all shards, ties by
     // global stream id — a total order independent of shard count.
