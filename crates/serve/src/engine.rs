@@ -256,13 +256,13 @@ pub struct EngineConfig {
     /// Skip per-job [`ServeRecord`]s and calibration/SLO tracking; keep
     /// only the aggregate counters. A lean stream holds no tracker and
     /// no record buffer, so with [`ControllerKind::Cached`] decisions its
-    /// state owns no heap block at all: building the engine, capturing
-    /// [`ShardEngine::checkpoint`] and dropping either allocate and free
-    /// nothing per stream, and serving its jobs allocates nothing either.
-    /// Scale runs over millions of jobs use this to stay allocation-flat;
-    /// [`StreamResult::completed`], [`StreamResult::misses`],
-    /// [`StreamResult::miss_pct`] and [`StreamResult::total_energy_pj`]
-    /// stay exact either way.
+    /// state owns no heap block while its admission queue is empty:
+    /// building the engine and capturing a [`ShardEngine::checkpoint`]
+    /// allocate nothing per stream, and dropping either frees nothing
+    /// per stream. Scale runs over millions of jobs use this to stay
+    /// allocation-flat; [`StreamResult::completed`],
+    /// [`StreamResult::misses`], [`StreamResult::miss_pct`] and
+    /// [`StreamResult::total_energy_pj`] stay exact either way.
     pub lean: bool,
     /// Watchdog records a [`BoostRequest`] instead of escalating in
     /// place; the owner (the shard coordinator) decides grants and
@@ -821,7 +821,8 @@ pub struct ShardLoad {
     pub active: usize,
     /// Jobs waiting in admission queues.
     pub queued: usize,
-    /// Events pending in the shard, over all of its streams.
+    /// Events pending in the shard, over all of its streams; 0 exactly
+    /// when the shard is idle (see [`ShardEngine::is_idle`]).
     pub pending_events: usize,
     /// Jobs completed by this shard so far.
     pub jobs_done: u64,
