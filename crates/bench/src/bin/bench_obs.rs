@@ -114,8 +114,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     predvfs_obs::set_profiling(false);
     let profile = predvfs_obs::self_profile();
-    let spans = (profile.total_calls(SpanDomain::Wall) + profile.total_calls(SpanDomain::Virtual))
-        / reps as u64;
+    let calls = |domain| -> u64 { profile.totals(domain).values().map(|t| t.calls).sum() };
+    let spans = (calls(SpanDomain::Wall) + calls(SpanDomain::Virtual)) / reps as u64;
     profile.reset();
     assert!(spans > 0, "serve run recorded no spans with profiling on");
     let spans_per_sec = spans as f64 / wall_off;

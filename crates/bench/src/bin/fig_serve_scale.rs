@@ -4,7 +4,7 @@
 //! configuration. Results land in `results/fig_serve_scale.csv` and in
 //! `BENCH_serve.json` at the repo root (the CI-printed artifact).
 //!
-//! Two invariants are asserted unconditionally, at a reduced size where
+//! Three invariants are asserted unconditionally, at a reduced size where
 //! full tracing is affordable:
 //!
 //! 1. the merged trace is byte-identical across 1 / 4 / 16 shards,

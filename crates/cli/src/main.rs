@@ -20,8 +20,8 @@
 //! ```
 //!
 //! `--threads N` (anywhere on the command line) caps the worker pool used
-//! by parallel stages; the `RAYON_NUM_THREADS` / `PREDVFS_THREADS`
-//! environment variables are honored as a fallback.
+//! by parallel stages; the `PREDVFS_THREADS` environment variable is
+//! honored as a fallback.
 //!
 //! Every command that simulates RTL, hardware slices included, runs it on
 //! the compiled bytecode VM. The reference interpreter is a test oracle
@@ -31,11 +31,13 @@
 //! (with graceful degradation enabled); the fault mix comes from the
 //! scenario's `[faults]` section when present, else the standard mix.
 //!
-//! `--metrics-out <path>` and `--trace-out <path>` (anywhere on the
-//! command line) turn on observability: counters/gauges/histograms are
-//! written as Prometheus text and the structured event trace as JSON
-//! lines. Trace events carry the *virtual* clock, so `serve` traces are
-//! byte-identical regardless of `--threads`.
+//! `--metrics-out <path>`, `--trace-out <path>` and `--profile-out <path>`
+//! (anywhere on the command line) turn on observability, span profiling
+//! included: counters/gauges/histograms and each span's calls and
+//! seconds are written as Prometheus text, the structured event trace as
+//! JSON lines, and the span tree as collapsed stacks. Trace events carry
+//! the *virtual* clock, so `serve` traces are byte-identical regardless
+//! of `--threads`.
 //!
 //! The jobs file holds one token per line (comma-separated field values in
 //! declaration order); a line containing only `---` ends a job. Lines
@@ -72,10 +74,10 @@ fn run(raw_args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     }
     if opts.observing() {
         // Deep components (solver, trace cache) report through the
-        // process-global sink; install it before any work starts.
+        // process-global sink; install it before any work starts. Spans
+        // time every phase, for the metrics file's span totals as much
+        // as for the flamegraph.
         predvfs_obs::install(std::sync::Arc::new(Recorder::new(TRACE_CAPACITY)));
-    }
-    if opts.profile_out.is_some() {
         predvfs_obs::set_profiling(true);
     }
     let args = &args;
@@ -152,11 +154,11 @@ struct CliOptions {
 }
 
 impl CliOptions {
-    /// True when any observability output was requested.
+    /// True when any observability output was requested. Every such
+    /// flag installs the recorder and turns span profiling on: virtual
+    /// spans are gated on the sink so replay paths stay silent, and the
+    /// metrics export reads its phase totals from the span profile.
     fn observing(&self) -> bool {
-        // Profiling implies a recorder: virtual spans are gated on the
-        // sink so replay paths stay silent, and a flamegraph without the
-        // engine's deterministic events would be misleading anyway.
         self.metrics_out.is_some() || self.trace_out.is_some() || self.profile_out.is_some()
     }
 }
@@ -233,6 +235,9 @@ fn write_observability(opts: &CliOptions) -> Result<(), Box<dyn std::error::Erro
         return Ok(());
     };
     note_trace_evictions(rec, rec.ring().dropped());
+    let profile = predvfs_obs::self_profile();
+    let spans = profile.totals(predvfs_obs::SpanDomain::Wall);
+    rec.registry().record_span_totals(&spans);
     if let Some(path) = &opts.metrics_out {
         fs::write(path, rec.registry().prometheus_text())?;
         eprintln!("wrote metrics to {path}");
@@ -253,7 +258,6 @@ fn write_observability(opts: &CliOptions) -> Result<(), Box<dyn std::error::Erro
         // top-level frame. Feed straight into inferno / flamegraph.pl;
         // the `virtual;` subtree is byte-identical across --threads and
         // --shards for deterministic workloads.
-        let profile = predvfs_obs::self_profile();
         let mut folded = String::new();
         for (prefix, domain) in [
             ("wall;", predvfs_obs::SpanDomain::Wall),
@@ -271,15 +275,28 @@ fn write_observability(opts: &CliOptions) -> Result<(), Box<dyn std::error::Erro
             folded.lines().count()
         );
     }
-    let counters = rec.registry().counters();
+    // The span table below shows the span counters with their seconds.
+    let counters: Vec<(String, u64)> = rec
+        .registry()
+        .counters()
+        .into_iter()
+        .filter(|(name, _)| !name.starts_with("predvfs_span_"))
+        .collect();
     let histograms = rec.registry().histogram_summaries();
-    if counters.is_empty() && histograms.is_empty() {
+    if counters.is_empty() && histograms.is_empty() && spans.is_empty() {
         return Ok(());
     }
     println!("\nmetrics summary:");
     println!("  {:<44} {:>14}", "counter", "value");
     for (name, value) in &counters {
         println!("  {name:<44} {value:>14}");
+    }
+    if !spans.is_empty() {
+        println!("  {:<44} {:>10} {:>12}", "span", "calls", "seconds");
+        for (name, total) in &spans {
+            let seconds = total.ns as f64 / 1e9;
+            println!("  {name:<44} {:>10} {seconds:>12.6}", total.calls);
+        }
     }
     if !histograms.is_empty() {
         let quantiles = rec.registry().histogram_quantiles();
@@ -394,16 +411,17 @@ USAGE:
 
 OPTIONS:
   --threads <N>        worker-pool size for parallel stages (default: all
-                       cores; RAYON_NUM_THREADS / PREDVFS_THREADS also
-                       honored)
-  --metrics-out <path> write counters/gauges/histograms as Prometheus text
+                       cores; PREDVFS_THREADS also honored)
+  --metrics-out <path> write counters/gauges/histograms and each span's
+                       calls and seconds as Prometheus text
   --trace-out <path>   write the structured event trace as JSON lines
                        (virtual-clock stamped; byte-identical across
                        --threads for `serve`)
-  --profile-out <path> enable span profiling and write the collapsed-stack
-                       flamegraph text (wall; and virtual; subtrees; the
-                       virtual subtree is byte-identical across --threads
-                       and --shards)
+  --profile-out <path> write the collapsed-stack span flamegraph text
+                       (wall; and virtual; subtrees; the virtual subtree
+                       is byte-identical across --threads and --shards);
+                       any of these three output flags turns span
+                       profiling on
   --faults <seed>      serve: inject deterministic faults from this seed
                        with graceful degradation (watchdog, switch retries,
                        quarantine) enabled; the fault mix comes from the

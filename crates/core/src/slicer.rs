@@ -66,6 +66,7 @@ impl SlicePredictor {
         options: SliceOptions,
         flavor: SliceFlavor,
     ) -> Result<SlicePredictor, CoreError> {
+        let _span = predvfs_obs::span("core.slice_build");
         let schema = model.schema();
         let selected = model.selected_nonbias();
         let (sliced, report) = slice(module, schema, &selected, options)?;

@@ -119,7 +119,6 @@ pub(crate) fn record_solver_metrics(sink: &dyn predvfs_obs::ObsSink, fit: &predv
 pub fn fit(data: &TrainingData, config: &TrainerConfig) -> Result<ExecTimeModel, CoreError> {
     let sink = predvfs_obs::global();
     let _fit_span = predvfs_obs::span("core.fit");
-    let _fit_timer = predvfs_obs::PhaseTimer::start(sink, "predvfs_fit");
     let std = Standardizer::fit(&data.x);
     let mut xs = std.transform(&data.x);
     let y_scale = data.y.iter().map(|v| v.abs()).sum::<f64>() / data.y.len() as f64;

@@ -2,10 +2,11 @@
 //!
 //! The observability layer of the predvfs stack: a lightweight,
 //! dependency-free metrics registry (counters, gauges, fixed-bucket
-//! histograms), a bounded structured event ring for deterministic
-//! tracing, and phase timers — all behind the [`ObsSink`] trait whose
-//! default implementation is a no-op, so instrumented hot paths pay a
-//! single branch when observability is off.
+//! histograms) and a bounded structured event ring for deterministic
+//! tracing, both behind the [`ObsSink`] trait whose default
+//! implementation is a no-op, so instrumented hot paths pay a single
+//! branch when observability is off; and hierarchical span profiling
+//! ([`span`](mod@span)), the one mechanism that times phases.
 //!
 //! ## Design
 //!
@@ -30,6 +31,13 @@
 //!   the trace cache) reach the process-wide sink through [`global`],
 //!   which costs one atomic load plus one branch until a recorder is
 //!   [`install`]ed.
+//! * **Spans** ([`span()`]) time phases: a scoped guard per phase,
+//!   aggregated into one process-wide [`SelfProfile`] whose collapsed
+//!   stacks feed flamegraphs. Its per-name totals
+//!   ([`SelfProfile::totals`]) are what the metrics export reports as
+//!   `predvfs_span_calls_total` and `predvfs_span_seconds`
+//!   ([`MetricsRegistry::record_span_totals`]). Off by default: a
+//!   disabled span is one relaxed atomic load.
 //!
 //! ```
 //! use predvfs_obs::{ObsSink, Recorder, TraceEvent};
@@ -59,9 +67,10 @@ pub mod span;
 pub use analyze::{AnalyzeError, JobTimeline, MissCause, StreamSummary, TraceAnalysis};
 pub use registry::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use ring::{merge_events, FieldValue, TraceEvent, TraceRing};
-pub use sink::{global, install, recorder, NullSink, ObsSink, PhaseTimer, Recorder};
+pub use sink::{global, install, recorder, NullSink, ObsSink, Recorder};
 pub use span::{
     profiling_enabled, record_virtual, set_profiling, span, SelfProfile, SpanDomain, SpanGuard,
+    SpanTotal,
 };
 
 /// The process-wide [`SelfProfile`] (re-export of [`span::profile`]).

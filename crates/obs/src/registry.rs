@@ -17,6 +17,8 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use crate::span::SpanTotal;
+
 /// Recovers a possibly poisoned guard: the registry maps are only
 /// inserted into, so a snapshot taken by a panicking thread is still
 /// internally consistent.
@@ -357,6 +359,22 @@ impl MetricsRegistry {
             map.entry(SeriesKey::new(name, labels))
                 .or_insert_with(|| Arc::new(Histogram::new(bounds))),
         )
+    }
+
+    /// Records per-name span totals ([`SelfProfile::totals`]) as the
+    /// series `predvfs_span_calls_total{span="…"}` (a counter) and
+    /// `predvfs_span_seconds{span="…"}` (a gauge of inclusive seconds).
+    /// The counters add, so record one profile once, at export.
+    ///
+    /// [`SelfProfile::totals`]: crate::SelfProfile::totals
+    pub fn record_span_totals(&self, totals: &BTreeMap<&str, SpanTotal>) {
+        for (&name, total) in totals {
+            let labels = [("span", name)];
+            self.counter_with("predvfs_span_calls_total", &labels)
+                .add(total.calls);
+            self.gauge_with("predvfs_span_seconds", &labels)
+                .set(total.ns as f64 / 1e9);
+        }
     }
 
     /// Snapshot of every counter as `(series, value)`, series-sorted;

@@ -3,7 +3,6 @@
 //! through (the trainer, the trace cache).
 
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 
 use crate::registry::{Histogram, MetricsRegistry};
 use crate::ring::{TraceEvent, TraceRing};
@@ -50,12 +49,6 @@ pub trait ObsSink: Sync {
     /// Appends a structured trace event.
     fn emit(&self, event: TraceEvent) {
         let _ = event;
-    }
-
-    /// Records a phase duration (wall-clock nanoseconds) under
-    /// `{name}_seconds`.
-    fn phase_ns(&self, name: &str, ns: u64) {
-        let _ = (name, ns);
     }
 }
 
@@ -121,49 +114,6 @@ impl ObsSink for Recorder {
     fn emit(&self, event: TraceEvent) {
         self.ring.push(event);
     }
-
-    fn phase_ns(&self, name: &str, ns: u64) {
-        self.observe(&format!("{name}_seconds"), ns as f64 * 1e-9);
-    }
-}
-
-/// Measures wall-clock time from construction to drop and reports it to
-/// the sink as a phase duration.
-///
-/// Follows the span layer's zero-cost-when-off rule: when the sink is
-/// disabled the timer holds no state at all — the clock is never read
-/// and `Drop` emits nothing, so the disabled path is one `enabled()`
-/// branch at construction.
-pub struct PhaseTimer<'a> {
-    inner: Option<PhaseTimerInner<'a>>,
-}
-
-struct PhaseTimerInner<'a> {
-    sink: &'a dyn ObsSink,
-    name: &'a str,
-    start: Instant,
-}
-
-impl<'a> PhaseTimer<'a> {
-    /// Starts timing `name` against `sink` (free when the sink is off).
-    pub fn start(sink: &'a dyn ObsSink, name: &'a str) -> PhaseTimer<'a> {
-        PhaseTimer {
-            inner: sink.enabled().then(|| PhaseTimerInner {
-                sink,
-                name,
-                start: Instant::now(),
-            }),
-        }
-    }
-}
-
-impl Drop for PhaseTimer<'_> {
-    fn drop(&mut self) {
-        if let Some(inner) = self.inner.take() {
-            let ns = u64::try_from(inner.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            inner.sink.phase_ns(inner.name, ns);
-        }
-    }
 }
 
 static GLOBAL: OnceLock<Arc<Recorder>> = OnceLock::new();
@@ -211,7 +161,6 @@ mod tests {
         rec.counter_add_with("stream_jobs_total", &[("stream", "sha")], 3);
         rec.gauge_set_with("burn", &[("stream", "sha")], 1.5);
         rec.observe("slack_seconds", 1e-3);
-        rec.phase_ns("fit", 2_000_000_000);
         rec.emit(TraceEvent::new(1.0, "sha", "arrival"));
         assert_eq!(rec.registry().counter("jobs_total").get(), 2);
         assert_eq!(rec.registry().gauge("objective").get(), 0.5);
@@ -231,37 +180,7 @@ mod tests {
         assert!(summaries
             .iter()
             .any(|(n, c, _)| n == "slack_seconds" && *c == 1));
-        assert!(summaries
-            .iter()
-            .any(|(n, c, s)| n == "fit_seconds" && *c == 1 && (*s - 2.0).abs() < 1e-9));
         assert_eq!(rec.ring().len(), 1);
-    }
-
-    #[test]
-    fn phase_timer_records_on_drop_only_when_enabled() {
-        let rec = Recorder::new(1);
-        {
-            let _t = PhaseTimer::start(&rec, "phase");
-        }
-        assert!(rec
-            .registry()
-            .histogram_summaries()
-            .iter()
-            .any(|(n, c, _)| n == "phase_seconds" && *c == 1));
-        {
-            let _t = PhaseTimer::start(&NullSink, "phase");
-        } // no-op; nothing observable, but must not panic
-    }
-
-    #[test]
-    fn phase_timer_holds_no_state_when_disabled() {
-        // The zero-cost-when-off contract: a disabled timer never read
-        // the clock and has nothing to emit on drop.
-        let t = PhaseTimer::start(&NullSink, "phase");
-        assert!(t.inner.is_none());
-        let rec = Recorder::new(1);
-        let t = PhaseTimer::start(&rec, "phase");
-        assert!(t.inner.is_some());
     }
 
     #[test]

@@ -35,7 +35,10 @@
 //!
 //! [`SelfProfile::collapsed`] renders the classic collapsed-stack
 //! flamegraph text format (`a;b;c <self-nanoseconds>` per line, sorted),
-//! and [`SelfProfile::report`] renders a plain-text table.
+//! and [`SelfProfile::totals`] sums each span name's calls and inclusive
+//! time over every path that ends in it: the per-phase totals the
+//! metrics export reads
+//! ([`MetricsRegistry::record_span_totals`](crate::MetricsRegistry::record_span_totals)).
 //!
 //! ```
 //! use predvfs_obs::span;
@@ -88,13 +91,11 @@ pub enum SpanDomain {
 }
 
 /// One aggregated node of a span tree: call count, total (inclusive)
-/// nanoseconds, total bytes allocated (zero unless the `alloc-profile`
-/// feature is enabled), and children keyed by span name.
+/// nanoseconds, and children keyed by span name.
 #[derive(Debug, Default)]
 struct SpanNode {
     count: u64,
     ns: u64,
-    bytes: u64,
     children: BTreeMap<&'static str, SpanNode>,
 }
 
@@ -102,9 +103,19 @@ struct SpanNode {
 const EMPTY_NODE: SpanNode = SpanNode {
     count: 0,
     ns: 0,
-    bytes: 0,
     children: BTreeMap::new(),
 };
+
+/// One span name's totals in one domain: calls and inclusive
+/// nanoseconds, summed over every path that ends in the name
+/// ([`SelfProfile::totals`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SpanTotal {
+    /// Completed spans of this name.
+    pub calls: u64,
+    /// Their inclusive time, in nanoseconds.
+    pub ns: u64,
+}
 
 /// The process-wide aggregated profile: one span tree per
 /// [`SpanDomain`]. Obtain it with [`profile`].
@@ -134,7 +145,6 @@ struct LocalNode {
     children: Vec<usize>,
     count: u64,
     ns: u64,
-    bytes: u64,
 }
 
 struct LocalTree {
@@ -152,7 +162,6 @@ impl LocalTree {
                 children: Vec::new(),
                 count: 0,
                 ns: 0,
-                bytes: 0,
             }],
             stack: Vec::new(),
         }
@@ -174,7 +183,6 @@ impl LocalTree {
                 children: Vec::new(),
                 count: 0,
                 ns: 0,
-                bytes: 0,
             });
             self.nodes[parent].children.push(i);
             i
@@ -183,7 +191,7 @@ impl LocalTree {
         idx
     }
 
-    fn exit(&mut self, node: usize, ns: u64, bytes: u64) {
+    fn exit(&mut self, node: usize, ns: u64) {
         // Unwind to our frame. Guards drop in reverse construction order
         // (including during panic unwind), so normally `node` is the
         // top; frames above it can only come from leaked guards and are
@@ -197,7 +205,6 @@ impl LocalTree {
         let n = &mut self.nodes[node];
         n.count = n.count.saturating_add(1);
         n.ns = n.ns.saturating_add(ns);
-        n.bytes = n.bytes.saturating_add(bytes);
         if self.stack.is_empty() {
             self.flush();
         }
@@ -212,7 +219,6 @@ impl LocalTree {
         for n in &mut self.nodes {
             n.count = 0;
             n.ns = 0;
-            n.bytes = 0;
         }
     }
 }
@@ -230,7 +236,6 @@ fn merge_into(nodes: &[LocalNode], idx: usize, g: &mut SpanNode) {
         let gc = g.children.entry(child.name).or_default();
         gc.count = gc.count.saturating_add(child.count);
         gc.ns = gc.ns.saturating_add(child.ns);
-        gc.bytes = gc.bytes.saturating_add(child.bytes);
         merge_into(nodes, c, gc);
     }
 }
@@ -259,7 +264,6 @@ pub struct SpanGuard {
 struct GuardInner {
     node: usize,
     start: Instant,
-    bytes0: u64,
 }
 
 impl SpanGuard {
@@ -303,17 +307,15 @@ impl GuardInner {
         GuardInner {
             node: LOCAL.with(|l| l.borrow_mut().enter(name)),
             start: Instant::now(),
-            bytes0: thread_allocated_bytes(),
         }
     }
 
     #[cold]
     fn close(self) {
         let ns = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let bytes = thread_allocated_bytes().saturating_sub(self.bytes0);
         // A guard may outlive its thread-local tree only during thread
         // teardown; losing that one span is acceptable.
-        let _ = LOCAL.try_with(|l| l.borrow_mut().exit(self.node, ns, bytes));
+        let _ = LOCAL.try_with(|l| l.borrow_mut().exit(self.node, ns));
     }
 }
 
@@ -378,17 +380,6 @@ impl SelfProfile {
         lock(&self.virt).children.clear();
     }
 
-    /// Total recorded calls across all span paths in one domain — the
-    /// denominator for overhead accounting (spans per unit of work).
-    pub fn total_calls(&self, domain: SpanDomain) -> u64 {
-        fn sum(node: &SpanNode) -> u64 {
-            node.children.values().fold(0u64, |a, c| {
-                a.saturating_add(c.count).saturating_add(sum(c))
-            })
-        }
-        sum(&lock(self.tree(domain)))
-    }
-
     /// Renders one domain in the collapsed-stack flamegraph format: one
     /// line per recorded span path, `a;b;c <self-nanoseconds>`, in
     /// lexicographic path order. Self time is the span's inclusive time
@@ -404,26 +395,23 @@ impl SelfProfile {
         out
     }
 
-    /// Renders one domain as an aligned plain-text table (span path,
-    /// calls, total/self milliseconds, bytes).
-    pub fn report(&self, domain: SpanDomain) -> String {
-        let root = lock(self.tree(domain));
-        let mut rows: Vec<(String, u64, u64, u64, u64)> = Vec::new();
-        report_rows(&root, 0, &mut rows);
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:<48} {:>10} {:>12} {:>12} {:>12}",
-            "span", "calls", "total_ms", "self_ms", "bytes"
-        );
-        for (name, count, ns, self_ns, bytes) in rows {
-            let _ = writeln!(
-                out,
-                "{name:<48} {count:>10} {:>12.3} {:>12.3} {bytes:>12}",
-                ns as f64 / 1e6,
-                self_ns as f64 / 1e6,
-            );
+    /// Sums each span name's calls and inclusive nanoseconds over every
+    /// path in one domain that ends in that name, keyed by name. A phase
+    /// reached from several callers (`core.fit` under `serve.prepare` and
+    /// under a worker's root) is thus reported once, as an exact sum.
+    pub fn totals(&self, domain: SpanDomain) -> BTreeMap<&'static str, SpanTotal> {
+        fn walk(node: &SpanNode, out: &mut BTreeMap<&'static str, SpanTotal>) {
+            for (&name, child) in &node.children {
+                if child.count > 0 {
+                    let t = out.entry(name).or_default();
+                    t.calls = t.calls.saturating_add(child.count);
+                    t.ns = t.ns.saturating_add(child.ns);
+                }
+                walk(child, out);
+            }
         }
+        let mut out = BTreeMap::new();
+        walk(&lock(self.tree(domain)), &mut out);
         out
     }
 }
@@ -451,82 +439,6 @@ fn collapse_into(node: &SpanNode, path: &mut String, out: &mut String) {
         collapse_into(child, path, out);
         path.truncate(len0);
     }
-}
-
-fn report_rows(node: &SpanNode, depth: usize, rows: &mut Vec<(String, u64, u64, u64, u64)>) {
-    for (name, child) in &node.children {
-        rows.push((
-            format!("{}{name}", "  ".repeat(depth)),
-            child.count,
-            child.ns,
-            child.ns.saturating_sub(children_ns(child)),
-            child.bytes,
-        ));
-        report_rows(child, depth + 1, rows);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Optional allocation accounting.
-
-#[cfg(feature = "alloc-profile")]
-mod alloc_count {
-    //! A counting wrapper around the system allocator. Binaries opt in:
-    //!
-    //! ```ignore
-    //! #[global_allocator]
-    //! static A: predvfs_obs::span::CountingAllocator =
-    //!     predvfs_obs::span::CountingAllocator;
-    //! ```
-    //!
-    //! With the wrapper installed, every [`super::SpanGuard`] also
-    //! attributes the bytes allocated on its thread between enter and
-    //! drop.
-
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::cell::Cell;
-
-    thread_local! {
-        static BYTES: Cell<u64> = const { Cell::new(0) };
-    }
-
-    /// The counting global allocator (see the module docs).
-    pub struct CountingAllocator;
-
-    // SAFETY: delegates every operation to `System`; the side counter is
-    // thread-local and touched with non-reentrant Cell operations.
-    unsafe impl GlobalAlloc for CountingAllocator {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            let _ = BYTES.try_with(|b| b.set(b.get().saturating_add(layout.size() as u64)));
-            System.alloc(layout)
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            System.dealloc(ptr, layout)
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            let grown = new_size.saturating_sub(layout.size()) as u64;
-            let _ = BYTES.try_with(|b| b.set(b.get().saturating_add(grown)));
-            System.realloc(ptr, layout, new_size)
-        }
-    }
-
-    /// Total bytes allocated on the calling thread since it started.
-    pub fn thread_allocated_bytes() -> u64 {
-        BYTES.try_with(Cell::get).unwrap_or(0)
-    }
-}
-
-#[cfg(feature = "alloc-profile")]
-pub use alloc_count::{thread_allocated_bytes, CountingAllocator};
-
-/// Bytes-allocated accounting is compiled out without the
-/// `alloc-profile` feature; spans record zero bytes.
-#[cfg(not(feature = "alloc-profile"))]
-#[inline]
-fn thread_allocated_bytes() -> u64 {
-    0
 }
 
 #[cfg(test)]
@@ -569,8 +481,6 @@ mod tests {
         assert_eq!(lines.len(), 2, "unexpected output:\n{folded}");
         assert!(lines[0].starts_with("outer "));
         assert!(lines[1].starts_with("outer;inner "));
-        let rep = profile().report(SpanDomain::Wall);
-        assert!(rep.contains("outer"), "{rep}");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use predvfs_obs::{Histogram, MetricsRegistry};
+use predvfs_obs::{Histogram, MetricsRegistry, SpanTotal};
 
 fn is_metric_name(s: &str) -> bool {
     !s.is_empty()
@@ -227,7 +227,7 @@ fn check_exposition(text: &str) -> BTreeMap<String, Vec<Sample>> {
 }
 
 /// A registry shaped like a real serve run: unlabeled totals, per-stream
-/// labeled series, and a histogram.
+/// labeled series, a histogram, and the span totals the CLI exports.
 fn serve_like_registry() -> MetricsRegistry {
     let reg = MetricsRegistry::new();
     reg.counter("predvfs_serve_jobs_done_total").add(160);
@@ -247,6 +247,22 @@ fn serve_like_registry() -> MetricsRegistry {
     for v in [5e-4, 3e-3, 8e-3, 0.04, 0.2] {
         h.observe(v);
     }
+    reg.record_span_totals(&BTreeMap::from([
+        (
+            "serve.prepare",
+            SpanTotal {
+                calls: 1,
+                ns: 1_250_000_000,
+            },
+        ),
+        (
+            "serve.dispatch.arrival",
+            SpanTotal {
+                calls: 240,
+                ns: 3_100_000,
+            },
+        ),
+    ]));
     reg
 }
 
@@ -265,6 +281,23 @@ fn real_export_with_labels_passes_the_checker() {
         .expect("sha series present");
     assert_eq!(sha.value, 5.0);
     assert!(samples.contains_key("predvfs_serve_slack_seconds"));
+    let span = |name: &str, label: &str| {
+        samples[name]
+            .iter()
+            .find(|s| s.labels == vec![("span".to_owned(), label.to_owned())])
+            .unwrap_or_else(|| panic!("{name}{{span={label:?}}} missing"))
+            .value
+    };
+    assert_eq!(span("predvfs_span_calls_total", "serve.prepare"), 1.0);
+    assert_eq!(
+        span("predvfs_span_calls_total", "serve.dispatch.arrival"),
+        240.0
+    );
+    assert_eq!(span("predvfs_span_seconds", "serve.prepare"), 1.25);
+    assert_eq!(
+        span("predvfs_span_seconds", "serve.dispatch.arrival"),
+        0.0031
+    );
 }
 
 #[test]

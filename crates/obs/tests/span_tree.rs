@@ -1,6 +1,7 @@
 //! Integration tests of the span subsystem's contracts: hierarchical
-//! nesting, panic-unwind safety, the disabled fast path recording
-//! nothing, and virtual-domain determinism across thread counts.
+//! nesting and per-name totals, panic-unwind safety, the disabled fast
+//! path recording nothing, and virtual-domain determinism across thread
+//! counts.
 //!
 //! The profile is process-global, so every test takes `GATE` first.
 
@@ -21,13 +22,21 @@ fn fresh() -> std::sync::MutexGuard<'static, ()> {
     guard
 }
 
-/// Collapsed paths only (values are host timings and nondeterministic).
-fn wall_paths() -> Vec<String> {
+/// Collapsed `(path, self-ns)` pairs of the wall domain.
+fn wall_stacks() -> Vec<(String, u64)> {
     obs::self_profile()
         .collapsed(SpanDomain::Wall)
         .lines()
-        .filter_map(|l| l.rsplit_once(' ').map(|(p, _)| p.to_owned()))
+        .filter_map(|l| {
+            let (path, ns) = l.rsplit_once(' ')?;
+            Some((path.to_owned(), ns.parse().ok()?))
+        })
         .collect()
+}
+
+/// Collapsed paths only (values are host timings and nondeterministic).
+fn wall_paths() -> Vec<String> {
+    wall_stacks().into_iter().map(|(path, _)| path).collect()
 }
 
 #[test]
@@ -47,17 +56,44 @@ fn nested_guards_build_a_hierarchy_across_call_frames() {
         middle();
         middle();
         middle();
+        // `leaf` is also reached directly, so two paths end in it.
+        leaf();
     }
     obs::set_profiling(false);
+    let stacks = wall_stacks();
     assert_eq!(
         wall_paths(),
-        ["root", "root;middle", "root;middle;leaf"],
+        ["root", "root;leaf", "root;middle", "root;middle;leaf"],
         "collapsed:\n{}",
         obs::self_profile().collapsed(SpanDomain::Wall)
     );
-    let report = obs::self_profile().report(SpanDomain::Wall);
-    assert!(report.contains("leaf"), "report:\n{report}");
-    assert_eq!(obs::self_profile().total_calls(SpanDomain::Wall), 1 + 3 + 6);
+
+    // Totals are per name, summed over every path that ends in it.
+    let totals = obs::self_profile().totals(SpanDomain::Wall);
+    assert_eq!(
+        totals
+            .iter()
+            .map(|(&n, t)| (n, t.calls))
+            .collect::<Vec<_>>(),
+        [("leaf", 7), ("middle", 3), ("root", 1)]
+    );
+    // A leaf's self time is its inclusive time, so the `leaf` total is
+    // exactly the sum of its two stacks.
+    let self_ns = |path: &str| {
+        stacks
+            .iter()
+            .find(|(p, _)| p == path)
+            .map_or(0, |&(_, ns)| ns)
+    };
+    assert_eq!(
+        totals["leaf"].ns,
+        self_ns("root;leaf") + self_ns("root;middle;leaf")
+    );
+    // Inclusive time: the root's total is every stack's self time.
+    assert_eq!(
+        totals["root"].ns,
+        stacks.iter().map(|(_, ns)| ns).sum::<u64>()
+    );
 }
 
 #[test]
@@ -101,8 +137,8 @@ fn disabled_spans_leave_profile_empty_like_a_null_sink() {
     }
     assert_eq!(obs::self_profile().collapsed(SpanDomain::Wall), "");
     assert_eq!(obs::self_profile().collapsed(SpanDomain::Virtual), "");
-    assert_eq!(obs::self_profile().total_calls(SpanDomain::Wall), 0);
-    assert_eq!(obs::self_profile().total_calls(SpanDomain::Virtual), 0);
+    assert!(obs::self_profile().totals(SpanDomain::Wall).is_empty());
+    assert!(obs::self_profile().totals(SpanDomain::Virtual).is_empty());
 }
 
 #[test]

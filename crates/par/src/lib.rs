@@ -18,7 +18,7 @@
 //!
 //! 1. [`with_threads`] — scoped override on the calling thread (tests);
 //! 2. [`set_threads`] — process-global override (the CLI `--threads`);
-//! 3. `RAYON_NUM_THREADS` / `PREDVFS_THREADS` environment variables;
+//! 3. the `PREDVFS_THREADS` environment variable;
 //! 4. [`std::thread::available_parallelism`].
 //!
 //! A count of 1 short-circuits to a plain serial loop on the calling
@@ -43,16 +43,10 @@ thread_local! {
 
 fn env_threads() -> Option<usize> {
     *ENV_THREADS.get_or_init(|| {
-        for var in ["RAYON_NUM_THREADS", "PREDVFS_THREADS"] {
-            if let Ok(v) = std::env::var(var) {
-                if let Ok(n) = v.trim().parse::<usize>() {
-                    if n > 0 {
-                        return Some(n);
-                    }
-                }
-            }
-        }
-        None
+        std::env::var("PREDVFS_THREADS")
+            .ok()
+            .and_then(|v| v.trim().parse::<usize>().ok())
+            .filter(|&n| n > 0)
     })
 }
 

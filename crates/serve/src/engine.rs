@@ -90,7 +90,7 @@
 //!   events that migration and checkpoints move as one piece.
 
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, OnceLock};
 
 use predvfs::{
@@ -1056,7 +1056,6 @@ impl ServeRuntime {
         }
         let sink = predvfs_obs::global();
         let _prepare_span = predvfs_obs::span("serve.prepare");
-        let _prepare_timer = predvfs_obs::PhaseTimer::start(sink, "predvfs_serve_prepare");
         sink.counter_add(
             "predvfs_serve_streams_prepared_total",
             scenario.streams.len() as u64,
@@ -1283,7 +1282,6 @@ impl ServeRuntime {
         degrade: &DegradeConfig,
     ) -> Result<ServeResult, ServeError> {
         let _run_span = predvfs_obs::span("serve.run");
-        let _run_timer = predvfs_obs::PhaseTimer::start(sink, "predvfs_serve_run");
         let members: Vec<usize> = (0..self.streams.len()).collect();
         let config = EngineConfig {
             force,
@@ -1333,7 +1331,11 @@ impl ServeRuntime {
             defer: config.defer_escalations,
             one_ahead: config.one_ahead_arrivals,
             slots: Vec::with_capacity(members.len()),
-            by_gid: BTreeMap::new(),
+            by_gid: members
+                .iter()
+                .enumerate()
+                .map(|(slot_idx, &gid)| (gid, slot_idx))
+                .collect(),
             pending: if config.one_ahead_arrivals {
                 Pending::PerSlot(Vec::with_capacity(members.len()))
             } else {
@@ -1344,6 +1346,7 @@ impl ServeRuntime {
             jobs_done: 0,
             boost_requests: Vec::new(),
         };
+        engine.by_gid.sort_unstable();
         self.warm(members.iter().copied(), config.force)?;
         for (slot_idx, &gid) in members.iter().enumerate() {
             let s = &self.streams[gid];
@@ -1352,7 +1355,6 @@ impl ServeRuntime {
                 gid,
                 state: new_state(s, &self.classes[s.class], kind, config.lean)?,
             }));
-            engine.by_gid.insert(gid, slot_idx);
             match &mut engine.pending {
                 Pending::PerSlot(lists) => {
                     // Job 0 arrives at its nominal instant; each arrival
@@ -1485,10 +1487,12 @@ pub struct ShardEngine<'rt> {
     /// Slot-indexed stream states; a migrated-away stream leaves `None`
     /// (slot indices are never reused, admissions append).
     slots: Vec<Option<Slot<'rt>>>,
-    /// Ordered so every iteration that reaches snapshots, checkpoints,
-    /// or traces walks streams gid-ascending (a `HashMap` here would
-    /// make checkpoint bytes depend on hasher seeding).
-    by_gid: BTreeMap<usize, usize>,
+    /// `(gid, slot)` per owned stream, sorted by gid and binary-searched:
+    /// every iteration that reaches snapshots, checkpoints, or traces
+    /// walks streams gid-ascending (a `HashMap` here would make
+    /// checkpoint bytes depend on hasher seeding), and the index is one
+    /// allocation however many streams the engine owns.
+    by_gid: Vec<(usize, usize)>,
     pending: Pending,
     horizon_s: f64,
     events: usize,
@@ -1524,7 +1528,12 @@ impl<'rt> ShardEngine<'rt> {
 
     /// Whether the engine currently owns stream `gid`.
     pub fn owns(&self, gid: usize) -> bool {
-        self.by_gid.contains_key(&gid)
+        self.gid_pos(gid).is_some()
+    }
+
+    /// The position of stream `gid` in `by_gid`, if the engine owns it.
+    fn gid_pos(&self, gid: usize) -> Option<usize> {
+        self.by_gid.binary_search_by_key(&gid, |&(g, _)| g).ok()
     }
 
     /// Takes the boost requests accumulated since the last drain.
@@ -1567,7 +1576,7 @@ impl<'rt> ShardEngine<'rt> {
             }
         };
         let mut streams = Vec::with_capacity(self.by_gid.len());
-        for (&gid, &slot_idx) in &self.by_gid {
+        for &(gid, slot_idx) in &self.by_gid {
             let slot = self.slots[slot_idx].as_ref().expect("by_gid maps to slot");
             streams.push(MigratedStream {
                 gid,
@@ -1639,9 +1648,10 @@ impl<'rt> ShardEngine<'rt> {
     /// was applied (a request can go stale if its attempt completed or
     /// was superseded within the epoch).
     pub fn apply_boost(&mut self, req: BoostRequest, now: f64) -> bool {
-        let Some(&slot_idx) = self.by_gid.get(&req.gid) else {
+        let Some(pos) = self.gid_pos(req.gid) else {
             return false;
         };
+        let slot_idx = self.by_gid[pos].1;
         let rt = self.rt;
         let s = &rt.streams[req.gid];
         let mut cx = Loop {
@@ -1675,7 +1685,7 @@ impl<'rt> ShardEngine<'rt> {
     /// another engine; `None` when this engine does not own it. A
     /// one-ahead engine hands over the slot's list as it is.
     pub fn extract_stream(&mut self, gid: usize) -> Option<MigratedStream<'rt>> {
-        let slot_idx = self.by_gid.remove(&gid)?;
+        let (_, slot_idx) = self.by_gid.remove(self.gid_pos(gid)?);
         let slot = self.slots[slot_idx].take().expect("by_gid maps to slot");
         let events = match &mut self.pending {
             Pending::PerSlot(lists) => std::mem::take(&mut lists[slot_idx]),
@@ -1698,7 +1708,8 @@ impl<'rt> ShardEngine<'rt> {
     /// events in their original order under fresh sequence numbers.
     pub fn admit_stream(&mut self, migrated: MigratedStream<'rt>) {
         let slot_idx = self.slots.len();
-        self.by_gid.insert(migrated.gid, slot_idx);
+        let pos = self.by_gid.partition_point(|&(gid, _)| gid < migrated.gid);
+        self.by_gid.insert(pos, (migrated.gid, slot_idx));
         self.slots.push(Some(Slot {
             gid: migrated.gid,
             state: migrated.state,
@@ -1764,19 +1775,16 @@ impl<'rt> ShardEngine<'rt> {
     /// keyed by global stream id, gid-ascending.
     pub fn finish(self) -> Vec<(usize, StreamResult)> {
         let rt = self.rt;
-        let mut out: Vec<(usize, StreamResult)> = self
-            .slots
-            .into_iter()
-            .flatten()
-            .map(|slot| {
-                let mut state = slot.state;
+        let mut slots = self.slots;
+        self.by_gid
+            .iter()
+            .map(|&(gid, slot_idx)| {
+                let mut state = slots[slot_idx].take().expect("by_gid maps to slot").state;
                 state.result.refits = state.ctrl.refits();
-                state.result.name = rt.streams[slot.gid].spec.name.clone();
-                (slot.gid, state.result)
+                state.result.name = rt.streams[gid].spec.name.clone();
+                (gid, state.result)
             })
-            .collect();
-        out.sort_by_key(|&(gid, _)| gid);
-        out
+            .collect()
     }
 
     /// Processes one event of slot `stream`, scheduling what it creates
@@ -2620,7 +2628,7 @@ mod tests {
     }
 
     fn state_of<'e, 'rt>(eng: &'e mut ShardEngine<'rt>, gid: usize) -> &'e mut StreamState<'rt> {
-        let slot = eng.by_gid[&gid];
+        let slot = eng.by_gid[eng.gid_pos(gid).expect("owned stream")].1;
         &mut eng.slots[slot].as_mut().expect("owned slot").state
     }
 

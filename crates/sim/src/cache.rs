@@ -7,8 +7,8 @@
 //! configurations that differ only in those knobs (e.g. the ASIC and
 //! FPGA variants of one benchmark, or an ablation grid) can share a
 //! single pass. [`TraceCache`] memoizes the expensive part as a
-//! [`TraceBundle`] keyed by `(benchmark name, seed, size)`; the figure
-//! binaries hold one cache and call
+//! [`TraceBundle`] keyed by `(benchmark name, seed, size)`; `repro`
+//! holds one cache for all its exhibits and calls
 //! [`Experiment::prepare_cached`](crate::Experiment::prepare_cached).
 //!
 //! Cached bundles also carry the training-set traces that

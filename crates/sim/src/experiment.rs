@@ -190,26 +190,20 @@ impl Experiment {
         config: ExperimentConfig,
         cache: &TraceCache,
     ) -> Result<Experiment, predvfs::CoreError> {
-        let sink = predvfs_obs::global();
-        let _prepare_timer = predvfs_obs::PhaseTimer::start(sink, "predvfs_prepare");
-        sink.counter_add("predvfs_experiments_prepared_total", 1);
+        let _span = predvfs_obs::span("sim.prepare");
+        predvfs_obs::global().counter_add("predvfs_experiments_prepared_total", 1);
         let module = (bench.build)();
         let f_hz = bench.f_nominal_mhz * 1e6;
 
         // Trace simulation (train profile + nominal test runs) comes
         // from the cache; everything below is cheap per-config work.
-        let bundle = {
-            let _t = predvfs_obs::PhaseTimer::start(sink, "predvfs_simulate");
-            cache.get_or_simulate(&bench, &module, config.seed, config.size)?
-        };
+        let bundle = cache.get_or_simulate(&bench, &module, config.seed, config.size)?;
         let data = &bundle.data;
         let raw_feature_count = data.schema.len();
         let model = train::fit(data, &config.trainer)?;
         let train_cycles: Vec<u64> = data.y.iter().map(|&c| c as u64).collect();
-        let predictor = {
-            let _t = predvfs_obs::PhaseTimer::start(sink, "predvfs_slice");
-            SlicePredictor::generate(&module, &model, config.slice_options, config.flavor)?
-        };
+        let predictor =
+            SlicePredictor::generate(&module, &model, config.slice_options, config.flavor)?;
         let workloads = bundle.workloads.clone();
         let test_traces = bundle.test_traces.clone();
 
@@ -346,9 +340,8 @@ impl Experiment {
         scheme: Scheme,
         deadline_s: f64,
     ) -> Result<SchemeResult, predvfs::CoreError> {
-        let sink = predvfs_obs::global();
-        let _run_timer = predvfs_obs::PhaseTimer::start(sink, "predvfs_scheme_run");
-        sink.counter_add("predvfs_scheme_runs_total", 1);
+        let _span = predvfs_obs::span("sim.scheme");
+        predvfs_obs::global().counter_add("predvfs_scheme_runs_total", 1);
         let physical_switch = match scheme {
             Scheme::PredictionNoOverhead | Scheme::Oracle => SwitchingModel::free(),
             _ => self.config.switching,

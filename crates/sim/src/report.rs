@@ -1,4 +1,4 @@
-//! Plain-text tables and CSV output for the experiment binaries.
+//! Plain-text tables and CSV output for the exhibits of `repro`.
 
 use std::fmt::Write as _;
 use std::fs;
