@@ -125,15 +125,13 @@ impl SlicePredictor {
     }
 
     /// Runs the slice over every job, fanned out with [`predvfs_par`],
-    /// into a table whose entry `i` is job `i`'s run. Each call counts
-    /// one `predvfs_slice_table_builds_total`.
+    /// into a table whose entry `i` is job `i`'s run.
     ///
     /// # Errors
     ///
     /// Returns the [`RtlError`] of the lowest-indexed job whose slice
     /// hangs, as a serial loop would.
     pub fn run_all(&self, jobs: &[JobInput]) -> Result<SliceTable, RtlError> {
-        predvfs_obs::global().counter_add("predvfs_slice_table_builds_total", 1);
         let runner = self.runner();
         let runs = predvfs_par::par_try_map(jobs, |job| runner.run(job))?;
         Ok(SliceTable { runs })
@@ -152,10 +150,19 @@ pub struct SliceRun {
 }
 
 /// The slice's output for every job of a job set, in input order; build
-/// with [`SlicePredictor::run_all`].
+/// with [`SlicePredictor::run_all`], or collect it from runs in job order
+/// (`collect::<Result<SliceTable, RtlError>>()` keeps the first error).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SliceTable {
     runs: Vec<SliceRun>,
+}
+
+impl FromIterator<SliceRun> for SliceTable {
+    fn from_iter<I: IntoIterator<Item = SliceRun>>(runs: I) -> SliceTable {
+        SliceTable {
+            runs: runs.into_iter().collect(),
+        }
+    }
 }
 
 impl SliceTable {
@@ -192,6 +199,7 @@ impl SliceRunner<'_> {
     /// Returns [`RtlError`] if the slice hangs (which would indicate a
     /// slicing bug).
     pub fn run(&self, job: &JobInput) -> Result<SliceRun, RtlError> {
+        let _span = predvfs_obs::span("core.slice.run");
         let p = self.predictor;
         let t = p.sim.run(job, ExecMode::Compressed, Some(&p.probes))?;
         let mut cycles = t.cycles as f64;
@@ -250,6 +258,9 @@ mod tests {
         for (i, job) in jobs.iter().enumerate() {
             assert_eq!(table.get(i), Ok(&runner.run(job).unwrap()), "job {i}");
         }
+        let collected: Result<SliceTable, RtlError> =
+            jobs.iter().map(|job| runner.run(job)).collect();
+        assert_eq!(collected.as_ref(), Ok(&table));
         let n = jobs.len();
         assert_eq!(
             table.get(n),

@@ -4,11 +4,12 @@
 //! (fanned out with [`predvfs_par`], trace simulation deduplicated by the
 //! shared [`TraceCache`], and identical (benchmark, seed, deadline)
 //! classes trained exactly once and shared); [`ServeRuntime::run`] then
-//! advances a virtual clock over arrival / slice-done / level-switch /
-//! job-done events in a single serial loop. Parallelism lives entirely
-//! in the preparation phase, whose per-stream outputs are bit-identical
-//! regardless of thread count, so the whole pipeline is deterministic:
-//! same scenario, same result, any `--threads`.
+//! runs each class's slice over the test jobs its streams submit, in one
+//! parallel pass, and advances a virtual clock over arrival / slice-done
+//! / level-switch / job-done events in a single serial loop. Parallelism
+//! lives entirely in preparation and that warm-up, whose outputs are
+//! bit-identical regardless of thread count, so the whole pipeline is
+//! deterministic: same scenario, same result, any `--threads`.
 //!
 //! Pending events pop earliest first, ties in push order, and where
 //! they wait depends on the engine's posture (`queue.rs` holds both
@@ -96,12 +97,12 @@ use std::sync::{Arc, OnceLock};
 use predvfs::{
     AdaptiveController, CalibrationConfig, CalibrationMonitor, Decision, DvfsController, DvfsModel,
     HybridController, JobContext, LevelChoice, OnlineTrainerConfig, PidController,
-    PredictiveController,
+    PredictiveController, SliceTable,
 };
 use predvfs_faults::{FaultInjector, FaultKind, NullInjector};
 use predvfs_obs::{kinds, NullSink, ObsSink, TraceEvent};
 use predvfs_power::OperatingPoint;
-use predvfs_rtl::JobTrace;
+use predvfs_rtl::{JobTrace, RtlError};
 use predvfs_sim::{Experiment, ExperimentConfig, TraceCache};
 
 use crate::queue::{EventQueue, StreamQueue};
@@ -123,8 +124,9 @@ struct CachedEntry {
 /// One stream, trained and ready to serve: the prepared experiment plus
 /// the per-arrival job sequence (with any drift already applied to the
 /// traces). Streams of the same (benchmark, seed, deadline) class share
-/// one [`Experiment`] (and so one slice table) behind an `Arc`, so a
-/// million-stream scenario costs a few distinct training runs.
+/// one [`Experiment`] behind an `Arc` (and their [`Class`]'s slice
+/// table), so a million-stream scenario costs a few distinct training
+/// runs.
 struct PreparedStream {
     spec: StreamSpec,
     exp: Arc<Experiment>,
@@ -136,28 +138,41 @@ struct PreparedStream {
     traces: Arc<Vec<JobTrace>>,
 }
 
-/// One distinct (benchmark, seed, deadline) training problem.
+/// One distinct (benchmark, seed, deadline) training problem, with the
+/// slice and decision tables its streams read. [`ServeRuntime::warm`] is
+/// the one builder of both.
 struct Class {
     exp: Arc<Experiment>,
+    /// How many test jobs the class's streams can submit: arrival `i`
+    /// serves test job `i % n_test`, so this is the largest
+    /// `min(jobs, n_test)` over every stream of the class, whatever its
+    /// controller or shard. The tables hold jobs `0..reads`.
+    reads: usize,
+    /// The slice's runs over test jobs `0..reads`.
+    slices: OnceLock<SliceTable>,
     /// Per-test-job decision table for [`ControllerKind::Cached`], derived
-    /// from the experiment's slice table on first use.
+    /// from the slice table.
     cached: OnceLock<Vec<CachedEntry>>,
 }
 
 impl Class {
+    /// The slice table, which [`ServeRuntime::warm`] built before any
+    /// engine over the class's streams exists.
+    fn slice_table(&self) -> &SliceTable {
+        self.slices
+            .get()
+            .expect("ServeRuntime::warm builds a class's slice table before its streams read it")
+    }
+
     /// The [`ControllerKind::Cached`] decision table: the model's read-out
     /// and the slice energy of every entry of the class's slice table.
-    fn cached_table(&self) -> Result<&[CachedEntry], ServeError> {
-        if let Some(entries) = self.cached.get() {
-            return Ok(entries);
-        }
-        let slices = self.exp.slice_table().map_err(ServeError::Core)?;
+    fn cached_table(&self) -> &[CachedEntry] {
         let nominal = OperatingPoint {
             volts: 1.0,
             freq_ratio: 1.0,
         };
-        Ok(self.cached.get_or_init(|| {
-            slices
+        self.cached.get_or_init(|| {
+            self.slice_table()
                 .runs()
                 .iter()
                 .map(|run| CachedEntry {
@@ -171,7 +186,7 @@ impl Class {
                     ),
                 })
                 .collect()
-        }))
+        })
     }
 }
 
@@ -1113,7 +1128,10 @@ impl ServeRuntime {
         type Plan = (Arc<Vec<usize>>, Arc<Vec<JobTrace>>);
         let mut plans: HashMap<PlanKey, Plan> = HashMap::new();
         let mut streams = Vec::with_capacity(scenario.streams.len());
+        // Per class: the test jobs its streams can submit (`Class::reads`).
+        let mut reads = vec![0; exps.len()];
         for (spec, &ei) in scenario.streams.iter().zip(&exp_of) {
+            reads[ei] = reads[ei].max(spec.jobs.min(exps[ei].workloads.test.len()));
             let key = PlanKey {
                 exp: ei,
                 jobs: spec.jobs,
@@ -1158,8 +1176,11 @@ impl ServeRuntime {
         }
         let classes = exps
             .into_iter()
-            .map(|exp| Class {
+            .zip(reads)
+            .map(|(exp, reads)| Class {
                 exp,
+                reads,
+                slices: OnceLock::new(),
                 cached: OnceLock::new(),
             })
             .collect();
@@ -1174,50 +1195,81 @@ impl ServeRuntime {
     /// Pre-builds every table the streams will read under `force` (or
     /// their own controller): each class's slice table for the
     /// slice-reading controllers, plus its decision table for
-    /// [`ControllerKind::Cached`]. Classes are built once each, fanned out
-    /// in parallel. [`ServeRuntime::engine`] warms its members the same
-    /// way; calling this first keeps that work off the shard workers.
+    /// [`ControllerKind::Cached`]. A class's tables cover the test jobs
+    /// its streams can submit and are built once. [`ServeRuntime::engine`]
+    /// warms its members the same way; calling this first keeps that work
+    /// off the shard workers.
     ///
     /// # Errors
     ///
-    /// Propagates slice-execution failures.
+    /// Propagates slice-execution failures: the error of the first
+    /// failing class, in class order.
     pub fn warm_cached_tables(&self, force: Option<ControllerKind>) -> Result<(), ServeError> {
         self.warm(0..self.streams.len(), force)
     }
 
     /// Builds the tables the `gids` streams read (see
-    /// [`ServeRuntime::warm_cached_tables`]).
+    /// [`ServeRuntime::warm_cached_tables`]) in one flat fan-out of slice
+    /// runs over every `(class, job)` pair of the classes still cold.
     fn warm(
         &self,
         gids: impl IntoIterator<Item = usize>,
         force: Option<ControllerKind>,
     ) -> Result<(), ServeError> {
+        let _span = predvfs_obs::span("serve.warm");
         // Per class: (reads the slice table, reads the Cached table).
-        let mut reads = vec![(false, false); self.classes.len()];
+        let mut wants = vec![(false, false); self.classes.len()];
         for gid in gids {
             let s = &self.streams[gid];
             match force.unwrap_or(s.spec.controller) {
                 ControllerKind::Pid => {}
-                ControllerKind::Cached => reads[s.class] = (true, true),
-                _ => reads[s.class].0 = true,
+                ControllerKind::Cached => wants[s.class] = (true, true),
+                _ => wants[s.class].0 = true,
             }
         }
-        let todo: Vec<(&Class, bool)> = self
+        let cold: Vec<&Class> = self
             .classes
             .iter()
-            .zip(reads)
-            .filter(|(_, (slices, _))| *slices)
-            .map(|(class, (_, cached))| (class, cached))
+            .zip(&wants)
+            .filter(|(class, (slices, _))| *slices && class.slices.get().is_none())
+            .map(|(class, _)| class)
             .collect();
-        predvfs_par::par_try_map(&todo, |&(class, cached)| {
-            if cached {
-                class.cached_table()?;
-            } else {
-                class.exp.slice_table().map_err(ServeError::Core)?;
+        let pairs: Vec<(&Class, usize)> = cold
+            .iter()
+            .flat_map(|&class| (0..class.reads).map(move |job| (class, job)))
+            .collect();
+        let runs = predvfs_par::par_map(&pairs, |&(class, job)| {
+            class
+                .exp
+                .predictor
+                .runner()
+                .run(&class.exp.workloads.test[job])
+        });
+
+        // Regroup in class order. A class's table is its runs in job
+        // order, or the error of its lowest-indexed failing job. Should
+        // two warm-ups of one class race, the first stored table wins.
+        let mut runs = runs.into_iter();
+        let mut first_err = None;
+        for class in cold {
+            let mut chunk = runs.by_ref().take(class.reads);
+            match chunk.by_ref().collect::<Result<SliceTable, RtlError>>() {
+                Ok(table) => {
+                    let _ = class.slices.set(table);
+                }
+                Err(e) => {
+                    first_err.get_or_insert(ServeError::Core(e.into()));
+                    // Skip the rest of the class's runs.
+                    chunk.for_each(drop);
+                }
             }
-            Ok::<_, ServeError>(())
-        })?;
-        Ok(())
+        }
+        for (class, &(_, cached)) in self.classes.iter().zip(&wants) {
+            if cached && class.slices.get().is_some() {
+                class.cached_table();
+            }
+        }
+        first_err.map_or(Ok(()), Err)
     }
 
     /// Runs the scenario with each stream's configured controller.
@@ -1306,6 +1358,10 @@ impl ServeRuntime {
     /// the default [`EngineConfig`]; the sharded tier builds one engine
     /// per shard with deferred escalations and one-ahead arrivals.
     ///
+    /// It first warms the tables its members read (as
+    /// [`ServeRuntime::warm_cached_tables`] does), which is a no-op for
+    /// classes already warm; the members' controllers then borrow them.
+    ///
     /// # Errors
     ///
     /// Propagates slice-table build failures of the members' classes.
@@ -1353,7 +1409,7 @@ impl ServeRuntime {
             let kind = config.force.unwrap_or(s.spec.controller);
             engine.slots.push(Some(Slot {
                 gid,
-                state: new_state(s, &self.classes[s.class], kind, config.lean)?,
+                state: new_state(s, &self.classes[s.class], kind, config.lean),
             }));
             match &mut engine.pending {
                 Pending::PerSlot(lists) => {
@@ -1388,27 +1444,26 @@ impl ServeRuntime {
 }
 
 /// Fresh run-time state for one stream. Slice-reading controllers borrow
-/// the class's slice table, which the engine warmed beforehand.
+/// the class's tables, which the engine warmed beforehand.
 fn new_state<'rt>(
     s: &'rt PreparedStream,
     class: &'rt Class,
     kind: ControllerKind,
     lean: bool,
-) -> Result<StreamState<'rt>, ServeError> {
+) -> StreamState<'rt> {
     let dvfs = &s.exp.dvfs;
     let f_hz = s.exp.energy.f_nominal_hz();
-    let slices = || s.exp.slice_table().map_err(ServeError::Core);
     let ctrl = match kind {
         ControllerKind::Predictive => Ctrl::Predictive(Box::new(PredictiveController::new(
             dvfs.clone(),
             f_hz,
-            slices()?,
+            class.slice_table(),
             &s.exp.model,
         ))),
         ControllerKind::Adaptive => Ctrl::Adaptive(Box::new(AdaptiveController::new(
             dvfs.clone(),
             f_hz,
-            slices()?,
+            class.slice_table(),
             s.exp.model.clone(),
             OnlineTrainerConfig::default(),
         ))),
@@ -1416,16 +1471,16 @@ fn new_state<'rt>(
         ControllerKind::Hybrid => Ctrl::Hybrid(Box::new(HybridController::new(
             dvfs.clone(),
             f_hz,
-            slices()?,
+            class.slice_table(),
             &s.exp.model,
         ))),
         ControllerKind::Cached => Ctrl::Cached(CachedCtrl {
             dvfs,
             f_nominal_hz: f_hz,
-            entries: class.cached_table()?,
+            entries: class.cached_table(),
         }),
     };
-    Ok(StreamState {
+    StreamState {
         ctrl,
         queue: VecDeque::new(),
         in_flight: None,
@@ -1463,7 +1518,7 @@ fn new_state<'rt>(
             quarantines: 0,
             internal_errors: 0,
         },
-    })
+    }
 }
 
 /// A resumable event-loop engine over a subset of a runtime's streams —
@@ -2630,6 +2685,44 @@ mod tests {
     fn state_of<'e, 'rt>(eng: &'e mut ShardEngine<'rt>, gid: usize) -> &'e mut StreamState<'rt> {
         let slot = eng.by_gid[eng.gid_pos(gid).expect("owned stream")].1;
         &mut eng.slots[slot].as_mut().expect("owned slot").state
+    }
+
+    /// Each class's tables cover only the test jobs its streams submit:
+    /// the longest stream of the class, capped at the test set, whatever
+    /// controller reads it. A class that only PID streams read gets none.
+    #[test]
+    fn warm_sizes_each_class_table_to_the_jobs_its_streams_read() {
+        let stream = |bench: &str, jobs: usize, controller: ControllerKind| StreamSpec {
+            name: format!("{bench}-{jobs}"),
+            jobs,
+            controller,
+            ..StreamSpec::new(predvfs_accel::by_name(bench).expect("benchmark"))
+        };
+        let scenario = Scenario {
+            platform: Platform::Asic,
+            size: WorkloadSize::Quick,
+            streams: vec![
+                stream("h264", 5, ControllerKind::Predictive),
+                stream("h264", 12, ControllerKind::Cached),
+                stream("md", 60, ControllerKind::Hybrid),
+                stream("sha", 8, ControllerKind::Pid),
+                stream("sha", 30, ControllerKind::Pid),
+            ],
+            faults: None,
+        };
+        let rt = ServeRuntime::prepare(&scenario, &TraceCache::new()).expect("prepare");
+        let [h264, md, sha] = &rt.classes[..] else {
+            panic!("expected 3 classes, got {}", rt.classes.len());
+        };
+        assert_eq!(md.exp.workloads.test.len(), 20);
+        assert!(h264.exp.workloads.test.len() > 12);
+        rt.warm_cached_tables(None).expect("warm");
+
+        assert_eq!(h264.slices.get().map(|t| t.runs().len()), Some(12));
+        assert_eq!(h264.cached.get().map(Vec::len), Some(12));
+        assert_eq!(md.slices.get().map(|t| t.runs().len()), Some(20));
+        assert!(md.cached.get().is_none(), "no md stream is Cached");
+        assert!(sha.slices.get().is_none() && sha.cached.get().is_none());
     }
 
     /// `report` against a load and shortlist worked out by hand: streams

@@ -34,7 +34,9 @@
 //! `serve_determinism` integration test pins it), and parallelism lives
 //! in the preparation phase, which fans out per-stream training/slicing
 //! with [`predvfs_par`] and deduplicates trace simulation through the
-//! shared [`predvfs_sim::TraceCache`].
+//! shared [`predvfs_sim::TraceCache`], and in the warm-up before the
+//! loop, which runs each class's slice over the test jobs its streams
+//! submit in one fan-out.
 
 #![warn(missing_docs)]
 

@@ -68,13 +68,34 @@ impl TraceBundle {
     }
 }
 
+/// A memo key: `(benchmark name, seed, size)`.
+type Key = (String, u64, WorkloadSize);
+
+/// One key's bundle, empty until a trace pass for the key succeeds. The
+/// caller that finds it empty runs the pass while holding its lock, so
+/// concurrent callers of the same key wait for that pass instead of
+/// starting their own.
+type Slot = Arc<Mutex<Option<Arc<TraceBundle>>>>;
+
 /// A thread-safe memo of [`TraceBundle`]s keyed by
 /// `(benchmark name, seed, size)`.
 #[derive(Debug, Default)]
 pub struct TraceCache {
-    inner: Mutex<HashMap<(String, u64, WorkloadSize), Arc<TraceBundle>>>,
+    inner: Mutex<HashMap<Key, Slot>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
+}
+
+/// Locks `m`, recovering from poisoning.
+///
+/// The map is insert-only and a slot is written once, by a pass that
+/// completed (bundles are immutable `Arc`s), so a guard abandoned by a
+/// panicking worker still protects a fully consistent snapshot: a slot
+/// whose pass panicked is simply still empty. Recovering here keeps one
+/// panicked closure in a parallel fan-out from cascading poison panics
+/// into every other worker's lookups.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 impl TraceCache {
@@ -83,19 +104,13 @@ impl TraceCache {
         TraceCache::default()
     }
 
-    /// Locks the memo map, recovering from poisoning.
-    ///
-    /// The map is insert-only (bundles are immutable `Arc`s and entries
-    /// are never mutated in place), so a guard abandoned by a panicking
-    /// worker still protects a fully consistent snapshot. Recovering
-    /// here keeps one panicked closure in a parallel fan-out from
-    /// cascading poison panics into every other worker's lookups.
-    fn lock_map(&self) -> MutexGuard<'_, HashMap<(String, u64, WorkloadSize), Arc<TraceBundle>>> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     /// Returns the bundle for `(bench.name, seed, size)`, simulating it
     /// on first use.
+    ///
+    /// Each key gets one trace pass: a caller that arrives while another
+    /// caller's pass for the same key runs waits for it and counts a
+    /// hit. The map lock is not held during a pass, so lookups of other
+    /// keys proceed.
     ///
     /// `module` must be the module built by `bench` (callers have
     /// already built it to derive area/energy models; rebuilding here
@@ -104,7 +119,7 @@ impl TraceCache {
     /// # Errors
     ///
     /// Propagates [`TraceBundle::simulate`] failures; errors are not
-    /// cached.
+    /// cached, so the next caller of the key runs the pass again.
     pub fn get_or_simulate(
         &self,
         bench: &Benchmark,
@@ -112,31 +127,30 @@ impl TraceCache {
         seed: u64,
         size: WorkloadSize,
     ) -> Result<Arc<TraceBundle>, predvfs::CoreError> {
-        let key = (bench.name.to_owned(), seed, size);
-        if let Some(bundle) = self.lock_map().get(&key) {
+        let slot = Arc::clone(
+            lock(&self.inner)
+                .entry((bench.name.to_owned(), seed, size))
+                .or_default(),
+        );
+        let mut filled = lock(&slot);
+        if let Some(bundle) = &*filled {
             let _span = predvfs_obs::span("cache.hit");
             self.hits.fetch_add(1, Ordering::Relaxed);
-            predvfs_obs::global().counter_add("predvfs_trace_cache_hits_total", 1);
             return Ok(Arc::clone(bundle));
         }
         // The miss span prices the whole simulate-and-insert path, so a
         // hit/miss flame split shows where preparation time actually goes.
         let _span = predvfs_obs::span("cache.miss");
         self.misses.fetch_add(1, Ordering::Relaxed);
-        predvfs_obs::global().counter_add("predvfs_trace_cache_misses_total", 1);
-        // Simulate outside the lock so a long pass never blocks lookups
-        // of other benchmarks; a concurrent duplicate pass produces a
-        // bit-identical bundle, so whichever insert wins is equivalent.
         let bundle = Arc::new(TraceBundle::simulate(module, bench, seed, size)?);
-        let mut map = self.lock_map();
-        Ok(Arc::clone(
-            map.entry(key).or_insert_with(|| Arc::clone(&bundle)),
-        ))
+        *filled = Some(Arc::clone(&bundle));
+        Ok(bundle)
     }
 
-    /// Number of cached bundles.
+    /// Number of cached bundles. Waits for any trace pass in flight.
     pub fn len(&self) -> usize {
-        self.lock_map().len()
+        let slots: Vec<Slot> = lock(&self.inner).values().cloned().collect();
+        slots.iter().filter(|slot| lock(slot).is_some()).count()
     }
 
     /// Whether the cache is empty.
@@ -171,6 +185,28 @@ mod tests {
         let b = cache
             .get_or_simulate(&bench, &module, 42, WorkloadSize::Quick)
             .unwrap();
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn concurrent_first_lookups_share_one_pass() {
+        let bench = by_name("sha").unwrap();
+        let module = (bench.build)();
+        let cache = TraceCache::new();
+        let start = std::sync::Barrier::new(2);
+        let lookup = || {
+            start.wait();
+            cache
+                .get_or_simulate(&bench, &module, 42, WorkloadSize::Quick)
+                .unwrap()
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(lookup);
+            let b = s.spawn(lookup);
+            (a.join().unwrap(), b.join().unwrap())
+        });
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         assert_eq!(cache.len(), 1);

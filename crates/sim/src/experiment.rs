@@ -191,7 +191,6 @@ impl Experiment {
         cache: &TraceCache,
     ) -> Result<Experiment, predvfs::CoreError> {
         let _span = predvfs_obs::span("sim.prepare");
-        predvfs_obs::global().counter_add("predvfs_experiments_prepared_total", 1);
         let module = (bench.build)();
         let f_hz = bench.f_nominal_mhz * 1e6;
 
@@ -287,10 +286,11 @@ impl Experiment {
 
     /// The slice's runs over the test set: entry `i` is test job `i`'s
     /// features, slice cycles and datapath activity. A slice's output
-    /// depends only on its job, so every slice-reading scheme, sweep point
-    /// and serve stream of this experiment shares one pass. The first
-    /// caller builds it (concurrent first callers wait for that one
-    /// build); preparation never does.
+    /// depends only on its job, so every slice-reading scheme and sweep
+    /// point of this experiment shares one pass. The first caller builds
+    /// it (concurrent first callers wait for that one build); preparation
+    /// never does. Serve builds its own tables, sized to the test jobs
+    /// its streams submit, and never calls this.
     ///
     /// # Errors
     ///
@@ -341,7 +341,6 @@ impl Experiment {
         deadline_s: f64,
     ) -> Result<SchemeResult, predvfs::CoreError> {
         let _span = predvfs_obs::span("sim.scheme");
-        predvfs_obs::global().counter_add("predvfs_scheme_runs_total", 1);
         let physical_switch = match scheme {
             Scheme::PredictionNoOverhead | Scheme::Oracle => SwitchingModel::free(),
             _ => self.config.switching,
