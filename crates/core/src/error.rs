@@ -12,8 +12,6 @@ pub enum CoreError {
     Rtl(RtlError),
     /// Training was attempted with no jobs.
     EmptyTrainingSet,
-    /// The fitted model selected no features at all (γ too large).
-    DegenerateModel,
     /// A controller was given fewer oracle traces than jobs.
     OracleExhausted {
         /// Index of the job with no trace.
@@ -33,9 +31,6 @@ impl fmt::Display for CoreError {
         match self {
             CoreError::Rtl(e) => write!(f, "rtl error: {e}"),
             CoreError::EmptyTrainingSet => write!(f, "training set is empty"),
-            CoreError::DegenerateModel => {
-                write!(f, "model selected no features; lower gamma")
-            }
             CoreError::OracleExhausted { index } => {
                 write!(f, "oracle has no trace for job {index}")
             }

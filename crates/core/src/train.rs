@@ -111,11 +111,6 @@ pub(crate) fn record_solver_metrics(sink: &dyn predvfs_obs::ObsSink, fit: &predv
 }
 
 /// Fits the execution-time model on profiled data.
-///
-/// # Errors
-///
-/// Returns [`CoreError::DegenerateModel`] when the L1 penalty removes
-/// every feature including the bias.
 pub fn fit(data: &TrainingData, config: &TrainerConfig) -> Result<ExecTimeModel, CoreError> {
     let sink = predvfs_obs::global();
     let _fit_span = predvfs_obs::span("core.fit");
@@ -181,18 +176,10 @@ pub fn fit(data: &TrainingData, config: &TrainerConfig) -> Result<ExecTimeModel,
         support.push(bias);
         support.sort_unstable();
     }
-    if support.is_empty() {
-        return Err(CoreError::DegenerateModel);
-    }
 
     let beta_std = if config.refit && support.len() < data.schema.len() {
         // Debias: ordinary asymmetric fit restricted to the support.
-        let mut xr = Matrix::zeros(xs.rows(), support.len());
-        for r in 0..xs.rows() {
-            for (j, &c) in support.iter().enumerate() {
-                *xr.get_mut(r, j) = xs.get(r, c);
-            }
-        }
+        let xr = xs.select_columns(&support);
         let refit = AsymLasso {
             x: &xr,
             y: &yn,

@@ -92,6 +92,24 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
+    /// The matrix of columns `cols` of `self`, in that order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a column index is out of range.
+    pub fn select_columns(&self, cols: &[usize]) -> Matrix {
+        let mut data = Vec::with_capacity(self.rows * cols.len());
+        for r in 0..self.rows {
+            let row = self.row(r);
+            data.extend(cols.iter().map(|&c| row[c]));
+        }
+        Matrix {
+            rows: self.rows,
+            cols: cols.len(),
+            data,
+        }
+    }
+
     /// `out = self * v`.
     ///
     /// # Panics
@@ -188,6 +206,15 @@ mod tests {
         let mut tout = vec![0.0; 3];
         m.matvec_t(&[1.0, 1.0], &mut tout);
         assert_eq!(tout, vec![5.0, 7.0, 9.0]);
+    }
+
+    #[test]
+    fn select_columns_keeps_the_given_order() {
+        let m = Matrix::from_rows(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let s = m.select_columns(&[2, 0]);
+        assert_eq!((s.rows(), s.cols()), (2, 2));
+        assert_eq!(s.row(0), &[3.0, 1.0]);
+        assert_eq!(s.row(1), &[6.0, 4.0]);
     }
 
     #[test]

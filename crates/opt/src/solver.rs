@@ -13,6 +13,14 @@
 //! (FISTA) converges at `O(1/k²)`; the proximal operator of the L1 term is
 //! soft thresholding. The bias column is conventionally exempt from the
 //! penalty.
+//!
+//! The iterations run on the *live* columns only. While the residuals
+//! are finite, a column that is all zero in `X` (the trainer zeroes
+//! constants and duplicates) and starts at exactly `+0.0` gets a `+0.0`
+//! gradient and a `0.0` proximal step on every iteration, so it stays
+//! `0.0`; leaving it out of every mat-vec changes no bit of the iterates.
+//! `L` is still estimated on the full matrix, so the step size, and with
+//! it every iterate, restart and iteration count, is the dense solve's.
 
 use crate::matrix::Matrix;
 
@@ -79,8 +87,12 @@ impl FitResult {
 impl AsymLasso<'_> {
     /// Evaluates the full objective at `beta`.
     pub fn objective(&self, beta: &[f64]) -> f64 {
-        let mut r = vec![0.0; self.x.rows()];
-        self.x.matvec(beta, &mut r);
+        self.objective_into(beta, &mut vec![0.0; self.x.rows()])
+    }
+
+    /// [`AsymLasso::objective`], with `r` as the residual scratch buffer.
+    fn objective_into(&self, beta: &[f64], r: &mut [f64]) -> f64 {
+        self.x.matvec(beta, r);
         let mut smooth = 0.0;
         for (ri, yi) in r.iter().zip(self.y) {
             let e = ri - yi;
@@ -128,6 +140,10 @@ impl AsymLasso<'_> {
     /// drifting problem) converges in a handful of iterations instead of
     /// thousands; starting from all zeros is exactly [`AsymLasso::fit`].
     ///
+    /// The loop multiplies through the live columns only: a column that
+    /// is all zero in `x` and starts at `+0.0` is left out and returned
+    /// as `0.0`, bit-identical to the dense solve (see the module docs).
+    ///
     /// # Panics
     ///
     /// Panics if `beta0` or `y` length mismatches `x`, `alpha < 1`, or
@@ -143,13 +159,47 @@ impl AsymLasso<'_> {
         let lipschitz = (2.0 * self.alpha.max(1.0) * self.x.gram_spectral_norm(60)).max(1e-12);
         let step = 1.0 / lipschitz;
 
+        // A dead column (all zero, starting at +0.0) stays +0.0; a
+        // warm start of -0.0 keeps its column live, since the dense
+        // iteration can return that sign.
+        let mut live: Vec<bool> = beta0.iter().map(|b| b.to_bits() != 0).collect();
+        for r in 0..self.x.rows() {
+            for (l, &v) in live.iter_mut().zip(self.x.row(r)) {
+                *l |= v != 0.0;
+            }
+        }
+        let live: Vec<usize> = (0..p).filter(|&j| live[j]).collect();
+        if live.len() == p {
+            // Nothing to leave out: skip the copy of `x`.
+            return self.fista(beta0, step, options);
+        }
+        let x = self.x.select_columns(&live);
+        let reduced = AsymLasso {
+            x: &x,
+            y: self.y,
+            alpha: self.alpha,
+            gamma: self.gamma,
+            unpenalized: live.iter().map(|&j| self.unpenalized[j]).collect(),
+        };
+        let beta0: Vec<f64> = live.iter().map(|&j| beta0[j]).collect();
+        let fit = reduced.fista(&beta0, step, options);
+        let mut beta = vec![0.0; p];
+        for (&j, &b) in live.iter().zip(&fit.beta) {
+            beta[j] = b;
+        }
+        FitResult { beta, ..fit }
+    }
+
+    /// The FISTA loop with a fixed `step`, warm-started at `beta0`.
+    fn fista(&self, beta0: &[f64], step: f64, options: FitOptions) -> FitResult {
+        let p = self.x.cols();
         let mut beta = beta0.to_vec();
         let mut beta_prev = vec![0.0; p];
         let mut theta = beta0.to_vec();
         let mut grad = vec![0.0; p];
         let mut resid = vec![0.0; self.x.rows()];
         let mut t = 1.0f64;
-        let mut prev_obj = self.objective(&beta);
+        let mut prev_obj = self.objective_into(&beta, &mut resid);
         let mut iterations = 0;
         let mut restarts = 0;
         let mut converged = false;
@@ -177,7 +227,7 @@ impl AsymLasso<'_> {
             t = t_next;
 
             if it % 10 == 9 {
-                let obj = self.objective(&beta);
+                let obj = self.objective_into(&beta, &mut resid);
                 match convergence_check(prev_obj, obj, options.tol) {
                     // FISTA is not monotone; restart momentum on an
                     // increase and keep iterating — an overshoot within
@@ -199,7 +249,7 @@ impl AsymLasso<'_> {
         FitResult {
             // Evaluate at the returned coefficients: the periodic sample
             // lags beta by up to 9 iterations when max_iter exits.
-            objective: self.objective(&beta),
+            objective: self.objective_into(&beta, &mut resid),
             beta,
             iterations,
             restarts,

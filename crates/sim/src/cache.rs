@@ -16,6 +16,10 @@
 //! instead of re-simulating the first 20 training jobs. Probes are
 //! timing-neutral, making the reuse bit-identical to a fresh unprobed
 //! run.
+//!
+//! A bundle holds its workloads and test traces behind `Arc`s, and every
+//! experiment prepared from it shares them: `prepare_cached` clones two
+//! pointers, not the job sets and traces.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -30,12 +34,14 @@ use predvfs_rtl::{CompiledSim, ExecMode, JobTrace, Module};
 /// (including per-job traces), and the nominal-frequency test traces.
 #[derive(Debug, Clone)]
 pub struct TraceBundle {
-    /// The generated train/test job sets.
-    pub workloads: Workloads,
+    /// The generated train/test job sets, shared with every experiment
+    /// prepared from the bundle.
+    pub workloads: Arc<Workloads>,
     /// Profiled training data; `data.traces` holds the per-job traces.
     pub data: TrainingData,
-    /// Per-test-job traces at nominal frequency (unprobed).
-    pub test_traces: Vec<JobTrace>,
+    /// Per-test-job traces at nominal frequency (unprobed), shared with
+    /// every experiment prepared from the bundle.
+    pub test_traces: Arc<Vec<JobTrace>>,
 }
 
 impl TraceBundle {
@@ -61,9 +67,9 @@ impl TraceBundle {
             sim.run(job, ExecMode::FastForward, None)
         })?;
         Ok(TraceBundle {
-            workloads,
+            workloads: Arc::new(workloads),
             data,
-            test_traces,
+            test_traces: Arc::new(test_traces),
         })
     }
 }

@@ -1,7 +1,7 @@
 //! End-to-end experiment orchestration for one benchmark: build → train →
 //! slice → profile → run every DVFS scheme.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use predvfs::{
     train, BaselineController, DvfsModel, ExecTimeModel, OracleController, PidController,
@@ -140,10 +140,12 @@ pub struct Experiment {
     pub model: ExecTimeModel,
     /// Generated hardware slice + probes.
     pub predictor: SlicePredictor,
-    /// Workloads (train is consumed for fitting; test drives every figure).
-    pub workloads: Workloads,
-    /// Per-test-job execution traces at nominal frequency.
-    pub test_traces: Vec<JobTrace>,
+    /// Workloads (train is consumed for fitting; test drives every
+    /// figure), shared with the trace bundle they came from.
+    pub workloads: Arc<Workloads>,
+    /// Per-test-job execution traces at nominal frequency, shared with
+    /// the trace bundle they came from.
+    pub test_traces: Arc<Vec<JobTrace>>,
     /// Per-train-job cycles (for the table controller).
     pub train_cycles: Vec<u64>,
     /// Accelerator energy model (leakage calibrated).
@@ -180,7 +182,8 @@ impl Experiment {
     /// Like [`Experiment::prepare`], but serves trace simulation from
     /// `cache`, so configurations sharing `(benchmark, seed, size)` —
     /// e.g. the ASIC and FPGA variants, or an ablation grid — pay for
-    /// one simulation pass instead of one each.
+    /// one simulation pass instead of one each. They also share the
+    /// bundle's workloads and test traces instead of copying them.
     ///
     /// # Errors
     ///
@@ -203,8 +206,8 @@ impl Experiment {
         let train_cycles: Vec<u64> = data.y.iter().map(|&c| c as u64).collect();
         let predictor =
             SlicePredictor::generate(&module, &model, config.slice_options, config.flavor)?;
-        let workloads = bundle.workloads.clone();
-        let test_traces = bundle.test_traces.clone();
+        let workloads = Arc::clone(&bundle.workloads);
+        let test_traces = Arc::clone(&bundle.test_traces);
 
         // Energy models, leakage calibrated on the training profile.
         // The profile traces are reused directly: probes are
@@ -532,6 +535,26 @@ mod tests {
         assert!(ovh.time_pct >= 0.0 && ovh.time_pct < 50.0);
         assert!(ovh.energy_pct >= 0.0 && ovh.energy_pct < 50.0);
         assert!(ovh.resource_pct > 0.0);
+    }
+
+    #[test]
+    fn prepared_experiments_share_the_cached_bundle() {
+        let bench = by_name("sha").unwrap();
+        let cache = TraceCache::new();
+        let asic =
+            Experiment::prepare_cached(bench, ExperimentConfig::quick(Platform::Asic), &cache)
+                .unwrap();
+        let fpga =
+            Experiment::prepare_cached(bench, ExperimentConfig::quick(Platform::Fpga), &cache)
+                .unwrap();
+        let bundle = cache
+            .get_or_simulate(&bench, &asic.module, 42, WorkloadSize::Quick)
+            .unwrap();
+        assert_eq!((cache.hits(), cache.misses()), (2, 1));
+        for e in [&asic, &fpga] {
+            assert!(Arc::ptr_eq(&e.workloads, &bundle.workloads));
+            assert!(Arc::ptr_eq(&e.test_traces, &bundle.test_traces));
+        }
     }
 
     #[test]
