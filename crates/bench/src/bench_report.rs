@@ -81,6 +81,27 @@ fn git_short_rev() -> String {
         .unwrap_or_else(|| "unknown".to_owned())
 }
 
+/// Lines of the `*.rs` files git tracks under `crates/` and `examples/`
+/// of the checkout holding `dir`, counted as `wc -l` counts them
+/// (newline bytes), or `None` when git cannot list them or a listed file
+/// cannot be read.
+pub fn rust_lines(dir: &Path) -> Option<u64> {
+    let out = Command::new("git")
+        .arg("-C")
+        .arg(dir)
+        .args(["ls-files", "-z", "--"])
+        .args([":(top)crates/*.rs", ":(top)examples/*.rs"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())?;
+    let mut lines = 0;
+    for name in out.stdout.split(|&b| b == 0).filter(|n| !n.is_empty()) {
+        let text = std::fs::read(dir.join(std::str::from_utf8(name).ok()?)).ok()?;
+        lines += text.iter().filter(|&&b| b == b'\n').count() as u64;
+    }
+    Some(lines)
+}
+
 /// One bench area's results in schema v1.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchReport {
@@ -315,6 +336,37 @@ mod tests {
         assert!(env.cores >= 1);
         assert!(!env.quick);
         assert!(!env.git_rev.is_empty());
+    }
+
+    #[test]
+    fn rust_lines_counts_tracked_rust_files_under_crates_and_examples() {
+        let dir = std::env::temp_dir().join(format!("predvfs-rust-lines-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let files = [
+            ("crates/a/src/lib.rs", "fn a() {}\n\nfn b() {}\n"),
+            ("examples/demo.rs", "fn main() {}\n"),
+            ("crates/a/notes.txt", "not rust\n"),
+            ("perfbench/src/main.rs", "fn main() {}\n"),
+        ];
+        for (path, text) in files {
+            let path = dir.join(path);
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(path, text).unwrap();
+        }
+        let git = |args: &[&str]| {
+            let status = Command::new("git").arg("-C").arg(&dir).args(args).status();
+            assert!(status.unwrap().success(), "git {args:?}");
+        };
+        git(&["init", "-q"]);
+        git(&["add", "."]);
+        std::fs::write(dir.join("crates/a/src/untracked.rs"), "fn u() {}\n").unwrap();
+
+        // 3 + 1 lines: the text file, the file outside crates/ and
+        // examples/, and the untracked file do not count, from the root
+        // or from a subdirectory.
+        assert_eq!(rust_lines(&dir), Some(4));
+        assert_eq!(rust_lines(&dir.join("crates/a")), Some(4));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

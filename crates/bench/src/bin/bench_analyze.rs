@@ -11,9 +11,8 @@
 //! Results land in `BENCH_analyze.json` (schema v1);
 //! `analyze_mb_per_sec` is the gated metric.
 
-use std::time::Instant;
-
 use predvfs_bench::bench_report::BenchReport;
+use predvfs_bench::{best_of, outln, quick};
 use predvfs_faults::NullInjector;
 use predvfs_obs::{NullSink, ObsSink, Recorder, TraceAnalysis};
 use predvfs_serve::{ControllerKind, ServeRuntime};
@@ -21,8 +20,7 @@ use predvfs_shard::{merged_trace_jsonl, run_sharded, synth_scenario, ShardConfig
 use predvfs_sim::TraceCache;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let quick = std::env::var("PREDVFS_QUICK").as_deref() == Ok("1")
-        || std::env::args().any(|a| a == "--quick");
+    let quick = quick();
     let streams = if quick { 1024 } else { 8192 };
     let reps = if quick { 3 } else { 7 };
 
@@ -55,15 +53,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(bytes > 0, "serve run produced an empty trace");
     eprintln!("trace: {lines} events, {:.2} MB", bytes as f64 / 1e6);
 
-    let mut best = f64::INFINITY;
-    let mut analysis = None;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let a = TraceAnalysis::from_reader(jsonl.as_bytes())?;
-        best = best.min(start.elapsed().as_secs_f64());
-        analysis = Some(a);
-    }
-    let analysis = analysis.expect("reps >= 1");
+    let (best, analysis) = best_of(reps, || TraceAnalysis::from_reader(jsonl.as_bytes()));
+    let analysis = analysis?;
     assert_eq!(
         analysis.streams.len(),
         streams,
@@ -73,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mb_per_sec = bytes as f64 / 1e6 / best;
     let events_per_sec = lines as f64 / best;
-    println!(
+    outln!(
         "analyzer: {:.2} MB in {best:.3}s -> {mb_per_sec:.1} MB/sec \
          ({events_per_sec:.0} events/sec)",
         bytes as f64 / 1e6
@@ -92,6 +83,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
              disk noise.",
         );
     let path = report.write_into(std::path::Path::new("."))?;
-    println!("wrote {}", path.display());
+    outln!("wrote {}", path.display());
     Ok(())
 }

@@ -19,9 +19,9 @@
 //! Results land in `BENCH_obs.json` (schema v1).
 
 use std::hint::black_box;
-use std::time::Instant;
 
 use predvfs_bench::bench_report::BenchReport;
+use predvfs_bench::{best_of, outln, quick};
 use predvfs_faults::NullInjector;
 use predvfs_obs::{NullSink, SpanDomain};
 use predvfs_serve::{ControllerKind, ServeRuntime};
@@ -30,32 +30,32 @@ use predvfs_sim::TraceCache;
 
 /// Best-of-`reps` nanoseconds per iteration of `f(i)` over `iters` calls.
 fn time_per_iter(iters: u64, reps: usize, mut f: impl FnMut(u64)) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
+    let (best, ()) = best_of(reps, || {
         for i in 0..iters {
             f(i);
         }
-        best = best.min(start.elapsed().as_secs_f64());
-    }
+    });
     best * 1e9 / iters as f64
 }
 
-fn serve_wall(runtime: &ServeRuntime, shards: usize) -> Result<f64, Box<dyn std::error::Error>> {
+/// Best-of-`reps` wall time of the lean, cached 1-shard serve run.
+fn serve_wall(runtime: &ServeRuntime, reps: usize) -> Result<f64, Box<dyn std::error::Error>> {
     let config = ShardConfig {
-        shards,
+        shards: 1,
         force: Some(ControllerKind::Cached),
         lean: true,
         ..ShardConfig::default()
     };
-    let start = Instant::now();
-    run_sharded(runtime, &config, &[], &NullSink, &NullInjector)?;
-    Ok(start.elapsed().as_secs_f64())
+    // The run's result drops inside the timed call.
+    let (wall, run) = best_of(reps, || {
+        run_sharded(runtime, &config, &[], &NullSink, &NullInjector).map(drop)
+    });
+    run?;
+    Ok(wall)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let quick = std::env::var("PREDVFS_QUICK").as_deref() == Ok("1")
-        || std::env::args().any(|a| a == "--quick");
+    let quick = quick();
     let mut report = BenchReport::new("obs", quick);
 
     // --- 1. Disabled guard cost, measured directly. -------------------
@@ -80,7 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
     black_box(acc);
     let disabled_ns = (guard_ns - empty_ns).max(0.0);
-    println!(
+    outln!(
         "disabled SpanGuard::enter: {disabled_ns:.2} ns/span \
          (raw {guard_ns:.2} ns, empty loop {empty_ns:.2} ns)"
     );
@@ -101,17 +101,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Production wall time — profiling disabled — is the denominator for
     // the span rate: it is the hot path the <1% budget protects.
-    let mut wall_off = f64::INFINITY;
-    for _ in 0..reps {
-        wall_off = wall_off.min(serve_wall(&runtime, 1)?);
-    }
+    let wall_off = serve_wall(&runtime, reps)?;
 
     predvfs_obs::self_profile().reset();
     predvfs_obs::set_profiling(true);
-    let mut wall_on = f64::INFINITY;
-    for _ in 0..reps {
-        wall_on = wall_on.min(serve_wall(&runtime, 1)?);
-    }
+    let wall_on = serve_wall(&runtime, reps)?;
     predvfs_obs::set_profiling(false);
     let profile = predvfs_obs::self_profile();
     let calls = |domain| -> u64 { profile.totals(domain).values().map(|t| t.calls).sum() };
@@ -122,7 +116,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- 3. The gated number: analytic disabled overhead. -------------
     let disabled_overhead_pct = disabled_ns * spans_per_sec / 1e7;
-    println!(
+    outln!(
         "serve emits {spans} spans per run, {wall_off:.3}s warm disabled wall \
          ({spans_per_sec:.0} spans/sec) -> disabled overhead {disabled_overhead_pct:.4}%"
     );
@@ -137,7 +131,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     } else {
         0.0
     };
-    println!(
+    outln!(
         "enabled A/B (warm, best of {reps}): {wall_on:.3}s on vs {wall_off:.3}s off \
          ({enabled_overhead:+.1}%, informational)"
     );
@@ -155,6 +149,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
              is a conscious trade).",
         );
     let path = report.write_into(std::path::Path::new("."))?;
-    println!("wrote {}", path.display());
+    outln!("wrote {}", path.display());
     Ok(())
 }

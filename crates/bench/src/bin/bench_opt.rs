@@ -1,9 +1,9 @@
 //! FISTA solver benchmark: wall time of one asymmetric-Lasso fit on the
-//! standard synthetic problem (the same 600×86 design the criterion
-//! solver bench uses — sparse true support, unpenalized bias, mild
-//! noise), and on the same problem with 63 of its 85 non-bias columns
-//! zeroed, the shape of h264's design once the trainer zeroes its
-//! constant and duplicate columns.
+//! standard 600×86 synthetic problem (sparse true support, unpenalized
+//! bias, mild noise), and on the same problem with 63 of its 85 non-bias
+//! columns zeroed, the shape of h264's design once the trainer zeroes its
+//! constant and duplicate columns. Every fit also pays the Lipschitz
+//! estimate, `Matrix::gram_spectral_norm(60)` over the full design.
 //!
 //! Results land in `BENCH_opt.json` (schema v1); `fista_fit_ms` and
 //! `fista_fit_dead_cols_ms` are the gated metrics. Iteration counts are
@@ -11,15 +11,14 @@
 //! in iterations flags an algorithmic drift even when wall time stays
 //! inside tolerance.
 
-use std::time::Instant;
-
 use predvfs_bench::bench_report::BenchReport;
+use predvfs_bench::{best_of, outln, quick};
 use predvfs_opt::{AsymLasso, FitOptions, FitResult, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The criterion solver bench's synthetic problem: sparse support (every
-/// 7th column), bias in column 0, noise ±0.05.
+/// The standard synthetic problem: sparse support (every 7th column),
+/// bias in column 0, noise ±0.05.
 fn synthetic_problem(rows: usize, cols: usize) -> (Matrix, Vec<f64>) {
     let mut r = StdRng::seed_from_u64(17);
     let mut x = Matrix::zeros(rows, cols);
@@ -71,35 +70,33 @@ fn time_fit(x: &Matrix, y: &[f64], reps: usize) -> (f64, FitResult) {
         max_iter: 500,
         tol: 1e-7,
     };
-    let mut best = f64::INFINITY;
-    let mut fit = None;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let f = problem.fit(options);
-        best = best.min(start.elapsed().as_secs_f64());
-        fit = Some(f);
-    }
-    (best * 1e3, fit.expect("reps >= 1"))
+    let (best, fit) = best_of(reps, || problem.fit(options));
+    (best * 1e3, fit)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let quick = std::env::var("PREDVFS_QUICK").as_deref() == Ok("1")
-        || std::env::args().any(|a| a == "--quick");
+    let quick = quick();
     let reps = if quick { 3 } else { 10 };
 
     let (mut x, y) = synthetic_problem(600, 86);
     let (fit_ms, fit) = time_fit(&x, &y, reps);
-    println!(
+    outln!(
         "fista 600x86: {fit_ms:.2} ms (best of {reps}), {} iterations, \
          {} restarts, converged={}, objective {:.6}",
-        fit.iterations, fit.restarts, fit.converged, fit.objective
+        fit.iterations,
+        fit.restarts,
+        fit.converged,
+        fit.objective
     );
     zero_dead_columns(&mut x);
     let (dead_ms, dead) = time_fit(&x, &y, reps);
-    println!(
+    outln!(
         "fista 600x86, 63 zero columns: {dead_ms:.2} ms (best of {reps}), \
          {} iterations, {} restarts, converged={}, objective {:.6}",
-        dead.iterations, dead.restarts, dead.converged, dead.objective
+        dead.iterations,
+        dead.restarts,
+        dead.converged,
+        dead.objective
     );
 
     let mut report = BenchReport::new("opt", quick);
@@ -119,6 +116,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
              informationally to flag algorithmic drift.",
         );
     let path = report.write_into(std::path::Path::new("."))?;
-    println!("wrote {}", path.display());
+    outln!("wrote {}", path.display());
     Ok(())
 }

@@ -22,11 +22,9 @@
 //!
 //! `--quick` (or `PREDVFS_QUICK=1`) shrinks the job set for CI smoke.
 
-use std::time::Instant;
-
 use predvfs_accel::{all, WorkloadSize};
 use predvfs_bench::bench_report::BenchReport;
-use predvfs_bench::results_dir;
+use predvfs_bench::{best_of, outln, quick, results_dir};
 use predvfs_rtl::{
     Analysis, CompiledSim, ExecMode, FeatureSchema, JobInput, ProbeProgram, Simulator,
 };
@@ -109,14 +107,11 @@ fn differential_gate(
 
 /// Wall time of the fastest of `reps` passes over `jobs`.
 fn time_engine<F: Fn(&JobInput)>(jobs: &[JobInput], reps: usize, run: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
+    let (best, ()) = best_of(reps, || {
         for job in jobs {
             run(job);
         }
-        best = best.min(start.elapsed().as_secs_f64());
-    }
+    });
     best
 }
 
@@ -129,8 +124,7 @@ fn geomean(xs: impl Iterator<Item = f64>) -> f64 {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let quick = std::env::var("PREDVFS_QUICK").as_deref() == Ok("1")
-        || std::env::args().any(|a| a == "--quick");
+    let quick = quick();
     // Step mode replays every cycle, so it gets the smallest job prefix;
     // the skip modes can afford more.
     let (step_jobs, skip_jobs, reps) = if quick { (1, 2, 1) } else { (2, 8, 3) };
@@ -210,7 +204,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             format!("{:.2}x", r.speedup()),
         ]);
     }
-    table.print();
+    outln!("{}", table.render());
 
     let geo: Vec<(&str, f64)> = TIMED
         .iter()
@@ -227,13 +221,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         } else {
             "below the 10x target (measured ratio recorded)"
         };
-        println!("geomean speedup [{mode}]: {g:.2}x — {verdict}");
+        outln!("geomean speedup [{mode}]: {g:.2}x — {verdict}");
     }
-    println!("differential gate: all benchmarks byte-identical across engines and modes");
+    outln!("differential gate: all benchmarks byte-identical across engines and modes");
 
     let csv = results_dir().join("bench_rtl.csv");
     table.write_csv(&csv)?;
-    println!("wrote {}", csv.display());
+    outln!("wrote {}", csv.display());
 
     // Schema-v1 report: per-configuration geomean speedups (gated,
     // higher-better), the VM throughput of the reference per-cycle mode
@@ -273,6 +267,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          detail is in results/bench_rtl.csv.",
     );
     let path = report.write_into(std::path::Path::new("."))?;
-    println!("wrote {}", path.display());
+    outln!("wrote {}", path.display());
     Ok(())
 }

@@ -25,7 +25,7 @@
 use std::time::Instant;
 
 use predvfs_bench::bench_report::BenchReport;
-use predvfs_bench::results_dir;
+use predvfs_bench::{outln, quick, results_dir};
 use predvfs_faults::{FaultConfig, FaultInjector, FaultPlan, NullInjector};
 use predvfs_obs::{NullSink, ObsSink, Recorder};
 use predvfs_serve::{ControllerKind, ServeRuntime};
@@ -173,7 +173,7 @@ fn assert_identity(quick: bool) -> Result<(), Box<dyn std::error::Error>> {
     }
     let flame_out = results_dir().join("fig_serve_scale.flame.txt");
     std::fs::write(&flame_out, flame_ref)?;
-    println!(
+    outln!(
         "determinism gate: merged traces and virtual flamegraphs \
          byte-identical across 1/4/16 shards ({} streams, {} trace bytes, \
          {} flame bytes -> {})",
@@ -197,8 +197,7 @@ struct CheckpointRun {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let quick = std::env::var("PREDVFS_QUICK").as_deref() == Ok("1")
-        || std::env::args().any(|a| a == "--quick");
+    let quick = quick();
     let crash = std::env::args().any(|a| a == "--crash");
 
     assert_identity(quick)?;
@@ -255,7 +254,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ]);
         runs.push(run);
     }
-    table.print();
+    outln!("{}", table.render());
 
     let jobs = runs[0].result.jobs_done;
     if !quick {
@@ -279,7 +278,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if let Some(four) = runs.iter().find(|r| r.shards == 4) {
         let one = &runs[0];
         let speedup = four.jobs_per_sec / one.jobs_per_sec;
-        println!(
+        outln!(
             "4-shard speedup over 1 shard: {speedup:.2}x ({} cores)",
             report.env.cores
         );
@@ -328,10 +327,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "cadence {checkpoint_every} over {} epochs captured no snapshot",
         ck_result.epochs
     );
-    println!(
+    outln!(
         "checkpoint overhead at every={checkpoint_every}: {} snapshots, \
          {:.0} vs {:.0} jobs/sec baseline ({:+.2}%)",
-        ck.checkpoints, ck.jobs_per_sec, ck.baseline_jobs_per_sec, ck.overhead_pct
+        ck.checkpoints,
+        ck.jobs_per_sec,
+        ck.baseline_jobs_per_sec,
+        ck.overhead_pct
     );
     // Like the speedup expectation above, the budget assumes real
     // parallelism: snapshots run concurrently on the shard threads, so a
@@ -348,7 +350,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let csv = results_dir().join("fig_serve_scale.csv");
     table.write_csv(&csv)?;
-    println!("wrote {}", csv.display());
+    outln!("wrote {}", csv.display());
 
     // Schema-v1 report. Throughputs are gated (higher-better); streams /
     // jobs / RSS use unrecognized names on purpose so they stay
@@ -375,7 +377,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             shard_counts, ck.every, ck.shards, ck.checkpoints
         ));
     let path = report.write_into(std::path::Path::new("."))?;
-    println!("wrote {}", path.display());
+    outln!("wrote {}", path.display());
 
     // Quick mode doubles as the CI determinism smoke: emit the merged
     // trace of a 2-shard traced run so the workflow can run this binary
@@ -413,10 +415,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 result.epochs
             );
             assert_eq!(result.crashes, result.recoveries);
-            println!(
+            outln!(
                 "crash smoke: {} crashes recovered ({} epochs replayed, \
                  {} checkpoints) over {} epochs",
-                result.crashes, result.replayed_epochs, result.checkpoints, result.epochs
+                result.crashes,
+                result.replayed_epochs,
+                result.checkpoints,
+                result.epochs
             );
         }
         let jsonl = merged_trace_jsonl(
@@ -425,7 +430,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         let trace_out = results_dir().join("fig_serve_scale.trace.jsonl");
         std::fs::write(&trace_out, &jsonl)?;
-        println!("wrote {} ({} bytes)", trace_out.display(), jsonl.len());
+        outln!("wrote {} ({} bytes)", trace_out.display(), jsonl.len());
     }
     Ok(())
 }

@@ -8,13 +8,17 @@
 //!
 //! All exhibits share one context, so each experiment configuration is
 //! prepared once per run. Wall times land in `BENCH_repro.json`: the
-//! total in `total_s` and one `<exhibit>_ms` per exhibit that ran.
+//! total in `total_s` and one `<exhibit>_ms` per exhibit that ran. Beside
+//! them, `rust_lines_info` records the code size, the lines of the
+//! tracked `*.rs` files under `crates/` and `examples/` (left out outside
+//! a git checkout).
 
+use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
 
 use predvfs_accel::WorkloadSize;
-use predvfs_bench::bench_report::BenchReport;
+use predvfs_bench::bench_report::{rust_lines, BenchReport};
 use predvfs_bench::repro::{exhibit, Context, EXHIBITS};
 use predvfs_bench::results_dir;
 
@@ -59,9 +63,13 @@ fn main() -> ExitCode {
     let total_s = start.elapsed().as_secs_f64();
     report.metric("total_s", total_s).notes(
         "Wall time of one repro run: all exhibits share one context, so each \
-         experiment configuration is prepared once.",
+         experiment configuration is prepared once. rust_lines_info counts \
+         the lines of the tracked *.rs files under crates/ and examples/.",
     );
-    match report.write_into(std::path::Path::new(".")) {
+    if let Some(lines) = rust_lines(Path::new(".")) {
+        report.metric("rust_lines_info", lines as f64);
+    }
+    match report.write_into(Path::new(".")) {
         Ok(path) => eprintln!(
             "repro: {total_s:.1} s, {} trace passes, {} cache hits; wrote {}",
             ctx.cache().misses(),

@@ -7,10 +7,10 @@
 //!
 //! * **Direction is inferred from the metric name.** Suffix/prefix
 //!   conventions say whether higher or lower is better (see
-//!   [`direction`]); names with no recognized convention are
-//!   informational — recorded in the report, never gated. Noisy
-//!   curiosity metrics (e.g. enabled-profiling overhead) deliberately use
-//!   unrecognized names.
+//!   [`direction`]); names with no recognized convention, and every
+//!   `_info` name, are informational — recorded in the report, never
+//!   gated. Noisy curiosity metrics (e.g. enabled-profiling overhead)
+//!   deliberately use such names.
 //! * **Tolerances are generous in quick mode.** Quick workloads are tiny
 //!   and noisy, so the quick ratio band is wide; full runs get the tight
 //!   band. If *either* report is quick, the quick band applies.
@@ -38,11 +38,14 @@ pub enum Direction {
 
 /// Infers a metric's direction from its name.
 ///
-/// Higher-better: `geomean_` prefix, or a `_per_sec` / `_cps` /
-/// `_speedup` suffix. Lower-better: `_s` / `_ms` / `_ns` / `_pct` /
+/// An `_info` suffix is informational whatever the rest of the name says.
+/// Otherwise, higher-better: `geomean_` prefix, or a `_per_sec` / `_cps`
+/// / `_speedup` suffix. Lower-better: `_s` / `_ms` / `_ns` / `_pct` /
 /// `_kb` suffix. Anything else is informational.
 pub fn direction(name: &str) -> Direction {
-    if name.starts_with("geomean_")
+    if name.ends_with("_info") {
+        Direction::Informational
+    } else if name.starts_with("geomean_")
         || name.ends_with("_per_sec")
         || name.ends_with("_cps")
         || name.ends_with("_speedup")
@@ -232,6 +235,8 @@ mod tests {
             Direction::Informational
         );
         assert_eq!(direction("runs"), Direction::Informational);
+        assert_eq!(direction("rust_lines_info"), Direction::Informational);
+        assert_eq!(direction("geomean_speedup_info"), Direction::Informational);
     }
 
     #[test]

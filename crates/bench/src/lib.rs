@@ -1,7 +1,7 @@
 //! # predvfs-bench
 //!
-//! The paper's reproduction, the bench binaries, and Criterion
-//! micro-benchmarks of the framework itself.
+//! The paper's reproduction, and the bench binaries that measure the
+//! framework itself.
 //!
 //! The `repro` binary regenerates every table and figure of the paper's
 //! evaluation, plus the ablations and extensions (see DESIGN.md's
@@ -10,10 +10,20 @@
 //! table, writes the same data as CSV under `results/`, and — where the
 //! paper reports a headline number — prints the paper's value next to the
 //! measured one.
+//!
+//! The `bench_*` binaries and `fig_serve_scale` each time one area —
+//! `bench_rtl` the RTL engines, `bench_opt` the FISTA fit,
+//! `bench_analyze` the trace analyzer, `bench_obs` the span guards,
+//! `fig_serve_scale` the sharded serve tier — and write a
+//! [`bench_report`] that `bench_gate` compares against its committed
+//! baseline ([`gate`]). They share the quick switch ([`quick`]), the
+//! best-of-N wall timer ([`best_of`]) and a stdout writer that never
+//! panics ([`outln!`]).
 
 #![warn(missing_docs)]
 
 use std::path::PathBuf;
+use std::time::Instant;
 
 pub mod bench_report;
 pub mod gate;
@@ -64,6 +74,42 @@ pub mod paper {
     pub const H264_SLICE_ENERGY_PCT: f64 = 2.8;
 }
 
+/// Whether a bench binary runs its reduced smoke workload: `--quick` on
+/// the command line, or `PREDVFS_QUICK=1` in the environment.
+pub fn quick() -> bool {
+    std::env::var("PREDVFS_QUICK").as_deref() == Ok("1") || std::env::args().any(|a| a == "--quick")
+}
+
+/// Calls `f` `reps` times and returns the fastest call's wall time in
+/// seconds, with the last call's value.
+///
+/// # Panics
+///
+/// Panics if `reps` is 0.
+pub fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
+    assert!(reps > 0, "best_of needs at least one rep");
+    let mut best = f64::INFINITY;
+    let mut last = None;
+    for _ in 0..reps {
+        let start = Instant::now();
+        let value = f();
+        best = best.min(start.elapsed().as_secs_f64());
+        last = Some(value);
+    }
+    (best, last.expect("reps > 0"))
+}
+
+/// `println!` for the bench binaries' progress and result lines, except
+/// that a closed or failing stdout drops the line instead of panicking:
+/// `bench_opt | head -1` still writes `BENCH_opt.json` and exits 0.
+#[macro_export]
+macro_rules! outln {
+    ($($arg:tt)*) => {{
+        use ::std::io::Write as _;
+        let _ = ::std::writeln!(::std::io::stdout(), $($arg)*);
+    }};
+}
+
 /// Directory where experiment CSVs are written.
 pub fn results_dir() -> PathBuf {
     PathBuf::from("results")
@@ -78,6 +124,17 @@ pub fn baselines_dir() -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn best_of_times_every_rep_and_returns_the_last_value() {
+        let mut calls = 0;
+        let (best, last) = best_of(3, || {
+            calls += 1;
+            calls
+        });
+        assert_eq!((calls, last), (3, 3));
+        assert!(best.is_finite() && best >= 0.0);
+    }
 
     #[test]
     fn paper_constants_cover_all_benchmarks() {

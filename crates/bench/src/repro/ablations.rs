@@ -83,7 +83,6 @@ pub(super) fn ablation_alpha(ctx: &Context) -> Outcome {
     let run_cfg = RunConfig {
         deadline_s: 16.7e-3,
         switching: SwitchingModel::off_chip(),
-        leak_voltage_exp: 1.0,
     };
 
     let mut t = Table::new(

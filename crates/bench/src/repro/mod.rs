@@ -254,7 +254,6 @@ fn run_controller(
     let config = RunConfig {
         deadline_s: e.config().deadline_s,
         switching: SwitchingModel::off_chip(),
-        leak_voltage_exp: 1.0,
     };
     run_scheme(
         ctrl,

@@ -28,8 +28,6 @@ pub struct PowerParams {
     pub dyn_pj_per_um2_cycle: f64,
     /// Leakage power density at nominal voltage (µW per µm²).
     pub leak_uw_per_um2: f64,
-    /// Exponent of the leakage-vs-voltage dependence (1 = linear).
-    pub leak_voltage_exp: f64,
 }
 
 impl Default for PowerParams {
@@ -37,7 +35,6 @@ impl Default for PowerParams {
         PowerParams {
             dyn_pj_per_um2_cycle: 1.5e-3,
             leak_uw_per_um2: 2.0e-5,
-            leak_voltage_exp: 1.0,
         }
     }
 }
@@ -121,8 +118,9 @@ impl EnergyModel {
         e
     }
 
-    /// Total job energy (pJ) at an operating point, given the leakage
-    /// voltage exponent from `params`.
+    /// Total job energy (pJ) at an operating point. Leakage power scales
+    /// as `(V / V_nom)^leak_voltage_exp`; 1 gives the linear `P_leak ∝ V`
+    /// of the module docs.
     pub fn job_pj(
         &self,
         cycles: u64,

@@ -96,8 +96,7 @@ use std::sync::{Arc, OnceLock};
 
 use predvfs::{
     AdaptiveController, CalibrationConfig, CalibrationMonitor, Decision, DvfsController, DvfsModel,
-    HybridController, JobContext, LevelChoice, OnlineTrainerConfig, PidController,
-    PredictiveController, SliceTable,
+    HybridController, JobContext, LevelChoice, OnlineTrainerConfig, PidController, SliceTable,
 };
 use predvfs_faults::{FaultInjector, FaultKind, NullInjector};
 use predvfs_obs::{kinds, NullSink, ObsSink, TraceEvent};
@@ -150,8 +149,9 @@ struct Class {
     reads: usize,
     /// The slice's runs over test jobs `0..reads`.
     slices: OnceLock<SliceTable>,
-    /// Per-test-job decision table for [`ControllerKind::Cached`], derived
-    /// from the slice table.
+    /// Per-test-job decision table of the predictive streams
+    /// ([`ControllerKind::Predictive`] and [`ControllerKind::Cached`]),
+    /// derived from the slice table.
     cached: OnceLock<Vec<CachedEntry>>,
 }
 
@@ -164,8 +164,8 @@ impl Class {
             .expect("ServeRuntime::warm builds a class's slice table before its streams read it")
     }
 
-    /// The [`ControllerKind::Cached`] decision table: the model's read-out
-    /// and the slice energy of every entry of the class's slice table.
+    /// The predictive decision table: the model's read-out and the slice
+    /// energy of every entry of the class's slice table.
     fn cached_table(&self) -> &[CachedEntry] {
         let nominal = OperatingPoint {
             volts: 1.0,
@@ -270,10 +270,10 @@ pub struct EngineConfig {
     pub degrade: DegradeConfig,
     /// Skip per-job [`ServeRecord`]s and calibration/SLO tracking; keep
     /// only the aggregate counters. A lean stream holds no tracker and
-    /// no record buffer, so with [`ControllerKind::Cached`] decisions its
-    /// state owns no heap block while its admission queue is empty:
-    /// building the engine and capturing a [`ShardEngine::checkpoint`]
-    /// allocate nothing per stream, and dropping either frees nothing
+    /// no record buffer, so with predictive decisions its state owns no
+    /// heap block while its admission queue is empty: building the
+    /// engine and capturing a [`ShardEngine::checkpoint`] allocate
+    /// nothing per stream, and dropping either frees nothing
     /// per stream. Scale runs over millions of jobs use this to stay
     /// allocation-flat; [`StreamResult::completed`],
     /// [`StreamResult::misses`], [`StreamResult::miss_pct`] and
@@ -561,11 +561,14 @@ struct InFlight {
     spike: Option<f64>,
 }
 
-/// The memoized predictive controller: the model read-out and slice
-/// energy for each distinct test job come from the shared class table, so
-/// a decision costs a ladder scan and no per-job arithmetic. Decisions are
-/// byte-identical to [`PredictiveController`]'s — this is what makes
-/// million-stream scale scenarios tractable.
+/// Serve's one predictive decision path, for [`ControllerKind::Predictive`]
+/// and [`ControllerKind::Cached`] streams alike: the model read-out and
+/// slice energy for each distinct test job come from the shared class
+/// table, so a decision costs a ladder scan and no per-job arithmetic.
+/// Decisions are byte-identical to those of a
+/// [`predvfs::PredictiveController`] over the same slice table, and the
+/// controller owns no heap block, which is what makes million-stream
+/// scale scenarios tractable.
 #[derive(Clone)]
 struct CachedCtrl<'p> {
     dvfs: &'p DvfsModel,
@@ -575,12 +578,11 @@ struct CachedCtrl<'p> {
 
 /// Per-stream controller dispatch. Boxing a `dyn DvfsController` would
 /// lose access to the adaptive controller's refit counter, so the enum
-/// keeps the concrete types. Every controller but the cached one lives
-/// behind a box, so the enum is as small as [`CachedCtrl`] and a cached
-/// stream's controller owns no heap block.
+/// keeps the concrete types. Every controller but the predictive one
+/// lives behind a box, so the enum is as small as [`CachedCtrl`] and a
+/// predictive stream's controller owns no heap block.
 #[derive(Clone)]
 enum Ctrl<'p> {
-    Predictive(Box<PredictiveController<'p>>),
     Adaptive(Box<AdaptiveController<'p>>),
     Pid(Box<PidController>),
     Hybrid(Box<HybridController<'p>>),
@@ -597,7 +599,6 @@ impl Ctrl<'_> {
         ctx: &JobContext<'_>,
     ) -> Result<(Decision, Option<f64>), predvfs::CoreError> {
         match self {
-            Ctrl::Predictive(c) => Ok((c.decide(ctx)?, None)),
             Ctrl::Adaptive(c) => Ok((c.decide(ctx)?, None)),
             Ctrl::Pid(c) => Ok((c.decide(ctx)?, None)),
             Ctrl::Hybrid(c) => Ok((c.decide(ctx)?, None)),
@@ -622,7 +623,6 @@ impl Ctrl<'_> {
 
     fn observe(&mut self, actual: u64) {
         match self {
-            Ctrl::Predictive(c) => c.observe(actual),
             Ctrl::Adaptive(c) => c.observe(actual),
             Ctrl::Pid(c) => c.observe(actual),
             Ctrl::Hybrid(c) => c.observe(actual),
@@ -654,9 +654,9 @@ impl Ctrl<'_> {
 /// The state carries no identity: trace events borrow the stream's name
 /// from its [`StreamSpec`], and [`ShardEngine::finish`] attaches it to
 /// the result. A lean engine drops the per-job records and the trackers.
-/// With [`ControllerKind::Cached`] decisions a lean stream's state then
-/// owns no heap block until its admission queue fills, so building a
-/// shard and checkpointing it allocate nothing per stream.
+/// With predictive decisions a lean stream's state then owns no heap
+/// block until its admission queue fills, so building a shard and
+/// checkpointing it allocate nothing per stream.
 #[derive(Clone)]
 struct StreamState<'p> {
     ctrl: Ctrl<'p>,
@@ -1194,8 +1194,9 @@ impl ServeRuntime {
 
     /// Pre-builds every table the streams will read under `force` (or
     /// their own controller): each class's slice table for the
-    /// slice-reading controllers, plus its decision table for
-    /// [`ControllerKind::Cached`]. A class's tables cover the test jobs
+    /// slice-reading controllers, plus its decision table for the
+    /// predictive ones ([`ControllerKind::Predictive`] and
+    /// [`ControllerKind::Cached`]). A class's tables cover the test jobs
     /// its streams can submit and are built once. [`ServeRuntime::engine`]
     /// warms its members the same way; calling this first keeps that work
     /// off the shard workers.
@@ -1217,13 +1218,15 @@ impl ServeRuntime {
         force: Option<ControllerKind>,
     ) -> Result<(), ServeError> {
         let _span = predvfs_obs::span("serve.warm");
-        // Per class: (reads the slice table, reads the Cached table).
+        // Per class: (reads the slice table, reads the decision table).
         let mut wants = vec![(false, false); self.classes.len()];
         for gid in gids {
             let s = &self.streams[gid];
             match force.unwrap_or(s.spec.controller) {
                 ControllerKind::Pid => {}
-                ControllerKind::Cached => wants[s.class] = (true, true),
+                ControllerKind::Predictive | ControllerKind::Cached => {
+                    wants[s.class] = (true, true);
+                }
                 _ => wants[s.class].0 = true,
             }
         }
@@ -1454,12 +1457,6 @@ fn new_state<'rt>(
     let dvfs = &s.exp.dvfs;
     let f_hz = s.exp.energy.f_nominal_hz();
     let ctrl = match kind {
-        ControllerKind::Predictive => Ctrl::Predictive(Box::new(PredictiveController::new(
-            dvfs.clone(),
-            f_hz,
-            class.slice_table(),
-            &s.exp.model,
-        ))),
         ControllerKind::Adaptive => Ctrl::Adaptive(Box::new(AdaptiveController::new(
             dvfs.clone(),
             f_hz,
@@ -1474,7 +1471,7 @@ fn new_state<'rt>(
             class.slice_table(),
             &s.exp.model,
         ))),
-        ControllerKind::Cached => Ctrl::Cached(CachedCtrl {
+        ControllerKind::Predictive | ControllerKind::Cached => Ctrl::Cached(CachedCtrl {
             dvfs,
             f_nominal_hz: f_hz,
             entries: class.cached_table(),
@@ -2689,7 +2686,8 @@ mod tests {
 
     /// Each class's tables cover only the test jobs its streams submit:
     /// the longest stream of the class, capped at the test set, whatever
-    /// controller reads it. A class that only PID streams read gets none.
+    /// controller reads it. A class that only PID streams read gets none,
+    /// and only a predictive stream's class gets a decision table.
     #[test]
     fn warm_sizes_each_class_table_to_the_jobs_its_streams_read() {
         let stream = |bench: &str, jobs: usize, controller: ControllerKind| StreamSpec {
@@ -2721,8 +2719,15 @@ mod tests {
         assert_eq!(h264.slices.get().map(|t| t.runs().len()), Some(12));
         assert_eq!(h264.cached.get().map(Vec::len), Some(12));
         assert_eq!(md.slices.get().map(|t| t.runs().len()), Some(20));
-        assert!(md.cached.get().is_none(), "no md stream is Cached");
+        assert!(md.cached.get().is_none(), "no md stream is predictive");
         assert!(sha.slices.get().is_none() && sha.cached.get().is_none());
+
+        // Forced onto the predictive path, every class gets both tables.
+        rt.warm_cached_tables(Some(ControllerKind::Predictive))
+            .expect("warm");
+        for class in [h264, md, sha] {
+            assert_eq!(class.cached.get().map(Vec::len), Some(class.reads));
+        }
     }
 
     /// `report` against a load and shortlist worked out by hand: streams

@@ -48,6 +48,9 @@ pub enum OverloadPolicy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ControllerKind {
     /// The paper's predictive controller with a fixed offline model.
+    ///
+    /// Serve runs it as the memoized decision table of
+    /// [`ControllerKind::Cached`]: the two keywords name one path.
     Predictive,
     /// Predictive with online drift detection, PID fallback, and
     /// warm-started refits ([`predvfs::AdaptiveController`]).
@@ -57,14 +60,15 @@ pub enum ControllerKind {
     /// Predictive with EWMA residual correction
     /// ([`predvfs::HybridController`]).
     Hybrid,
-    /// Predictive with the model read-out memoized per distinct test job.
+    /// The same path as [`ControllerKind::Predictive`], under the name
+    /// the scale scenarios force.
     ///
-    /// Decisions are identical to [`ControllerKind::Predictive`] — both
-    /// read the class's slice table, built once per prepared experiment —
-    /// but the prediction and slice energy of each (cyclically reused)
-    /// test job are cached too, so the per-job cost drops to a ladder
-    /// scan, which is what makes million-stream scale scenarios
-    /// tractable.
+    /// Both read the class's decision table, built once per class from its
+    /// slice table: the prediction and slice energy of each (cyclically
+    /// reused) test job, so the per-job cost is a ladder scan, which is
+    /// what makes million-stream scale scenarios tractable. Decisions are
+    /// those of [`predvfs::PredictiveController`] over the same slice
+    /// table.
     Cached,
 }
 

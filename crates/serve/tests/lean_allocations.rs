@@ -1,6 +1,7 @@
-//! Lean mode is allocation-flat: building a lean engine on `Cached`
-//! decisions, and checkpointing it, allocate nothing per stream, and
-//! dropping the checkpoint frees nothing per stream.
+//! Lean mode is allocation-flat: building a lean engine on predictive
+//! decisions (`Cached` or `Predictive`, which serve runs as one path),
+//! and checkpointing it, allocate nothing per stream, and dropping the
+//! checkpoint frees nothing per stream.
 //!
 //! A counting global allocator tallies the allocations made on the
 //! calling thread (so tests running alongside on other threads do not
@@ -72,13 +73,13 @@ fn runtime(streams: usize) -> ServeRuntime {
     ServeRuntime::prepare(&scenario, &TraceCache::new()).expect("prepare")
 }
 
-/// Build, checkpoint and snapshot-drop allocation counts at `streams`.
-fn measure(streams: usize) -> (u64, u64, u64) {
+/// Build, checkpoint and snapshot-drop allocation counts at `streams`
+/// streams forced onto `kind`.
+fn measure(streams: usize, kind: ControllerKind) -> (u64, u64, u64) {
     let rt = runtime(streams);
-    rt.warm_cached_tables(Some(ControllerKind::Cached))
-        .expect("warm tables");
+    rt.warm_cached_tables(Some(kind)).expect("warm tables");
     let config = EngineConfig {
-        force: Some(ControllerKind::Cached),
+        force: Some(kind),
         lean: true,
         defer_escalations: true,
         one_ahead_arrivals: true,
@@ -97,21 +98,23 @@ fn measure(streams: usize) -> (u64, u64, u64) {
 
 #[test]
 fn lean_engine_build_and_checkpoint_allocate_nothing_per_stream() {
-    let small = measure(1024);
-    let large = measure(4096);
-    assert_eq!(
-        small.0, large.0,
-        "build allocations grow with the stream count: {} at 1,024 streams, {} at 4,096",
-        small.0, large.0
-    );
-    assert_eq!(
-        small.1, large.1,
-        "checkpoint allocations grow with the stream count: {} at 1,024 streams, {} at 4,096",
-        small.1, large.1
-    );
-    assert_eq!(
-        small.2, large.2,
-        "dropping a checkpoint frees per stream: {} blocks at 1,024 streams, {} at 4,096",
-        small.2, large.2
-    );
+    for kind in [ControllerKind::Cached, ControllerKind::Predictive] {
+        let small = measure(1024, kind);
+        let large = measure(4096, kind);
+        assert_eq!(
+            small.0, large.0,
+            "{kind:?}: build allocations grow with the stream count: {} at 1,024 streams, {} at 4,096",
+            small.0, large.0
+        );
+        assert_eq!(
+            small.1, large.1,
+            "{kind:?}: checkpoint allocations grow with the stream count: {} at 1,024 streams, {} at 4,096",
+            small.1, large.1
+        );
+        assert_eq!(
+            small.2, large.2,
+            "{kind:?}: dropping a checkpoint frees per stream: {} blocks at 1,024 streams, {} at 4,096",
+            small.2, large.2
+        );
+    }
 }

@@ -351,7 +351,6 @@ impl Experiment {
         let cfg = RunConfig {
             deadline_s,
             switching: physical_switch,
-            leak_voltage_exp: 1.0,
         };
         let dvfs = self.dvfs.clone();
         let jobs = &self.workloads.test;

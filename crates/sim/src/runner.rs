@@ -15,8 +15,6 @@ pub struct RunConfig {
     /// Switching costs charged by the platform (controllers may *assume* a
     /// different model internally; this is what physically happens).
     pub switching: SwitchingModel,
-    /// Leakage–voltage exponent of the platform.
-    pub leak_voltage_exp: f64,
 }
 
 /// Runs one controller over a precomputed job sequence.
@@ -71,17 +69,13 @@ pub fn run_scheme(
                     decision.slice_cycles.round() as u64,
                     &decision.slice_dp_active,
                     nominal,
-                    config.leak_voltage_exp,
+                    1.0,
                 )
             }
             _ => 0.0,
         };
-        let job_pj = accel_energy.job_pj(
-            trace.cycles,
-            &trace.dp_active,
-            point,
-            config.leak_voltage_exp,
-        ) + config.switching.transition_pj * f64::from(level_changed);
+        let job_pj = accel_energy.job_pj(trace.cycles, &trace.dp_active, point, 1.0)
+            + config.switching.transition_pj * f64::from(level_changed);
 
         let total_s = exec_s + slice_s + switch_s;
         records.push(JobRecord {
@@ -157,7 +151,6 @@ mod tests {
         let cfg = RunConfig {
             deadline_s: 16.7e-3,
             switching: SwitchingModel::off_chip(),
-            leak_voltage_exp: 1.0,
         };
         let res = run_scheme(&mut ctrl, &jobs, &traces, &em, None, &dvfs, &cfg).unwrap();
         assert_eq!(res.jobs(), 3);
@@ -179,7 +172,6 @@ mod tests {
         let cfg = RunConfig {
             deadline_s: 16.7e-3,
             switching: SwitchingModel::free(),
-            leak_voltage_exp: 1.0,
         };
         // Oracle with perfect knowledge picks low levels and saves energy.
         let actual: Vec<u64> = traces.iter().map(|t| t.cycles).collect();
@@ -208,7 +200,6 @@ mod tests {
         let cfg = RunConfig {
             deadline_s: 16.7e-3,
             switching: instant,
-            leak_voltage_exp: 1.0,
         };
         // The oracle drops below nominal for the first job, switching
         // levels at least once.
