@@ -422,10 +422,11 @@ fn quarantine_probe_state_survives_forced_migration() {
 fn one_shard_matches_legacy_serial_engine_without_boosts() {
     let rt = small_runtime();
     // Degradation off: no watchdog, so deferral has nothing to defer
-    // and the sharded run must reproduce the legacy serial engine, whose
-    // one time-ordered queue is the oracle of the sharded event order:
-    // the same counters, the same event count and the same merged trace,
-    // with and without faults.
+    // and the sharded run must reproduce the serial engine, whose one
+    // time order is the oracle of the sharded event order: the same
+    // counters, the same event count and the same merged trace, with and
+    // without faults. The serial engine pops ties by slot, which is the
+    // global stream id, so its own ring is already in the merged order.
     let base = ShardConfig {
         epoch_s: 2e-3,
         degrade: DegradeConfig::disabled(),
@@ -440,6 +441,11 @@ fn one_shard_matches_legacy_serial_engine_without_boosts() {
         assert_eq!(rec.ring().dropped(), 0, "ring too small for the test");
         let legacy_trace = merged_trace_jsonl(&rt, vec![rec.ring().snapshot()]);
         assert!(!legacy_trace.is_empty());
+        assert_eq!(
+            rec.ring().to_jsonl(),
+            legacy_trace,
+            "the serial engine emits in (t_s, gid) order"
+        );
         for shards in [1, 4] {
             let (sharded, merged, _) = run_at(&rt, &base, shards, injector);
             assert_eq!(sharded.boosts_granted, 0);
