@@ -8,6 +8,10 @@
 //! 3. **Empty-test-set regression** — a benchmark that generates no test
 //!    jobs surfaces as [`ServeError::InvalidSpec`], not a
 //!    modulo-by-zero panic inside the parallel fan-out.
+//! 4. **One name per stream** — traces and metrics label a stream by its
+//!    name, so a scenario that names two streams alike is
+//!    [`ServeError::InvalidSpec`] instead of streams that overwrite each
+//!    other's series.
 
 use predvfs_accel::{by_name, WorkloadSize, Workloads};
 use predvfs_obs::{ObsSink, Recorder};
@@ -149,6 +153,20 @@ fn empty_test_set_is_invalid_spec_not_a_panic() {
             assert!(msg.contains("empty test set"), "got {msg:?}");
         }
         Ok(_) => panic!("empty test set must be rejected"),
+        Err(other) => panic!("expected InvalidSpec, got {other}"),
+    }
+}
+
+#[test]
+fn duplicate_stream_names_are_invalid_spec() {
+    let scenario = Scenario::parse("stream sha\nstream md\nstream sha controller=pid\n")
+        .expect("the parser accepts the lines one by one");
+    match ServeRuntime::prepare(&scenario, &TraceCache::new()) {
+        Err(ServeError::InvalidSpec { stream, msg }) => {
+            assert_eq!(stream, "sha");
+            assert!(msg.contains("same name"), "got {msg:?}");
+        }
+        Ok(_) => panic!("two streams named sha must be rejected"),
         Err(other) => panic!("expected InvalidSpec, got {other}"),
     }
 }

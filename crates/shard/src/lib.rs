@@ -1041,9 +1041,8 @@ fn coordinate(
 /// because a stream lives on exactly one shard at any instant that
 /// order is the stream's own causal order — so the merged stream is
 /// byte-identical across shard counts (pinned by `shard_determinism`).
-///
-/// Stream names must be unique for the mapping to be faithful;
-/// [`synth_scenario`] guarantees this.
+/// [`ServeRuntime::prepare`] rejects a scenario that names two streams
+/// alike, so the mapping from name to stream id is faithful.
 pub fn merged_trace(runtime: &ServeRuntime, sources: Vec<Vec<TraceEvent>>) -> Vec<TraceEvent> {
     let rank: HashMap<&str, u64> = runtime
         .specs()
