@@ -20,7 +20,7 @@ use std::time::Instant;
 use predvfs_accel::WorkloadSize;
 use predvfs_bench::bench_report::{rust_lines, BenchReport};
 use predvfs_bench::repro::{exhibit, Context, EXHIBITS};
-use predvfs_bench::results_dir;
+use predvfs_bench::{outln, results_dir};
 
 fn main() -> ExitCode {
     let names: Vec<String> = std::env::args().skip(1).collect();
@@ -52,7 +52,7 @@ fn main() -> ExitCode {
     let mut report = BenchReport::new("repro", quick);
     let start = Instant::now();
     for e in chosen {
-        println!("=== {} ===", e.name);
+        outln!("=== {} ===", e.name);
         let t = Instant::now();
         if let Err(err) = (e.run)(&ctx) {
             eprintln!("error: {}: {err}", e.name);

@@ -11,6 +11,7 @@ use predvfs_rtl::{AsicAreaModel, CompiledSim, ExecMode, SliceOptions};
 use predvfs_sim::{run_scheme, Platform, RunConfig, Scheme, Table};
 
 use super::{cells, run_controller, run_schemes, versus, with_average, Context, Outcome};
+use crate::outln;
 
 /// The Lasso weight γ controls how many features survive selection (the
 /// 257→7 story of §3.7) and how much accuracy that costs.
@@ -52,7 +53,7 @@ pub(super) fn ablation_gamma(ctx: &Context) -> Outcome {
         t.row(row);
     }
     ctx.emit(&t, "ablation_gamma.csv")?;
-    println!(
+    outln!(
         "raw features detected: {} — gamma trades support size against \
          accuracy; the default keeps a handful of features at low error.",
         train_data.schema.len()
@@ -110,7 +111,7 @@ pub(super) fn ablation_alpha(ctx: &Context) -> Outcome {
         ]);
     }
     ctx.emit(&t, "ablation_alpha.csv")?;
-    println!(
+    outln!(
         "alpha > 1 pushes residual error to the over-prediction side: fewer \
          misses for slightly more energy — the paper's design goal 3."
     );
@@ -150,7 +151,7 @@ pub(super) fn ablation_margin(ctx: &Context) -> Outcome {
         ));
     }
     ctx.emit(&t, "ablation_margin.csv")?;
-    println!("the paper's 5% sits at the knee: little energy for robustness.");
+    outln!("the paper's 5% sits at the knee: little energy for robustness.");
     Ok(())
 }
 
@@ -188,7 +189,7 @@ pub(super) fn ablation_switching(ctx: &Context) -> Outcome {
         t.row(&cells(label, &avg, &[1, 2]));
     }
     ctx.emit(&t, "ablation_switching.csv")?;
-    println!("faster regulators reclaim budget: slightly lower levels and fewer residual misses.");
+    outln!("faster regulators reclaim budget: slightly lower levels and fewer residual misses.");
     Ok(())
 }
 
@@ -236,7 +237,7 @@ pub(super) fn ablation_compression(ctx: &Context) -> Outcome {
         ));
     }
     ctx.emit(&t, "ablation_compression.csv")?;
-    println!(
+    outln!(
         "without the FSM rewrite the slice still waits for hardware that \
          no longer exists — same cycles as the full design (paper §3.5)."
     );
@@ -260,7 +261,7 @@ pub(super) fn ablation_table(ctx: &Context) -> Outcome {
     );
     versus(&mut t, ctx.asic()?, Scheme::Table, Scheme::Prediction)?;
     ctx.emit(&t, "ablation_table.csv")?;
-    println!(
+    outln!(
         "the coarse table misses the fine-grained job-to-job variation the \
          paper's Fig. 2 shows, so its savings are a fraction of prediction's."
     );
@@ -304,7 +305,7 @@ pub(super) fn ablation_governors(ctx: &Context) -> Outcome {
         t.row(&row);
     }
     ctx.emit(&t, "ablation_governors.csv")?;
-    println!(
+    outln!(
         "wcet never misses but barely saves; the interval governor saves by \
          missing; prediction dominates on both axes."
     );

@@ -8,6 +8,7 @@ use predvfs_sim::{run_pipeline, PipelineStage, Scheme, SplitPolicy, Table};
 use rand::Rng;
 
 use super::{cells, run_controller, Context, Outcome};
+use crate::outln;
 
 /// §4.5: running the predictor in software on the host CPU instead of as
 /// a hardware slice (e.g. an ffmpeg-based H.264 predictor).
@@ -39,7 +40,7 @@ pub(super) fn ext_software_predictor(ctx: &Context) -> Outcome {
         format!("{:.3}", cpu_ms.iter().sum::<f64>() / cpu_ms.len() as f64),
     ]);
     ctx.emit(&t, "ext_software_predictor.csv")?;
-    println!(
+    outln!(
         "paper: the software predictor achieved good accuracy for h264 \
          (details elided for space); measured above."
     );
@@ -125,7 +126,7 @@ pub(super) fn ext_pipeline(ctx: &Context) -> Outcome {
         ));
     }
     ctx.emit(&t, "ext_pipeline.csv")?;
-    println!(
+    outln!(
         "proportional split saves {:.1}% over a static even split — the \
          fast stage no longer idles at high voltage.",
         100.0 * (1.0 - energies[1] / energies[0])
@@ -181,7 +182,7 @@ pub(super) fn ext_hybrid(ctx: &Context) -> Outcome {
         deadline_s: 16.7e-3,
         index: 0,
     });
-    println!(
+    outln!(
         "the EWMA residual tracker (final ratio {:.3}) absorbs the hidden \
          Huffman-drain bias the features cannot observe.",
         hybrid.residual_ratio()

@@ -7,7 +7,7 @@ use predvfs_rtl::{AsicAreaModel, CompiledSim, ExecMode};
 use predvfs_sim::{deadline_sweep, Experiment, Scheme, Table};
 
 use super::{cells, run_schemes, versus, with_average, Context, Outcome, Rows};
-use crate::paper;
+use crate::{outln, paper};
 
 /// Figure 2: per-frame execution time of the H.264 decoder for three video
 /// clips of the same resolution, decoded at 60 fps.
@@ -57,7 +57,7 @@ pub(super) fn fig02_h264_variation(ctx: &Context) -> Outcome {
         ]);
     }
     ctx.emit(&summary, "fig02_summary.csv")?;
-    println!(
+    outln!(
         "paper: large variation between and within clips at one resolution \
          (roughly 5–12 ms); measured above."
     );
@@ -101,7 +101,7 @@ pub(super) fn fig03_pid_lag(ctx: &Context) -> Outcome {
         }
     }
     ctx.emit(&t, "fig03_pid_lag.csv")?;
-    println!(
+    outln!(
         "{} of {} window jobs mispredicted by >15% — the spike-chasing lag \
          the paper illustrates (one under- then one over-prediction).",
         lag_events,
@@ -170,7 +170,7 @@ pub(super) fn fig10_prediction_error(ctx: &Context) -> Outcome {
         t.row(&row);
     }
     ctx.emit(&t, "fig10_prediction_error.csv")?;
-    println!(
+    outln!(
         "paper: near-zero error for most benchmarks; djpeg visibly worse \
          (unmodelable variable-latency state); very few under-predictions \
          thanks to the conservative convex objective."
@@ -206,14 +206,14 @@ pub(super) fn fig11_energy_misses(ctx: &Context) -> Outcome {
     }
     ctx.emit(&energy, "fig11_energy.csv")?;
     ctx.emit(&misses, "fig11_misses.csv")?;
-    println!(
+    outln!(
         "paper: prediction saves {:.1}% (measured {:.1}%), misses {:.1}% (measured {:.2}%)",
         paper::PREDICTION_SAVINGS_PCT,
         100.0 - avg[2],
         paper::PREDICTION_MISS_PCT,
         avg[5]
     );
-    println!(
+    outln!(
         "paper: pid misses {:.1}% (measured {:.1}%), pid energy penalty {:.1}% (measured {:.1}%)",
         paper::PID_MISS_PCT,
         avg[4],
@@ -255,7 +255,7 @@ pub(super) fn fig12_slice_overhead(ctx: &Context) -> Outcome {
         t.row(&cells(name, v, &[1; 3]));
     }
     ctx.emit(&t, "fig12_slice_overhead.csv")?;
-    println!(
+    outln!(
         "paper averages: area {:.1}% (measured {:.1}%), energy {:.1}% \
          (measured {:.1}%), time {:.1}% of budget (measured {:.1}%)",
         paper::SLICE_AREA_PCT,
@@ -300,7 +300,7 @@ pub(super) fn fig13_no_overhead_oracle(ctx: &Context) -> Outcome {
     }
     ctx.emit(&energy, "fig13_energy.csv")?;
     ctx.emit(&misses, "fig13_misses.csv")?;
-    println!(
+    outln!(
         "paper: removing overheads lifts savings to {:.1}% (measured {:.1}%), \
          oracle at {:.1}% (measured {:.1}%); both miss-free — residual \
          prediction misses are budget-, not accuracy-, driven.",
@@ -344,7 +344,7 @@ pub(super) fn fig14_boost(ctx: &Context) -> Outcome {
         Scheme::PredictionBoost,
     )?;
     ctx.emit(&t, "fig14_boost.csv")?;
-    println!(
+    outln!(
         "paper: boost eliminates all misses while keeping {:.1}% savings \
          (measured: misses {:.2}% -> {:.2}%, savings {:.1}%)",
         paper::BOOST_SAVINGS_PCT,
@@ -377,7 +377,7 @@ pub(super) fn fig15_deadline_sweep(ctx: &Context) -> Outcome {
     }
     ctx.emit(&energy, "fig15_energy.csv")?;
     ctx.emit(&misses, "fig15_misses.csv")?;
-    println!(
+    outln!(
         "paper: below 1.0x even the baseline misses (some jobs cannot fit); \
          with longer deadlines prediction keeps lowering energy while \
          staying miss-free, PID keeps missing."
@@ -400,7 +400,7 @@ pub(super) fn fig16_fpga(ctx: &Context) -> Outcome {
     );
     let avg = versus(&mut t, ctx.fpga()?, Scheme::Pid, Scheme::Prediction)?;
     ctx.emit(&t, "fig16_fpga.csv")?;
-    println!(
+    outln!(
         "paper: FPGA prediction saves {:.1}% with 0.4% misses \
          (measured {:.1}% savings, {:.2}% misses) — comparable to ASIC.",
         paper::FPGA_SAVINGS_PCT,
@@ -447,7 +447,7 @@ pub(super) fn fig17_fpga_overhead(ctx: &Context) -> Outcome {
         t.row(&row);
     }
     ctx.emit(&t, "fig17_fpga_overhead.csv")?;
-    println!(
+    outln!(
         "paper: average slice resources {:.1}% (measured {:.1}%); stencil's \
          share is inflated because its compute lives in DSPs while the \
          slice is LUT-only.",
@@ -487,7 +487,7 @@ pub(super) fn fig18_hls_slicing(ctx: &Context) -> Outcome {
         ));
     }
     ctx.emit(&t, "fig18_hls_slicing.csv")?;
-    println!(
+    outln!(
         "paper: both slices predict equally well, but the HLS slice's \
          shorter runtime leaves enough budget to remove the md/stencil \
          misses entirely."
@@ -511,7 +511,7 @@ pub(super) fn fig19_hls_overhead(ctx: &Context) -> Outcome {
         ));
     }
     ctx.emit(&t, "fig19_hls_overhead.csv")?;
-    println!("paper: the HLS slice runs several times faster at similar area.");
+    outln!("paper: the HLS slice runs several times faster at similar area.");
     Ok(())
 }
 
@@ -522,7 +522,7 @@ pub(super) fn case_study_h264(ctx: &Context) -> Outcome {
     let exp = ctx.asic_bench("h264")?;
 
     let selected = exp.model.selected_nonbias().len();
-    println!(
+    outln!(
         "features: {} detected -> {} selected by Lasso (paper: {} -> {})",
         exp.raw_feature_count,
         selected,
@@ -538,19 +538,19 @@ pub(super) fn case_study_h264(ctx: &Context) -> Outcome {
 
     let errs = exp.run(Scheme::Prediction)?.prediction_errors_pct();
     let worst = errs.iter().cloned().fold(0.0f64, |a, b| a.max(b.abs()));
-    println!("worst-case prediction error: {worst:.2}% (paper: ~3%)");
+    outln!("worst-case prediction error: {worst:.2}% (paper: ~3%)");
 
     let area_model = AsicAreaModel::default();
     let full = area_model.area(&exp.module);
     let slice = area_model.area(exp.predictor.module());
-    println!(
+    outln!(
         "slice area: {:.0} um2 = {:.1}% of decoder (paper: 37,713 um2 = {:.1}%)",
         slice.total_um2(),
         100.0 * slice.total_um2() / full.total_um2(),
         paper::H264_SLICE_AREA_PCT
     );
     let o = exp.slice_overheads()?;
-    println!(
+    outln!(
         "slice energy: {:.1}% of job energy (paper: {:.1}%); slice time: \
          {:.1}% of deadline",
         o.energy_pct,
@@ -558,7 +558,7 @@ pub(super) fn case_study_h264(ctx: &Context) -> Outcome {
         o.time_pct
     );
     let report = exp.predictor.report();
-    println!(
+    outln!(
         "slice kept: {} registers, {} serial blocks; dropped: {} registers, \
          {} datapath blocks; {} wait states removed from the FSM",
         report.kept_regs.len(),

@@ -30,6 +30,8 @@ use predvfs_sim::{
     TraceBundle, TraceCache,
 };
 
+use crate::outln;
+
 /// What an exhibit returns: the first failed preparation, write or
 /// headline check.
 pub type Outcome = Result<(), Box<dyn Error>>;
@@ -238,7 +240,7 @@ impl Context {
     /// Prints `table`, then writes it as CSV to `file` in the output
     /// directory.
     fn emit(&self, table: &Table, file: &str) -> std::io::Result<()> {
-        table.print();
+        outln!("{}", table.render());
         self.write(table, file)
     }
 }

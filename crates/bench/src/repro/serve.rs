@@ -10,6 +10,7 @@ use predvfs_serve::{
 use predvfs_sim::{Platform, Table};
 
 use super::{Context, Outcome};
+use crate::outln;
 
 /// Seed of the chaos fault plan.
 const CHAOS_SEED: u64 = 7;
@@ -173,13 +174,13 @@ pub(super) fn fig_serve_drift(ctx: &Context) -> Outcome {
             format!("{:.2}", s.total_energy_pj() / 1e6),
         ]);
     }
-    table.print();
+    outln!("{}", table.render());
     let out = ctx.path("fig_serve_drift.csv");
     table.write_csv(&out)?;
-    println!("wrote {}", out.display());
+    outln!("wrote {}", out.display());
     let trace_out = ctx.path("fig_serve_drift.trace.jsonl");
     std::fs::write(&trace_out, recorder.ring().to_jsonl())?;
-    println!(
+    outln!(
         "wrote {} ({} events, {} drift fallbacks, {} refit installs)",
         trace_out.display(),
         recorder.ring().len(),
@@ -273,13 +274,13 @@ pub(super) fn fig_serve_chaos(ctx: &Context) -> Outcome {
             ]);
         }
     }
-    table.print();
+    outln!("{}", table.render());
     let out = ctx.path("fig_serve_chaos.csv");
     table.write_csv(&out)?;
-    println!("wrote {}", out.display());
+    outln!("wrote {}", out.display());
     let trace_out = ctx.path("fig_serve_chaos.trace.jsonl");
     std::fs::write(&trace_out, recorder.ring().to_jsonl())?;
-    println!(
+    outln!(
         "wrote {} ({} events, {} faults, {} watchdog boosts, {} quarantine transitions)",
         trace_out.display(),
         recorder.ring().len(),
@@ -300,7 +301,7 @@ pub(super) fn fig_serve_chaos(ctx: &Context) -> Outcome {
         hardened.miss_pct(),
         baseline.miss_pct()
     );
-    println!(
+    outln!(
         "miss rate {:.2}% (disabled) -> {:.2}% (enabled)",
         baseline.miss_pct(),
         hardened.miss_pct()
@@ -423,10 +424,10 @@ pub(super) fn fig_slo(ctx: &Context) -> Outcome {
             ]);
         }
     }
-    table.print();
+    outln!("{}", table.render());
     let out = ctx.path("fig_slo.csv");
     table.write_csv(&out)?;
-    println!("wrote {}", out.display());
+    outln!("wrote {}", out.display());
 
     // The undefended run must attribute its misses to the injected
     // chaos — that attribution working is the figure's whole point.
@@ -442,7 +443,7 @@ pub(super) fn fig_slo(ctx: &Context) -> Outcome {
         injected > 0,
         "undefended chaos misses must attribute to faults/switch stalls"
     );
-    println!(
+    outln!(
         "misses {} (disabled, {} fault-attributed) -> {} (enabled)",
         base_an.total_misses(),
         injected,
