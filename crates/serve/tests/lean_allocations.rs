@@ -7,7 +7,7 @@
 //! calling thread (so tests running alongside on other threads do not
 //! reach the count). The engine is built over 1,024 and then 4,096
 //! streams of one class, with the class's tables warmed first, in the
-//! sharded posture: one-ahead arrivals and deferred escalations.
+//! sharded posture: a stream-major drain and deferred escalations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
