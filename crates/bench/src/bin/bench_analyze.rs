@@ -12,12 +12,12 @@
 //! `analyze_mb_per_sec` is the gated metric.
 
 use predvfs_bench::bench_report::BenchReport;
-use predvfs_bench::{best_of, outln, quick};
+use predvfs_bench::{best_of, quick};
 use predvfs_faults::NullInjector;
 use predvfs_obs::{NullSink, ObsSink, Recorder, TraceAnalysis};
 use predvfs_serve::{ControllerKind, ServeRuntime};
 use predvfs_shard::{merged_trace_jsonl, run_sharded, synth_scenario, ShardConfig, SynthSpec};
-use predvfs_sim::TraceCache;
+use predvfs_sim::{outln, TraceCache};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let quick = quick();

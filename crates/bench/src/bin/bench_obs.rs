@@ -21,12 +21,12 @@
 use std::hint::black_box;
 
 use predvfs_bench::bench_report::BenchReport;
-use predvfs_bench::{best_of, outln, quick};
+use predvfs_bench::{best_of, quick};
 use predvfs_faults::NullInjector;
 use predvfs_obs::{NullSink, SpanDomain};
 use predvfs_serve::{ControllerKind, ServeRuntime};
 use predvfs_shard::{run_sharded, synth_scenario, ShardConfig, SynthSpec};
-use predvfs_sim::TraceCache;
+use predvfs_sim::{outln, TraceCache};
 
 /// Best-of-`reps` nanoseconds per iteration of `f(i)` over `iters` calls.
 fn time_per_iter(iters: u64, reps: usize, mut f: impl FnMut(u64)) -> f64 {

@@ -12,8 +12,9 @@
 //! inside tolerance.
 
 use predvfs_bench::bench_report::BenchReport;
-use predvfs_bench::{best_of, outln, quick};
+use predvfs_bench::{best_of, quick};
 use predvfs_opt::{AsymLasso, FitOptions, FitResult, Matrix};
+use predvfs_sim::outln;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

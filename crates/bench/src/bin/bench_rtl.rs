@@ -24,11 +24,11 @@
 
 use predvfs_accel::{all, WorkloadSize};
 use predvfs_bench::bench_report::BenchReport;
-use predvfs_bench::{best_of, outln, quick, results_dir};
+use predvfs_bench::{best_of, quick, results_dir};
 use predvfs_rtl::{
     Analysis, CompiledSim, ExecMode, FeatureSchema, JobInput, ProbeProgram, Simulator,
 };
-use predvfs_sim::Table;
+use predvfs_sim::{outln, Table};
 
 /// One `(benchmark, mode)` measurement.
 struct Run {
@@ -204,7 +204,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             format!("{:.2}x", r.speedup()),
         ]);
     }
-    outln!("{}", table.render());
+    table.print();
 
     let geo: Vec<(&str, f64)> = TIMED
         .iter()

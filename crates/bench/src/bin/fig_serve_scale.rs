@@ -14,7 +14,7 @@
 //!    wall spans are host timings and excluded from the contract).
 //!
 //! The throughput expectation (> 2× at 4 shards over 1) is asserted
-//! only when the machine actually has ≥ 4 cores — shard workers are OS
+//! only when the machine actually has ≥ 4 cores — busy shards run on OS
 //! threads, so a 1-core box runs them sequentially by construction.
 //!
 //! `--quick` (or `PREDVFS_QUICK=1`) shrinks the sweep for CI smoke: 16k
@@ -25,14 +25,14 @@
 use std::time::Instant;
 
 use predvfs_bench::bench_report::BenchReport;
-use predvfs_bench::{outln, quick, results_dir};
+use predvfs_bench::{quick, results_dir};
 use predvfs_faults::{FaultConfig, FaultInjector, FaultPlan, NullInjector};
 use predvfs_obs::{NullSink, ObsSink, Recorder};
 use predvfs_serve::{ControllerKind, ServeRuntime};
 use predvfs_shard::{
     merged_trace_jsonl, run_sharded, synth_scenario, ShardConfig, ShardedResult, SynthSpec,
 };
-use predvfs_sim::{Table, TraceCache};
+use predvfs_sim::{outln, Table, TraceCache};
 
 /// Full-scale sweep: 2^20 streams × 10 jobs = 10.49M jobs.
 const FULL_STREAMS: usize = 1 << 20;
@@ -254,7 +254,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ]);
         runs.push(run);
     }
-    outln!("{}", table.render());
+    table.print();
 
     let jobs = runs[0].result.jobs_done;
     if !quick {
@@ -271,7 +271,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Throughput expectation, gated on real parallelism being available:
-    // shard workers are OS threads, so a 1-core box runs them serially.
+    // busy shards run on OS threads, so a 1-core box runs them serially.
     // Skips are recorded in the report's `unasserted` list so nobody
     // reads a 1-core number as a gated result.
     let mut report = BenchReport::new("serve", quick);

@@ -20,7 +20,8 @@ use std::time::Instant;
 use predvfs_accel::WorkloadSize;
 use predvfs_bench::bench_report::{rust_lines, BenchReport};
 use predvfs_bench::repro::{exhibit, Context, EXHIBITS};
-use predvfs_bench::{outln, results_dir};
+use predvfs_bench::results_dir;
+use predvfs_sim::outln;
 
 fn main() -> ExitCode {
     let names: Vec<String> = std::env::args().skip(1).collect();

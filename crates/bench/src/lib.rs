@@ -16,9 +16,9 @@
 //! `bench_analyze` the trace analyzer, `bench_obs` the span guards,
 //! `fig_serve_scale` the sharded serve tier — and write a
 //! [`bench_report`] that `bench_gate` compares against its committed
-//! baseline ([`gate`]). They share the quick switch ([`quick`]), the
-//! best-of-N wall timer ([`best_of`]) and a stdout writer that never
-//! panics ([`outln!`]).
+//! baseline ([`gate`]). They share the quick switch ([`quick`]) and the
+//! best-of-N wall timer ([`best_of`]), and print through
+//! [`predvfs_sim::outln!`], a stdout writer that never panics.
 
 #![warn(missing_docs)]
 
@@ -97,17 +97,6 @@ pub fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
         last = Some(value);
     }
     (best, last.expect("reps > 0"))
-}
-
-/// `println!` for the bench binaries' progress and result lines, except
-/// that a closed or failing stdout drops the line instead of panicking:
-/// `bench_opt | head -1` still writes `BENCH_opt.json` and exits 0.
-#[macro_export]
-macro_rules! outln {
-    ($($arg:tt)*) => {{
-        use ::std::io::Write as _;
-        let _ = ::std::writeln!(::std::io::stdout(), $($arg)*);
-    }};
 }
 
 /// Directory where experiment CSVs are written.

@@ -8,10 +8,9 @@ use predvfs::{
 use predvfs_accel::{all, djpeg};
 use predvfs_power::{AlphaPowerCurve, EnergyModel, Ladder, PowerParams, SwitchingModel};
 use predvfs_rtl::{AsicAreaModel, CompiledSim, ExecMode, SliceOptions};
-use predvfs_sim::{run_scheme, Platform, RunConfig, Scheme, Table};
+use predvfs_sim::{outln, run_scheme, Platform, RunConfig, Scheme, Table};
 
 use super::{cells, run_controller, run_schemes, versus, with_average, Context, Outcome};
-use crate::outln;
 
 /// The Lasso weight γ controls how many features survive selection (the
 /// 257→7 story of §3.7) and how much accuracy that costs.

@@ -4,11 +4,10 @@
 use predvfs::{CpuModel, DvfsController, HybridController, JobContext, SoftwarePredictor};
 use predvfs_opt::BoxStats;
 use predvfs_rtl::{CompiledSim, ExecMode, JobInput, JobTrace, Module, RtlError};
-use predvfs_sim::{run_pipeline, PipelineStage, Scheme, SplitPolicy, Table};
+use predvfs_sim::{outln, run_pipeline, PipelineStage, Scheme, SplitPolicy, Table};
 use rand::Rng;
 
 use super::{cells, run_controller, Context, Outcome};
-use crate::outln;
 
 /// §4.5: running the predictor in software on the host CPU instead of as
 /// a hardware slice (e.g. an ffmpeg-based H.264 predictor).

@@ -4,10 +4,10 @@
 use predvfs_accel::{h264, WorkloadSize};
 use predvfs_opt::BoxStats;
 use predvfs_rtl::{AsicAreaModel, CompiledSim, ExecMode};
-use predvfs_sim::{deadline_sweep, Experiment, Scheme, Table};
+use predvfs_sim::{deadline_sweep, outln, Experiment, Scheme, Table};
 
 use super::{cells, run_schemes, versus, with_average, Context, Outcome, Rows};
-use crate::{outln, paper};
+use crate::paper;
 
 /// Figure 2: per-frame execution time of the H.264 decoder for three video
 /// clips of the same resolution, decoded at 60 fps.

@@ -30,8 +30,6 @@ use predvfs_sim::{
     TraceBundle, TraceCache,
 };
 
-use crate::outln;
-
 /// What an exhibit returns: the first failed preparation, write or
 /// headline check.
 pub type Outcome = Result<(), Box<dyn Error>>;
@@ -240,7 +238,7 @@ impl Context {
     /// Prints `table`, then writes it as CSV to `file` in the output
     /// directory.
     fn emit(&self, table: &Table, file: &str) -> std::io::Result<()> {
-        outln!("{}", table.render());
+        table.print();
         self.write(table, file)
     }
 }

@@ -7,10 +7,9 @@ use predvfs_obs::{MissCause, NullSink, Recorder, TraceAnalysis};
 use predvfs_serve::{
     ControllerKind, DegradeConfig, DriftSpec, Scenario, ServeResult, ServeRuntime, StreamSpec,
 };
-use predvfs_sim::{Platform, Table};
+use predvfs_sim::{outln, Platform, Table};
 
 use super::{Context, Outcome};
-use crate::outln;
 
 /// Seed of the chaos fault plan.
 const CHAOS_SEED: u64 = 7;
@@ -174,7 +173,7 @@ pub(super) fn fig_serve_drift(ctx: &Context) -> Outcome {
             format!("{:.2}", s.total_energy_pj() / 1e6),
         ]);
     }
-    outln!("{}", table.render());
+    table.print();
     let out = ctx.path("fig_serve_drift.csv");
     table.write_csv(&out)?;
     outln!("wrote {}", out.display());
@@ -274,7 +273,7 @@ pub(super) fn fig_serve_chaos(ctx: &Context) -> Outcome {
             ]);
         }
     }
-    outln!("{}", table.render());
+    table.print();
     let out = ctx.path("fig_serve_chaos.csv");
     table.write_csv(&out)?;
     outln!("wrote {}", out.display());
@@ -424,7 +423,7 @@ pub(super) fn fig_slo(ctx: &Context) -> Outcome {
             ]);
         }
     }
-    outln!("{}", table.render());
+    table.print();
     let out = ctx.path("fig_slo.csv");
     table.write_csv(&out)?;
     outln!("wrote {}", out.display());

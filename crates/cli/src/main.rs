@@ -54,7 +54,7 @@ use predvfs_rtl::{
     FpgaResourceModel, JobInput, Module, SliceOptions,
 };
 use predvfs_serve::{DegradeConfig, Scenario, ServeResult, ServeRuntime};
-use predvfs_sim::{Experiment, ExperimentConfig, Platform, Scheme};
+use predvfs_sim::{outln, Experiment, ExperimentConfig, Platform, Scheme};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -117,7 +117,7 @@ fn run(raw_args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         ),
         "chaos" => cmd_chaos(required(args, 1, "scenario file (or --demo)")?, args.get(2)),
         "help" | "--help" | "-h" => {
-            print!("{}", HELP);
+            print_block(HELP);
             Ok(())
         }
         other => Err(format!("unknown command `{other}`; try `predvfs help`").into()),
@@ -286,23 +286,27 @@ fn write_observability(opts: &CliOptions) -> Result<(), Box<dyn std::error::Erro
     if counters.is_empty() && histograms.is_empty() && spans.is_empty() {
         return Ok(());
     }
-    println!("\nmetrics summary:");
-    println!("  {:<44} {:>14}", "counter", "value");
+    outln!("\nmetrics summary:");
+    outln!("  {:<44} {:>14}", "counter", "value");
     for (name, value) in &counters {
-        println!("  {name:<44} {value:>14}");
+        outln!("  {name:<44} {value:>14}");
     }
     if !spans.is_empty() {
-        println!("  {:<44} {:>10} {:>12}", "span", "calls", "seconds");
+        outln!("  {:<44} {:>10} {:>12}", "span", "calls", "seconds");
         for (name, total) in &spans {
             let seconds = total.ns as f64 / 1e9;
-            println!("  {name:<44} {:>10} {seconds:>12.6}", total.calls);
+            outln!("  {name:<44} {:>10} {seconds:>12.6}", total.calls);
         }
     }
     if !histograms.is_empty() {
         let quantiles = rec.registry().histogram_quantiles();
-        println!(
+        outln!(
             "  {:<44} {:>10} {:>12} {:>12} {:>12}",
-            "histogram", "count", "mean", "p50", "p99"
+            "histogram",
+            "count",
+            "mean",
+            "p50",
+            "p99"
         );
         for ((name, count, sum), (_, p50, _, p99)) in histograms.iter().zip(&quantiles) {
             let mean = if *count == 0 {
@@ -310,7 +314,7 @@ fn write_observability(opts: &CliOptions) -> Result<(), Box<dyn std::error::Erro
             } else {
                 sum / *count as f64
             };
-            println!("  {name:<44} {count:>10} {mean:>12.6} {p50:>12.6} {p99:>12.6}");
+            outln!("  {name:<44} {count:>10} {mean:>12.6} {p50:>12.6} {p99:>12.6}");
         }
     }
     Ok(())
@@ -385,12 +389,17 @@ fn analyze_trace(path: &str, rest: &[String]) -> Result<(), Box<dyn std::error::
     // size, so million-event traces don't spike RSS.
     let reader = std::io::BufReader::new(fs::File::open(path)?);
     let analysis = predvfs_obs::TraceAnalysis::from_reader(reader)?;
-    print!("{}", analysis.report());
+    print_block(&analysis.report());
     if let Some(out) = perfetto {
         fs::write(&out, analysis.to_perfetto())?;
         eprintln!("wrote perfetto trace to {out}");
     }
     Ok(())
+}
+
+/// Prints `text`, whose last line ends in a newline, through `outln!`.
+fn print_block(text: &str) {
+    outln!("{}", text.strip_suffix('\n').unwrap_or(text));
 }
 
 const HELP: &str = "\
@@ -523,9 +532,9 @@ fn export(bench: Option<&String>, out: Option<&String>) -> Result<(), Box<dyn st
     match out {
         Some(path) => {
             fs::write(path, &text)?;
-            println!("wrote {path}");
+            outln!("wrote {path}");
         }
-        None => print!("{text}"),
+        None => print_block(&text),
     }
     Ok(())
 }
@@ -533,8 +542,8 @@ fn export(bench: Option<&String>, out: Option<&String>) -> Result<(), Box<dyn st
 fn analyze(path: &str) -> Result<(), Box<dyn std::error::Error>> {
     let module = load(path)?;
     let analysis = Analysis::run(&module);
-    println!("module `{}`:", module.name);
-    println!(
+    outln!("module `{}`:", module.name);
+    outln!(
         "  {} registers, {} datapath blocks, {} memories, {} input fields",
         module.regs.len(),
         module.datapaths.len(),
@@ -542,32 +551,32 @@ fn analyze(path: &str) -> Result<(), Box<dyn std::error::Error>> {
         module.inputs.len()
     );
     for f in &analysis.fsms {
-        println!(
+        outln!(
             "  fsm {} — {} states, {} transitions",
             module.reg_name(f.reg),
             f.states.len(),
             f.transition_pairs().len()
         );
     }
-    println!("  counters:");
+    outln!("  counters:");
     for c in &analysis.counters {
         let dir = match (c.counts_down(), c.counts_up()) {
             (true, false) => "down",
             (false, true) => "up",
             _ => "mixed",
         };
-        println!("    {} ({dir})", module.reg_name(c.reg));
+        outln!("    {} ({dir})", module.reg_name(c.reg));
     }
     let serial = analysis.waits.iter().filter(|w| w.serial).count();
-    println!(
+    outln!(
         "  wait states: {} ({} serial)",
         analysis.waits.len(),
         serial
     );
     let schema = FeatureSchema::from_analysis(&module, &analysis);
-    println!("  feature schema: {} columns", schema.len());
+    outln!("  feature schema: {} columns", schema.len());
     let area = AsicAreaModel::default().area(&module);
-    println!(
+    outln!(
         "  asic area: {:.0} um2 (control {:.0}, datapath {:.0}, memory {:.0})",
         area.total_um2(),
         area.control_um2,
@@ -575,14 +584,17 @@ fn analyze(path: &str) -> Result<(), Box<dyn std::error::Error>> {
         area.memory_um2
     );
     let res = FpgaResourceModel::default().resources(&module);
-    println!(
+    outln!(
         "  fpga: {} LUTs, {} DSPs, {} BRAMs",
-        res.luts, res.dsps, res.brams
+        res.luts,
+        res.dsps,
+        res.brams
     );
     if let Ok(bound) = wcet(&module) {
-        println!(
+        outln!(
             "  wcet: {} cycles/token + {} startup",
-            bound.cycles_per_token, bound.startup_cycles
+            bound.cycles_per_token,
+            bound.startup_cycles
         );
     }
     Ok(())
@@ -592,15 +604,20 @@ fn simulate(path: &str, jobs_path: &str) -> Result<(), Box<dyn std::error::Error
     let module = load(path)?;
     let jobs = load_jobs(jobs_path, module.inputs.len())?;
     let sim = CompiledSim::new(&module)?;
-    println!(
+    outln!(
         "{:>5} {:>10} {:>12} {:>10}",
-        "job", "tokens", "cycles", "stepped"
+        "job",
+        "tokens",
+        "cycles",
+        "stepped"
     );
     for (i, job) in jobs.iter().enumerate() {
         let t = sim.run(job, ExecMode::FastForward, None)?;
-        println!(
+        outln!(
             "{i:>5} {:>10} {:>12} {:>10}",
-            t.tokens_consumed, t.cycles, t.stepped_cycles
+            t.tokens_consumed,
+            t.cycles,
+            t.stepped_cycles
         );
     }
     Ok(())
@@ -610,13 +627,13 @@ fn cmd_train(path: &str, jobs_path: &str) -> Result<(), Box<dyn std::error::Erro
     let module = load(path)?;
     let jobs = load_jobs(jobs_path, module.inputs.len())?;
     let model = train::train(&module, &jobs, &TrainerConfig::default())?;
-    println!(
+    outln!(
         "fitted {} of {} features:",
         model.selected().len(),
         model.schema().len()
     );
     for (name, coeff) in model.support_summary() {
-        println!("  {name:<32} {coeff:>14.4}");
+        outln!("  {name:<32} {coeff:>14.4}");
     }
     Ok(())
 }
@@ -632,7 +649,7 @@ fn cmd_slice(
     let predictor =
         SlicePredictor::generate(&module, &model, SliceOptions::default(), SliceFlavor::Rtl)?;
     let report = predictor.report();
-    println!(
+    outln!(
         "slice: kept {} registers / {} serial blocks; dropped {} registers / \
          {} datapath blocks; removed {} wait states",
         report.kept_regs.len(),
@@ -645,13 +662,13 @@ fn cmd_slice(
     let slim = AsicAreaModel::default()
         .area(predictor.module())
         .total_um2();
-    println!(
+    outln!(
         "area: {slim:.0} um2 ({:.1}% of {full:.0})",
         100.0 * slim / full
     );
     if let Some(out_path) = out {
         fs::write(out_path, to_text(predictor.module()))?;
-        println!("wrote {out_path}");
+        outln!("wrote {out_path}");
     }
     Ok(())
 }
@@ -665,8 +682,8 @@ fn cmd_dot(path: &str) -> Result<(), Box<dyn std::error::Error>> {
         .fsms
         .first()
         .ok_or("design has no control FSM to draw")?;
-    println!("digraph {} {{", module.name);
-    println!("  rankdir=LR;");
+    outln!("digraph {} {{", module.name);
+    outln!("  rankdir=LR;");
     for &s in &fsm.states {
         let wait = analysis.wait_for(fsm.reg, s);
         let shape = if wait.is_some() { "box" } else { "ellipse" };
@@ -678,12 +695,12 @@ fn cmd_dot(path: &str) -> Result<(), Box<dyn std::error::Error>> {
             Some(w) => format!("S{s}\\n[{}]", module.reg_name(w.counter)),
             None => format!("S{s}"),
         };
-        println!("  s{s} [shape={shape}{style}, label=\"{label}\"];");
+        outln!("  s{s} [shape={shape}{style}, label=\"{label}\"];");
     }
     for (src, dst) in fsm.transition_pairs() {
-        println!("  s{src} -> s{dst};");
+        outln!("  s{src} -> s{dst};");
     }
-    println!("}}");
+    outln!("}}");
     Ok(())
 }
 
@@ -715,13 +732,16 @@ fn cmd_eval(name: &str, platform: Option<&String>) -> Result<(), Box<dyn std::er
     }
     let results = experiment.run_all(&Scheme::ALL)?;
     let base = results[0].clone();
-    println!(
+    outln!(
         "{:<20} {:>16} {:>9} {:>7}",
-        "scheme", "energy_pJ", "norm%", "miss%"
+        "scheme",
+        "energy_pJ",
+        "norm%",
+        "miss%"
     );
     let sink = predvfs_obs::global();
     for r in &results {
-        println!(
+        outln!(
             "{:<20} {:>16.0} {:>9.1} {:>7.2}",
             r.scheme,
             r.total_energy_pj(),
@@ -768,19 +788,19 @@ fn resolve_plan(scenario: &Scenario, flag_seed: Option<u64>) -> Option<FaultPlan
 /// Prints the per-stream outcome table for a serve run; chaos runs get
 /// the fault/degradation columns appended.
 fn print_serve_table(runtime: &ServeRuntime, result: &ServeResult, chaos: bool) {
-    print!(
+    let mut header = format!(
         "{:<12} {:<10} {:>9} {:>6} {:>7} {:>7} {:>8} {:>7}",
         "stream", "ctrl", "submitted", "done", "miss%", "shed%", "relaxed", "refits"
     );
     if chaos {
-        print!(
+        header += &format!(
             " {:>7} {:>6} {:>5} {:>7}",
             "faults", "escal", "quar", "interr"
         );
     }
-    println!(" {:>14}", "energy_pJ");
+    outln!("{header} {:>14}", "energy_pJ");
     for (spec, s) in runtime.specs().zip(&result.streams) {
-        print!(
+        let mut row = format!(
             "{:<12} {:<10} {:>9} {:>6} {:>7.2} {:>7.2} {:>8} {:>7}",
             s.name,
             spec.controller.name(),
@@ -792,12 +812,12 @@ fn print_serve_table(runtime: &ServeRuntime, result: &ServeResult, chaos: bool) 
             s.refits
         );
         if chaos {
-            print!(
+            row += &format!(
                 " {:>7} {:>6} {:>5} {:>7}",
                 s.faults, s.escalations, s.quarantines, s.internal_errors
             );
         }
-        println!(" {:>14.0}", s.total_energy_pj());
+        outln!("{row} {:>14.0}", s.total_energy_pj());
     }
 }
 
@@ -843,7 +863,7 @@ fn cmd_serve(
         None => runtime.run_observed(None, predvfs_obs::global())?,
     };
     print_serve_table(&runtime, &result, plan.is_some());
-    println!(
+    outln!(
         "{} events over {:.1} ms of virtual time",
         result.events,
         result.horizon_s * 1e3
@@ -933,12 +953,12 @@ fn serve_sharded(
         events: sharded.events,
     };
     print_serve_table(runtime, &result, plan.is_some());
-    println!(
+    outln!(
         "{} events over {:.1} ms of virtual time",
         result.events,
         result.horizon_s * 1e3
     );
-    println!(
+    outln!(
         "{} epochs, {} migrations, boosts granted/denied/applied {}/{}/{}, jobs per shard {:?}",
         sharded.epochs,
         sharded.migrations,
@@ -948,7 +968,7 @@ fn serve_sharded(
         sharded.shard_jobs_done
     );
     if sharded.checkpoints > 0 || sharded.crashes > 0 || sharded.epoch_stalls > 0 {
-        println!(
+        outln!(
             "{} checkpoints, {} crashes ({} recovered, {} epochs replayed), \
              {} epoch stalls, {} transfer retransmits",
             sharded.checkpoints,
@@ -995,11 +1015,11 @@ fn cmd_chaos(
         &plan,
         &DegradeConfig::enabled(),
     )?;
-    println!("chaos seed {seed} — graceful degradation DISABLED:");
+    outln!("chaos seed {seed} — graceful degradation DISABLED:");
     print_serve_table(&runtime, &baseline, true);
-    println!("\nchaos seed {seed} — graceful degradation ENABLED:");
+    outln!("\nchaos seed {seed} — graceful degradation ENABLED:");
     print_serve_table(&runtime, &hardened, true);
-    println!(
+    outln!(
         "\noverall miss rate: {:.2}% disabled -> {:.2}% enabled",
         baseline.miss_pct(),
         hardened.miss_pct()
@@ -1010,9 +1030,10 @@ fn cmd_chaos(
 fn cmd_wcet(path: &str) -> Result<(), Box<dyn std::error::Error>> {
     let module = load(path)?;
     let bound = wcet(&module)?;
-    println!(
+    outln!(
         "worst case: {} cycles per token, {} startup cycles",
-        bound.cycles_per_token, bound.startup_cycles
+        bound.cycles_per_token,
+        bound.startup_cycles
     );
     Ok(())
 }

@@ -159,15 +159,15 @@ pub trait FaultInjector: Sync {
     /// Coordinator-level site: does `shard` crash during `epoch` (losing
     /// all in-memory state, to be rebuilt from its last checkpoint plus
     /// the epoch journal)? Queried once per (shard, epoch) at the epoch
-    /// barrier.
+    /// boundary.
     fn shard_crash(&self, _shard: usize, _epoch: u64) -> bool {
         false
     }
 
     /// Coordinator-level site: is `shard` slow reaching the `epoch`
-    /// barrier? Purely observational — the barrier protocol already
-    /// tolerates arbitrarily slow workers, so a stall is counted and
-    /// traced but changes no scheduling decision.
+    /// boundary? Purely observational — the coordinator joins every
+    /// shard at the boundary however long it takes, so a stall is
+    /// counted and traced but changes no scheduling decision.
     fn epoch_stall(&self, _shard: usize, _epoch: u64) -> bool {
         false
     }
@@ -221,7 +221,7 @@ pub struct FaultConfig {
     /// Probability a shard crashes during an epoch (coordinator site;
     /// drawn once per (shard, epoch)).
     pub shard_crash_p: f64,
-    /// Probability a shard stalls reaching an epoch barrier
+    /// Probability a shard stalls reaching an epoch boundary
     /// (coordinator site; observational only).
     pub epoch_stall_p: f64,
     /// Probability a migration transfer is dropped and retransmitted
@@ -275,7 +275,7 @@ impl FaultConfig {
     }
 
     /// The coordinator-level chaos mix used by `serve --crash` and the
-    /// crash-recovery CI smoke: shard crashes, barrier stalls, and
+    /// crash-recovery CI smoke: shard crashes, epoch stalls, and
     /// transfer drops only — job-level sites stay off so recovery runs
     /// compare cleanly against the fault-free reference.
     pub fn coordinator() -> FaultConfig {
@@ -321,7 +321,7 @@ impl FaultConfig {
     /// | `burst` | `p` | back-to-back arrival |
     /// | `spurious_done` | `p` | phantom completion |
     /// | `shard_crash` | `p` | shard loses state during an epoch |
-    /// | `epoch_stall` | `p` | shard slow reaching the barrier |
+    /// | `epoch_stall` | `p` | shard slow reaching the boundary |
     /// | `transfer_drop` | `p` | migration transfer retransmitted |
     ///
     /// # Errors

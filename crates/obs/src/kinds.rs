@@ -48,7 +48,7 @@ pub const CHECKPOINT: &str = "checkpoint";
 pub const SHARD_CRASH: &str = "shard_crash";
 /// A crashed shard finished rebuilding from checkpoint + journal replay.
 pub const RECOVER: &str = "recover";
-/// A shard was slow reaching an epoch barrier (observational fault).
+/// A shard was slow reaching an epoch boundary (observational fault).
 pub const EPOCH_STALL: &str = "epoch_stall";
 /// A dropped migration transfer was retransmitted from the retained copy.
 pub const TRANSFER_RETRANSMIT: &str = "transfer_retransmit";

@@ -2,8 +2,8 @@
 //!
 //! [`ServeRuntime::prepare`] trains and slices each stream's accelerator
 //! (fanned out with [`predvfs_par`], trace simulation deduplicated by the
-//! shared [`TraceCache`], and identical (benchmark, seed, deadline)
-//! classes trained exactly once and shared); [`ServeRuntime::run`] then
+//! shared [`TraceCache`], and identical (benchmark, seed) classes
+//! trained exactly once and shared); [`ServeRuntime::run`] then
 //! runs each class's slice over the test jobs its streams submit, in one
 //! parallel pass, and advances a virtual clock over arrival / slice-done
 //! / level-switch / job-done events in a single serial loop. Parallelism
@@ -105,7 +105,7 @@ use predvfs_power::OperatingPoint;
 use predvfs_rtl::{JobTrace, RtlError};
 use predvfs_sim::{Experiment, ExperimentConfig, TraceCache};
 
-use crate::queue::StreamQueue;
+use crate::queue::{from_order_bits, StreamQueue};
 use crate::scenario::{ControllerKind, OverloadPolicy, Scenario, ServeError, StreamSpec};
 use crate::slo::{SloConfig, SloTracker};
 
@@ -123,7 +123,7 @@ struct CachedEntry {
 
 /// One stream, trained and ready to serve: the prepared experiment plus
 /// the per-arrival job sequence (with any drift already applied to the
-/// traces). Streams of the same (benchmark, seed, deadline) class share
+/// traces). Streams of the same (benchmark, seed) class share
 /// one [`Experiment`] behind an `Arc` (and their [`Class`]'s slice
 /// table), so a million-stream scenario costs a few distinct training
 /// runs.
@@ -138,7 +138,7 @@ struct PreparedStream {
     traces: Arc<Vec<JobTrace>>,
 }
 
-/// One distinct (benchmark, seed, deadline) training problem, with the
+/// One distinct (benchmark, seed) training problem, with the
 /// slice and decision tables its streams read. [`ServeRuntime::warm`] is
 /// the one builder of both.
 struct Class {
@@ -1015,10 +1015,11 @@ impl EngineCheckpoint<'_> {
 
 impl ServeRuntime {
     /// Trains and slices every stream, in parallel, sharing `cache` for
-    /// trace simulation. Streams with identical (benchmark, seed,
-    /// deadline) are one training problem: the class is prepared once
-    /// and shared, so scenario size scales the cheap per-stream state,
-    /// not the expensive pipeline.
+    /// trace simulation. Streams with identical (benchmark, seed) are one
+    /// training problem: the class is prepared once and shared, so
+    /// scenario size scales the cheap per-stream state, not the expensive
+    /// pipeline. A stream's deadline comes from its own spec, never from
+    /// the class.
     ///
     /// # Errors
     ///
@@ -1061,33 +1062,24 @@ impl ServeRuntime {
             scenario.streams.len() as u64,
         );
 
-        // Deduplicate training problems across the scenario.
-        #[derive(Hash, PartialEq, Eq)]
-        struct ExpKey {
-            bench: &'static str,
-            seed: u64,
-            deadline_bits: u64,
-        }
+        // Deduplicate training problems, keyed by (benchmark, seed), across
+        // the scenario.
         let mut exp_of = Vec::with_capacity(scenario.streams.len());
         let mut uniq: Vec<&StreamSpec> = Vec::new();
-        let mut index: HashMap<ExpKey, usize> = HashMap::new();
+        let mut index: HashMap<(&str, u64), usize> = HashMap::new();
         for spec in &scenario.streams {
-            let key = ExpKey {
-                bench: spec.bench.name,
-                seed: spec.seed,
-                deadline_bits: spec.deadline_s.to_bits(),
-            };
-            let idx = *index.entry(key).or_insert_with(|| {
-                uniq.push(spec);
-                uniq.len() - 1
-            });
+            let idx = *index
+                .entry((spec.bench.name, spec.seed))
+                .or_insert_with(|| {
+                    uniq.push(spec);
+                    uniq.len() - 1
+                });
             exp_of.push(idx);
         }
         let exps: Vec<Arc<Experiment>> = predvfs_par::par_try_map(&uniq, |spec| {
             let mut config = ExperimentConfig::paper_default(scenario.platform);
             config.size = scenario.size;
             config.seed = spec.seed;
-            config.deadline_s = spec.deadline_s;
             let exp =
                 Experiment::prepare_cached(spec.bench, config, cache).map_err(ServeError::Core)?;
             // Guard the modulo below: a benchmark that generates no
@@ -1184,7 +1176,7 @@ impl ServeRuntime {
     /// [`ControllerKind::Cached`]). A class's tables cover the test jobs
     /// its streams can submit and are built once. [`ServeRuntime::engine`]
     /// warms its members the same way; calling this first keeps that work
-    /// off the shard workers.
+    /// out of the shards' epochs.
     ///
     /// # Errors
     ///
@@ -1535,6 +1527,17 @@ impl<'rt> ShardEngine<'rt> {
     /// Jobs completed so far.
     pub fn jobs_done(&self) -> u64 {
         self.jobs_done
+    }
+
+    /// Virtual time of the earliest pending event, `None` when idle: one
+    /// read of each slot's first entry. A coordinator tells a shard with
+    /// an event due before a bound from one without by it.
+    pub fn next_event_s(&self) -> Option<f64> {
+        self.pending
+            .iter()
+            .filter_map(StreamQueue::first_key)
+            .min()
+            .map(from_order_bits)
     }
 
     /// Whether the engine currently owns stream `gid`.

@@ -27,7 +27,7 @@ fn order_bits(t: f64) -> u64 {
 }
 
 /// The inverse of [`order_bits`].
-fn from_order_bits(key: u64) -> f64 {
+pub(crate) fn from_order_bits(key: u64) -> f64 {
     let bits = if key >> 63 == 1 {
         key & !(1 << 63)
     } else {

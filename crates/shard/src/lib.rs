@@ -3,19 +3,26 @@
 //! The sharded serve tier: N [`ShardEngine`]s — each owning a partition
 //! of the scenario's streams, its own virtual clock, per-stream pending
 //! events, admission queues, and trace stream — run under a
-//! budget-owning coordinator that advances them in lock-step epochs.
+//! budget-owning coordinator, an epoch loop on the calling thread.
+//! Streams never interact inside an epoch, so one shard's epoch needs
+//! nothing from another's until the boundary: each epoch is a fork-join.
 //!
 //! Each epoch the coordinator:
 //!
-//! 1. lets every shard run its event loop up to the epoch boundary,
-//!    stream-major: one stream's events to the boundary, then the next
-//!    stream's,
-//! 2. collects the shards' deferred escalation requests and grants the
-//!    first `boost_tokens_per_epoch` of them in global `(t_s, gid)`
-//!    order (the power/level budget),
+//! 1. fans the shards out to the epoch boundary, where each runs its
+//!    event loop stream-major (one stream's events to the boundary, then
+//!    the next stream's), fires its fault sites and reports,
+//! 2. grants the first `boost_tokens_per_epoch` of the shards' deferred
+//!    escalation requests in global `(t_s, gid)` order (the power/level
+//!    budget),
 //! 3. migrates the busiest streams off a sustained-overloaded shard
 //!    onto the least loaded one, and
 //! 4. stops once every shard is idle with nothing left to grant or move.
+//!
+//! A shard with an event due before the boundary runs its epoch on a
+//! scoped thread of its own, except the first such shard, which runs on
+//! the calling thread, as every idle shard does; a 1-shard run spawns no
+//! thread at all.
 //!
 //! Determinism is the contract, and it is *shard-count invariant*:
 //! streams never interact inside the event loop (which is why a shard
@@ -34,7 +41,7 @@
 //!
 //! The tier survives injected shard crashes
 //! ([`predvfs_faults::FaultInjector::shard_crash`]) with *provably
-//! deterministic* failover. Each worker keeps two recovery artifacts:
+//! deterministic* failover. Each shard keeps two recovery artifacts:
 //!
 //! * a [`ShardSnapshot`] — the engine's complete logical state
 //!   (virtual clock, pending events, admission queues,
@@ -45,19 +52,20 @@
 //!   it applied — the global boost-grant list, streams moved out, and
 //!   clones of streams admitted in.
 //!
-//! When a crash fires, the worker rebuilds an engine from the last
-//! snapshot (or from scratch when none exists — checkpointing is an
-//! optimization, not a correctness requirement), replays the journal
-//! quietly up to the crash epoch against a [`NullSink`] (the lost
-//! engine already emitted those trace events), swaps the real sink
-//! back, and resumes the barrier protocol — the other shards never see
-//! anything but a slow epoch. Because streams never interact inside
-//! the loop and every boundary decision is re-applied in its original
-//! order, the recovered run's merged trace is **byte-identical** to
-//! the fault-free run's once the shard-scoped checkpoint/crash/recover
-//! meta-events are filtered out (which [`merged_trace`] does by
-//! construction) — the `crash_recovery` suite pins this over
-//! proptest-chosen (crash epoch, shard, shard count) triples.
+//! When a crash fires at a shard's epoch boundary, the shard rebuilds
+//! its engine from the last snapshot (or from scratch when none exists —
+//! checkpointing is an optimization, not a correctness requirement),
+//! replays the journal quietly up to the crash epoch against a
+//! [`NullSink`] (the lost engine already emitted those trace events),
+//! swaps the real sink back, and reports like any other shard — to the
+//! rest of the run the crash is a slow epoch. Because streams never
+//! interact inside the loop and every boundary decision is re-applied
+//! in its original order, the recovered run's merged trace is
+//! **byte-identical** to the fault-free run's once the shard-scoped
+//! checkpoint/crash/recover meta-events are filtered out (which
+//! [`merged_trace`] does by construction) — the `crash_recovery` suite
+//! pins this over proptest-chosen (crash epoch, shard, shard count)
+//! triples.
 //!
 //! ```no_run
 //! use predvfs_serve::ServeRuntime;
@@ -84,7 +92,7 @@
 #![warn(missing_docs)]
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Barrier, Mutex};
+use std::thread::ScopedJoinHandle;
 
 use predvfs_faults::FaultInjector;
 use predvfs_obs::{kinds, NullSink, ObsSink, TraceEvent};
@@ -128,7 +136,7 @@ impl Default for MigrationConfig {
 pub struct ShardConfig {
     /// Number of shard engines (streams are partitioned `gid % shards`).
     pub shards: usize,
-    /// Epoch length in virtual seconds: the barrier cadence at which
+    /// Epoch length in virtual seconds: the boundary cadence at which
     /// budget grants and migrations apply.
     pub epoch_s: f64,
     /// Escalation budget per epoch: at most this many watchdog boosts
@@ -148,7 +156,7 @@ pub struct ShardConfig {
     pub lean: bool,
     /// Capture a [`ShardSnapshot`] every this-many epochs (`None`
     /// disables checkpointing). Crash recovery works either way — with
-    /// no snapshot the worker rebuilds from scratch and replays the
+    /// no snapshot the shard rebuilds from scratch and replays the
     /// full journal — so this knob only bounds replay cost.
     pub checkpoint_every: Option<u64>,
 }
@@ -202,7 +210,7 @@ pub struct ShardedResult {
     pub recoveries: usize,
     /// Epochs re-executed during journal replay, summed over recoveries.
     pub replayed_epochs: u64,
-    /// Injected barrier stalls observed (no behavioral effect).
+    /// Injected epoch stalls observed (no behavioral effect).
     pub epoch_stalls: usize,
     /// Migration transfers dropped in flight and retransmitted from the
     /// retained copy (no behavioral effect).
@@ -303,12 +311,16 @@ struct JournalEntry<'rt> {
     inbound: Vec<MigratedStream<'rt>>,
 }
 
-/// One shard's end-of-epoch report to the coordinator. The shard is idle
-/// when no event is pending in it.
+/// One shard's report at an epoch boundary. The shard is idle when no
+/// event is pending in it.
 struct Report {
     load: ShardLoad,
     candidates: Vec<usize>,
     requests: Vec<BoostRequest>,
+    /// Whether the shard's `epoch_stall` site fired.
+    stalled: bool,
+    /// The epochs replayed to recover from a crash at this boundary.
+    replayed: Option<u64>,
 }
 
 /// One coordinator-decided stream move.
@@ -319,54 +331,312 @@ struct Move {
     to: usize,
 }
 
-/// The coordinator's published decisions for one epoch boundary.
-#[derive(Default)]
+/// The coordinator's decisions for one epoch boundary.
 struct Plan {
     grants: Vec<BoostRequest>,
     moves: Vec<Move>,
     done: bool,
 }
 
-#[derive(Default)]
-struct CoordStats {
-    epochs: u64,
-    migrations: usize,
-    boosts_granted: usize,
-    boosts_denied: usize,
-    boosts_applied: usize,
-    checkpoints: usize,
-    crashes: usize,
-    recoveries: usize,
-    replayed_epochs: u64,
-    epoch_stalls: usize,
-    transfer_retransmits: usize,
+/// What every shard reads during a run and none of them changes.
+struct Tier<'a, 'rt> {
+    runtime: &'rt ServeRuntime,
+    config: &'a ShardConfig,
+    engine_config: EngineConfig,
+    injector: &'rt dyn FaultInjector,
+    /// Whether faults can fire. The journal is kept only then, since a
+    /// crash cannot fire otherwise, so fault-free runs pay nothing for
+    /// it; checkpoints are taken whenever configured so their overhead
+    /// is measurable in isolation.
+    faults_on: bool,
 }
 
-/// Coordinator state shared by the shard workers. A single mutex
-/// suffices: each field is only touched in its own barrier-delimited
-/// phase, so contention is bounded by the report/transfer writes.
-/// `transfer` is ordered (gid-ascending) so no iteration over it can
-/// ever depend on hasher seeding — part of the snapshot-determinism
-/// audit alongside `ShardEngine`'s gid map.
-struct Coord<'rt> {
-    reports: Vec<Option<Report>>,
-    plan: Plan,
-    transfer: BTreeMap<usize, MigratedStream<'rt>>,
-    error: Option<ServeError>,
-    streak: usize,
-    stats: CoordStats,
+impl Tier<'_, '_> {
+    /// Virtual time of epoch `epoch`'s boundary.
+    fn boundary(&self, epoch: u64) -> f64 {
+        (epoch + 1) as f64 * self.config.epoch_s
+    }
 }
 
-struct Shared<'rt> {
-    barrier: Barrier,
-    coord: Mutex<Coord<'rt>>,
+/// One shard as the epoch loop owns it: its engine, its sink and its
+/// crash-recovery artifacts.
+struct Shard<'rt> {
+    index: usize,
+    /// The streams the shard starts with; a recovery with no snapshot
+    /// rebuilds the engine from them.
+    members: Vec<usize>,
+    sink: &'rt dyn ObsSink,
+    /// The scope of the shard's meta events (checkpoint, crash, recover,
+    /// stall, retransmit). It names no stream, so [`merged_trace`] drops
+    /// them by construction and the merged trace matches the fault-free
+    /// run's.
+    scope: String,
+    engine: ShardEngine<'rt>,
+    /// The engine's earliest pending event time. The shard refreshes it
+    /// on its own thread at the end of each epoch, and after a boundary
+    /// that moved its streams or boosted one; the epoch loop gives the
+    /// shard a thread only when it falls before the next boundary.
+    next_event_s: Option<f64>,
+    snapshot: Option<ShardSnapshot<'rt>>,
+    /// The boundary decisions applied since the snapshot, by epoch.
+    journal: BTreeMap<u64, JournalEntry<'rt>>,
 }
 
-struct WorkerOut {
-    streams: Vec<(usize, StreamResult)>,
-    horizon_s: f64,
-    events: usize,
-    jobs_done: u64,
+impl<'rt> Shard<'rt> {
+    /// Runs the shard to the boundary of `epoch`, fires its fault sites
+    /// there (recovering in place from a crash), and reports.
+    fn run_epoch(&mut self, tier: &Tier<'_, 'rt>, epoch: u64) -> Result<Report, ServeError> {
+        let t_end = tier.boundary(epoch);
+        self.engine.run_until(t_end)?;
+        let mut stalled = false;
+        let mut replayed = None;
+        if tier.faults_on {
+            if tier.injector.epoch_stall(self.index, epoch) {
+                stalled = true;
+                if self.sink.enabled() {
+                    self.sink.emit(
+                        TraceEvent::new(t_end, &self.scope, kinds::EPOCH_STALL)
+                            .with_u64("epoch", epoch),
+                    );
+                }
+            }
+            if tier.injector.shard_crash(self.index, epoch) {
+                // The shard's in-memory state is gone: rebuild the engine
+                // from the last snapshot plus a quiet journal replay up to
+                // (and including) this epoch, never reading the lost one.
+                let (engine, from_epoch, n) = self.recover(tier, epoch)?;
+                self.engine = engine;
+                replayed = Some(n);
+                if self.sink.enabled() {
+                    self.sink.emit(
+                        TraceEvent::new(t_end, &self.scope, kinds::SHARD_CRASH)
+                            .with_u64("epoch", epoch),
+                    );
+                    self.sink.emit(
+                        TraceEvent::new(t_end, &self.scope, kinds::RECOVER)
+                            .with_u64("epoch", epoch)
+                            .with_u64("from_epoch", from_epoch)
+                            .with_u64("replayed_epochs", n),
+                    );
+                }
+            }
+        }
+        let migration = &tier.config.migration;
+        let limit = if migration.enabled {
+            migration.max_moves_per_epoch
+        } else {
+            0
+        };
+        let (load, candidates) = self.engine.report(limit);
+        self.next_event_s = self.engine.next_event_s();
+        Ok(Report {
+            load,
+            candidates,
+            requests: self.engine.drain_boost_requests(),
+            stalled,
+            replayed,
+        })
+    }
+
+    /// Applies the decisions of `epoch`'s boundary once the `moves_out`
+    /// streams have left: admits `inbound` in move order, then applies
+    /// the grants for streams the shard now owns, and journals all three
+    /// while faults can fire. Returns the grants applied and the
+    /// transfers retransmitted.
+    fn cross_boundary(
+        &mut self,
+        tier: &Tier<'_, 'rt>,
+        epoch: u64,
+        moves_out: Vec<usize>,
+        inbound: Vec<MigratedStream<'rt>>,
+        grants: &[BoostRequest],
+    ) -> (usize, usize) {
+        let t_end = tier.boundary(epoch);
+        let mut retransmits = 0;
+        if tier.faults_on {
+            for stream in &inbound {
+                if tier.injector.transfer_drop(stream.gid(), epoch) {
+                    // The in-flight transfer was dropped; the coordinator
+                    // retransmits from the retained copy, so the admission
+                    // happens regardless — the fault is counted and traced,
+                    // never behavioral.
+                    retransmits += 1;
+                    if self.sink.enabled() {
+                        self.sink.emit(
+                            TraceEvent::new(t_end, &self.scope, kinds::TRANSFER_RETRANSMIT)
+                                .with_u64("epoch", epoch)
+                                .with_u64("gid", stream.gid() as u64),
+                        );
+                    }
+                }
+            }
+        }
+        // Journal clones: if this shard crashes later, the donor has
+        // moved on and cannot re-extract them.
+        let journaled = tier.faults_on.then(|| inbound.clone());
+        let moved = !moves_out.is_empty() || !inbound.is_empty();
+        let applied = admit_and_grant(&mut self.engine, inbound, grants, t_end);
+        if moved || applied > 0 {
+            self.next_event_s = self.engine.next_event_s();
+        }
+        if let Some(inbound) = journaled {
+            let _journal_span = predvfs_obs::span("shard.journal");
+            self.journal.insert(
+                epoch,
+                JournalEntry {
+                    grants: grants.to_vec(),
+                    moves_out,
+                    inbound,
+                },
+            );
+        }
+        (applied, retransmits)
+    }
+
+    /// Snapshots the shard at `epoch`'s boundary and prunes the journal
+    /// entries the snapshot subsumes, which is what bounds replay cost
+    /// and memory.
+    fn checkpoint(&mut self, tier: &Tier<'_, 'rt>, epoch: u64) {
+        let _checkpoint_span = predvfs_obs::span("shard.checkpoint");
+        let snap = ShardSnapshot {
+            epoch,
+            checkpoint: self.engine.checkpoint(),
+        };
+        if self.sink.enabled() {
+            self.sink.emit(
+                TraceEvent::new(tier.boundary(epoch), &self.scope, kinds::CHECKPOINT)
+                    .with_u64("epoch", epoch)
+                    .with_u64("streams", snap.checkpoint.streams.len() as u64)
+                    .with_u64("jobs_done", snap.checkpoint.jobs_done),
+            );
+        }
+        self.journal = self.journal.split_off(&(epoch + 1));
+        self.snapshot = Some(snap);
+    }
+
+    /// Rebuilds the shard's engine deterministically: restores the last
+    /// [`ShardSnapshot`] (or re-prepares the shard's initial engine when
+    /// none was taken yet — checkpointing is purely an optimization that
+    /// bounds replay depth), then quietly replays the journal through the
+    /// crash epoch. Replay runs against a [`NullSink`] because the lost
+    /// engine already emitted every pre-crash trace event and metric;
+    /// re-emitting them would break merged-trace byte-identity with the
+    /// fault-free run.
+    ///
+    /// Each replayed boundary `b < crash_epoch` re-derives exactly what
+    /// the live loop did: run to the boundary, drain (and discard) boost
+    /// requests, extract the journaled outbound streams, then admit the
+    /// journaled inbound clones and apply the journaled global grant list
+    /// filtered by ownership. The crash epoch itself only replays the
+    /// `run_until` — its boundary processing happens live, right after
+    /// recovery returns.
+    ///
+    /// Returns `(engine, from_epoch, replayed_epochs)`.
+    fn recover(
+        &self,
+        tier: &Tier<'_, 'rt>,
+        crash_epoch: u64,
+    ) -> Result<(ShardEngine<'rt>, u64, u64), ServeError> {
+        let _recover_span = predvfs_obs::span("shard.recover");
+        let quiet_engine = |members: &[usize]| {
+            tier.runtime.engine(
+                members,
+                tier.engine_config.clone(),
+                &NullSink,
+                tier.injector,
+            )
+        };
+        let (mut eng, from_epoch) = match &self.snapshot {
+            Some(snap) => {
+                // Empty shell, then re-admit every checkpointed stream
+                // through the same path migration uses; the snapshot is
+                // the state at the start of epoch `snap.epoch + 1`.
+                let mut eng = quiet_engine(&[])?;
+                for stream in &snap.checkpoint.streams {
+                    eng.admit_stream(stream.clone());
+                }
+                eng.restore_counters(
+                    snap.checkpoint.horizon_s,
+                    snap.checkpoint.events,
+                    snap.checkpoint.jobs_done,
+                );
+                (eng, snap.epoch + 1)
+            }
+            None => (quiet_engine(&self.members)?, 0),
+        };
+        for b in from_epoch..=crash_epoch {
+            let t_b = tier.boundary(b);
+            eng.run_until(t_b)?;
+            if b == crash_epoch {
+                // The live loop reports (and drains requests) next.
+                break;
+            }
+            // Requests were consumed by the lost engine's epoch-b report;
+            // the grant decisions they produced are in the journal.
+            drop(eng.drain_boost_requests());
+            if let Some(entry) = self.journal.get(&b) {
+                for &gid in &entry.moves_out {
+                    drop(eng.extract_stream(gid));
+                }
+                admit_and_grant(&mut eng, entry.inbound.iter().cloned(), &entry.grants, t_b);
+            }
+        }
+        eng.set_sink(self.sink);
+        Ok((eng, from_epoch, crash_epoch + 1 - from_epoch))
+    }
+}
+
+/// Admits `inbound` into `eng` in order, then applies each grant for a
+/// stream `eng` owns at the boundary time `t_b`, and returns how many
+/// applied. Admission comes first, so every grant lands on its
+/// post-migration owner and each stream's boundary events come from
+/// exactly one shard. The live boundary and crash replay both apply
+/// their decisions through here.
+fn admit_and_grant<'rt>(
+    eng: &mut ShardEngine<'rt>,
+    inbound: impl IntoIterator<Item = MigratedStream<'rt>>,
+    grants: &[BoostRequest],
+    t_b: f64,
+) -> usize {
+    for stream in inbound {
+        eng.admit_stream(stream);
+    }
+    grants
+        .iter()
+        .filter(|grant| eng.owns(grant.gid) && eng.apply_boost(**grant, t_b))
+        .count()
+}
+
+/// Runs `step` on every item and returns the results in item order.
+/// Each item comes flagged with whether it has enough work for a thread
+/// of its own: every flagged item but the first runs on a scoped thread,
+/// and the first flagged item and every unflagged one run on the calling
+/// thread, while the scoped threads run theirs. A scoped spawn costs tens
+/// of microseconds, more than an idle shard's epoch.
+fn fan_out<I: Send, T: Send>(
+    items: impl IntoIterator<Item = (bool, I)>,
+    step: impl Fn(I) -> T + Sync,
+) -> Vec<T> {
+    let step = &step;
+    std::thread::scope(|scope| {
+        let mut caller_has_one = false;
+        let started: Vec<Result<I, ScopedJoinHandle<'_, T>>> = items
+            .into_iter()
+            .map(|(threaded, item)| {
+                if threaded && std::mem::replace(&mut caller_has_one, true) {
+                    Err(scope.spawn(move || step(item)))
+                } else {
+                    Ok(item)
+                }
+            })
+            .collect();
+        // Run the calling thread's items before joining any thread.
+        let ran: Vec<Result<T, ScopedJoinHandle<'_, T>>> =
+            started.into_iter().map(|item| item.map(step)).collect();
+        ran.into_iter()
+            .map(|out| out.unwrap_or_else(|h| h.join().expect("shard thread panicked")))
+            .collect()
+    })
 }
 
 /// Runs the prepared scenario partitioned across `config.shards` shard
@@ -384,10 +654,9 @@ struct WorkerOut {
 /// # Errors
 ///
 /// Returns [`ServeError::InvalidSpec`] for a malformed `config`
-/// (`shards == 0`, a non-positive epoch, or a sink-count mismatch), and
-/// propagates the first engine failure from any shard — remaining
-/// shards drain to an orderly stop first, so no thread is left behind
-/// a barrier.
+/// (`shards == 0`, a non-positive epoch, or a sink-count mismatch). An
+/// engine or recovery failure ends the run after the epoch in which it
+/// happened, and the lowest-numbered failing shard's error is returned.
 pub fn run_sharded<'rt>(
     runtime: &'rt ServeRuntime,
     config: &ShardConfig,
@@ -410,531 +679,185 @@ pub fn run_sharded<'rt>(
     }
 
     // Build the slice and decision tables the streams read up front (once
-    // per class) so shard workers never race on first-use construction
-    // cost.
+    // per class) so the shards never race on first-use construction cost.
     runtime.warm_cached_tables(config.force)?;
 
+    let tier = Tier {
+        runtime,
+        config,
+        engine_config: EngineConfig {
+            force: config.force,
+            degrade: config.degrade.clone(),
+            lean: config.lean,
+            defer_escalations: true,
+            one_ahead_arrivals: true,
+        },
+        injector,
+        faults_on: injector.enabled(),
+    };
     let n_streams = runtime.specs().count();
-    let members: Vec<Vec<usize>> = {
-        let mut m = vec![Vec::new(); config.shards];
-        for gid in 0..n_streams {
-            m[gid % config.shards].push(gid);
-        }
-        m
-    };
-    let shard_labels: Vec<String> = (0..config.shards).map(|i| i.to_string()).collect();
-
-    let shared = Shared {
-        barrier: Barrier::new(config.shards),
-        coord: Mutex::new(Coord {
-            reports: (0..config.shards).map(|_| None).collect(),
-            plan: Plan::default(),
-            transfer: BTreeMap::new(),
-            error: None,
-            streak: 0,
-            stats: CoordStats::default(),
-        }),
-    };
-
-    let outs: Vec<WorkerOut> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..config.shards)
-            .map(|shard| {
-                let members = &members[shard];
-                let sink: &'rt dyn ObsSink = if shard_sinks.is_empty() {
-                    &NullSink
-                } else {
-                    shard_sinks[shard]
-                };
-                let shared = &shared;
-                let shard_labels = &shard_labels;
-                scope.spawn(move || {
-                    run_worker(
-                        shard,
-                        runtime,
-                        members,
-                        config,
-                        sink,
-                        coord_sink,
-                        injector,
-                        shared,
-                        shard_labels,
-                    )
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard worker panicked"))
-            .collect()
-    });
-
-    let coord = shared.coord.into_inner().expect("coordinator lock");
-    if let Some(e) = coord.error {
-        return Err(e);
-    }
-
-    let mut keyed: Vec<(usize, StreamResult)> = Vec::with_capacity(n_streams);
-    let mut shard_jobs_done = Vec::with_capacity(config.shards);
-    let mut horizon_s = 0.0f64;
-    let mut events = 0usize;
-    let mut jobs_done = 0u64;
-    for out in outs {
-        keyed.extend(out.streams);
-        shard_jobs_done.push(out.jobs_done);
-        horizon_s = horizon_s.max(out.horizon_s);
-        events += out.events;
-        jobs_done += out.jobs_done;
-    }
-    keyed.sort_by_key(|&(gid, _)| gid);
-    debug_assert!(keyed.iter().enumerate().all(|(i, &(gid, _))| i == gid));
-
-    Ok(ShardedResult {
-        streams: keyed.into_iter().map(|(_, r)| r).collect(),
-        horizon_s,
-        events,
-        jobs_done,
-        shard_jobs_done,
-        epochs: coord.stats.epochs,
-        migrations: coord.stats.migrations,
-        boosts_granted: coord.stats.boosts_granted,
-        boosts_denied: coord.stats.boosts_denied,
-        boosts_applied: coord.stats.boosts_applied,
-        checkpoints: coord.stats.checkpoints,
-        crashes: coord.stats.crashes,
-        recoveries: coord.stats.recoveries,
-        replayed_epochs: coord.stats.replayed_epochs,
-        epoch_stalls: coord.stats.epoch_stalls,
-        transfer_retransmits: coord.stats.transfer_retransmits,
+    let mut shards = fan_out((0..config.shards).map(|index| (true, index)), |index| {
+        let members: Vec<usize> = (index..n_streams).step_by(config.shards).collect();
+        let sink = shard_sinks.get(index).copied().unwrap_or(&NullSink);
+        let engine = runtime.engine(&members, tier.engine_config.clone(), sink, injector)?;
+        Ok(Shard {
+            index,
+            members,
+            sink,
+            scope: format!("shard{index}"),
+            next_event_s: engine.next_event_s(),
+            engine,
+            snapshot: None,
+            journal: BTreeMap::new(),
+        })
     })
-}
+    .into_iter()
+    .collect::<Result<Vec<Shard<'rt>>, ServeError>>()?;
+    let labels: Vec<String> = (0..config.shards).map(|i| i.to_string()).collect();
 
-/// One shard's barrier loop. Every worker passes the same barriers the
-/// same number of times per epoch — including after an engine error,
-/// when the worker keeps reporting itself idle until the coordinator
-/// declares the run done — so the protocol can never wedge.
-#[allow(clippy::too_many_arguments)]
-fn run_worker<'rt>(
-    shard: usize,
-    runtime: &'rt ServeRuntime,
-    members: &[usize],
-    config: &ShardConfig,
-    sink: &'rt dyn ObsSink,
-    coord_sink: &dyn ObsSink,
-    injector: &'rt dyn FaultInjector,
-    shared: &Shared<'rt>,
-    shard_labels: &[String],
-) -> WorkerOut {
-    let engine_config = EngineConfig {
-        force: config.force,
-        degrade: config.degrade.clone(),
-        lean: config.lean,
-        defer_escalations: true,
-        one_ahead_arrivals: true,
+    let mut result = ShardedResult {
+        streams: Vec::new(),
+        horizon_s: 0.0,
+        events: 0,
+        jobs_done: 0,
+        shard_jobs_done: Vec::with_capacity(config.shards),
+        epochs: 0,
+        migrations: 0,
+        boosts_granted: 0,
+        boosts_denied: 0,
+        boosts_applied: 0,
+        checkpoints: 0,
+        crashes: 0,
+        recoveries: 0,
+        replayed_epochs: 0,
+        epoch_stalls: 0,
+        transfer_retransmits: 0,
     };
-    let faults_on = injector.enabled();
-    // Meta events (checkpoint/crash/recover/stall/retransmit) are
-    // scoped to the shard, not to a stream, so `merged_trace` filters
-    // them out by construction and merged byte-identity vs the
-    // fault-free run holds.
-    let scope = format!("shard{shard}");
-    let label = [("shard", shard_labels[shard].as_str())];
-    let mut engine: Option<ShardEngine<'rt>> =
-        match runtime.engine(members, engine_config.clone(), sink, injector) {
-            Ok(e) => Some(e),
-            Err(e) => {
-                let mut c = shared.coord.lock().expect("coordinator lock");
-                c.error.get_or_insert(e);
-                None
-            }
-        };
-
-    // Crash-recovery artifacts. The journal is only maintained while
-    // faults can fire (a crash cannot fire otherwise), so fault-free
-    // runs pay nothing; checkpoints are taken whenever configured so
-    // their overhead is measurable in isolation.
-    let mut snapshot: Option<ShardSnapshot<'rt>> = None;
-    let mut journal: BTreeMap<u64, JournalEntry<'rt>> = BTreeMap::new();
-
-    let mut epoch: u64 = 0;
-    loop {
-        let t_end = (epoch + 1) as f64 * config.epoch_s;
-        // One wall span per epoch, with one child per barrier phase (the
-        // child includes the barrier wait: phase latency as other shards
-        // observe it). Inert unless span profiling is on.
+    let mut streak = 0;
+    for epoch in 0u64.. {
+        let t_end = tier.boundary(epoch);
+        // One wall span per epoch; inert unless span profiling is on.
         let _epoch_span = predvfs_obs::span("shard.epoch");
-        let phase_span = predvfs_obs::span("shard.epoch.report");
+        let due = |shard: &Shard<'_>| shard.next_event_s.is_some_and(|t| t < t_end);
+        let reports = fan_out(
+            shards.iter_mut().map(|shard| (due(shard), shard)),
+            |shard| shard.run_epoch(&tier, epoch),
+        )
+        .into_iter()
+        .collect::<Result<Vec<Report>, ServeError>>()?;
 
-        // Phase 1: run to the boundary, then report.
-        if let Some(eng) = engine.as_mut() {
-            if let Err(e) = eng.run_until(t_end) {
-                let mut c = shared.coord.lock().expect("coordinator lock");
-                c.error.get_or_insert(e);
-                engine = None;
+        let plan = coordinate(
+            &reports,
+            config,
+            &mut streak,
+            &mut result,
+            coord_sink,
+            &labels,
+        );
+        if plan.done {
+            break;
+        }
+
+        // Hand each moving stream from its donor to its recipient, then
+        // let every shard cross the boundary.
+        let mut moves_out = vec![Vec::new(); config.shards];
+        let mut inbound = vec![Vec::new(); config.shards];
+        for mv in &plan.moves {
+            if let Some(stream) = shards[mv.from].engine.extract_stream(mv.gid) {
+                moves_out[mv.from].push(mv.gid);
+                inbound[mv.to].push(stream);
+            }
+        }
+        for ((shard, moves_out), inbound) in shards.iter_mut().zip(moves_out).zip(inbound) {
+            let (applied, retransmits) =
+                shard.cross_boundary(&tier, epoch, moves_out, inbound, &plan.grants);
+            result.boosts_applied += applied;
+            result.transfer_retransmits += retransmits;
+            if retransmits > 0 && coord_sink.enabled() {
+                coord_sink.counter_add_with(
+                    "predvfs_shard_transfer_retransmits_total",
+                    &[("shard", labels[shard.index].as_str())],
+                    retransmits as u64,
+                );
             }
         }
 
-        // Coordinator fault sites fire at the boundary, before the
-        // report, so recovery completes entirely inside this worker —
-        // the other shards just see a slow epoch at the barrier.
-        if faults_on && engine.is_some() {
-            if injector.epoch_stall(shard, epoch) {
-                shared
-                    .coord
-                    .lock()
-                    .expect("coordinator lock")
-                    .stats
-                    .epoch_stalls += 1;
-                if coord_sink.enabled() {
-                    coord_sink.counter_add_with("predvfs_shard_epoch_stalls_total", &label, 1);
-                }
-                if sink.enabled() {
-                    sink.emit(
-                        TraceEvent::new(t_end, &scope, kinds::EPOCH_STALL).with_u64("epoch", epoch),
+        if config
+            .checkpoint_every
+            .is_some_and(|every| every > 0 && (epoch + 1).is_multiple_of(every))
+        {
+            fan_out(shards.iter_mut().map(|shard| (true, shard)), |shard| {
+                shard.checkpoint(&tier, epoch)
+            });
+            result.checkpoints += config.shards;
+            if coord_sink.enabled() {
+                for label in &labels {
+                    coord_sink.counter_add_with(
+                        "predvfs_shard_checkpoints_total",
+                        &[("shard", label.as_str())],
+                        1,
                     );
                 }
             }
-            if injector.shard_crash(shard, epoch) {
-                // The shard's in-memory state is gone: drop the engine
-                // and rebuild it from the last snapshot plus a quiet
-                // journal replay up to (and including) this epoch.
-                drop(engine.take());
-                match recover_engine(
-                    runtime,
-                    members,
-                    &engine_config,
-                    sink,
-                    injector,
-                    &snapshot,
-                    &journal,
-                    epoch,
-                    config.epoch_s,
-                ) {
-                    Ok((eng, from_epoch, replayed)) => {
-                        {
-                            let mut c = shared.coord.lock().expect("coordinator lock");
-                            c.stats.crashes += 1;
-                            c.stats.recoveries += 1;
-                            c.stats.replayed_epochs += replayed;
-                        }
-                        if coord_sink.enabled() {
-                            coord_sink.counter_add_with("predvfs_shard_crashes_total", &label, 1);
-                            coord_sink.counter_add_with(
-                                "predvfs_shard_recoveries_total",
-                                &label,
-                                1,
-                            );
-                            coord_sink.counter_add_with(
-                                "predvfs_shard_replayed_epochs_total",
-                                &label,
-                                replayed,
-                            );
-                        }
-                        if sink.enabled() {
-                            sink.emit(
-                                TraceEvent::new(t_end, &scope, kinds::SHARD_CRASH)
-                                    .with_u64("epoch", epoch),
-                            );
-                            sink.emit(
-                                TraceEvent::new(t_end, &scope, kinds::RECOVER)
-                                    .with_u64("epoch", epoch)
-                                    .with_u64("from_epoch", from_epoch)
-                                    .with_u64("replayed_epochs", replayed),
-                            );
-                        }
-                        engine = Some(eng);
-                    }
-                    Err(e) => {
-                        let mut c = shared.coord.lock().expect("coordinator lock");
-                        c.stats.crashes += 1;
-                        c.error.get_or_insert(e);
-                    }
-                }
-            }
         }
-        {
-            let report = match engine.as_mut() {
-                Some(eng) => {
-                    let limit = if config.migration.enabled {
-                        config.migration.max_moves_per_epoch
-                    } else {
-                        0
-                    };
-                    let (load, candidates) = eng.report(limit);
-                    Report {
-                        load,
-                        candidates,
-                        requests: eng.drain_boost_requests(),
-                    }
-                }
-                None => Report {
-                    load: ShardLoad::default(),
-                    candidates: Vec::new(),
-                    requests: Vec::new(),
-                },
-            };
-            let mut c = shared.coord.lock().expect("coordinator lock");
-            c.reports[shard] = Some(report);
-        }
-        shared.barrier.wait();
-        drop(phase_span);
-        let phase_span = predvfs_obs::span("shard.epoch.coordinate");
-
-        // Phase 2: shard 0 coordinates — budget grants, migration,
-        // termination — and publishes the plan.
-        if shard == 0 {
-            coordinate(shared, config, coord_sink, shard_labels);
-        }
-        shared.barrier.wait();
-
-        let (done, grants, moves) = {
-            let c = shared.coord.lock().expect("coordinator lock");
-            (c.plan.done, c.plan.grants.clone(), c.plan.moves.clone())
-        };
-        if done {
-            break;
-        }
-        drop(phase_span);
-        let phase_span = predvfs_obs::span("shard.epoch.transfer");
-
-        // Phase 3: extract outbound streams into the transfer map.
-        let mut moves_out: Vec<usize> = Vec::new();
-        if let Some(eng) = engine.as_mut() {
-            for mv in moves.iter().filter(|mv| mv.from == shard) {
-                if let Some(migrated) = eng.extract_stream(mv.gid) {
-                    moves_out.push(mv.gid);
-                    let mut c = shared.coord.lock().expect("coordinator lock");
-                    c.transfer.insert(mv.gid, migrated);
-                }
-            }
-        }
-        shared.barrier.wait();
-        drop(phase_span);
-        let _phase_span = predvfs_obs::span("shard.epoch.admit_boost");
-
-        // Phase 4: admit inbound streams, then apply granted boosts for
-        // the streams this shard now owns — admission first, so every
-        // grant lands on its post-migration owner and each stream's
-        // boundary events come from exactly one shard.
-        let mut inbound: Vec<MigratedStream<'rt>> = Vec::new();
-        if let Some(eng) = engine.as_mut() {
-            for mv in moves.iter().filter(|mv| mv.to == shard) {
-                let migrated = {
-                    let mut c = shared.coord.lock().expect("coordinator lock");
-                    c.transfer.remove(&mv.gid)
-                };
-                if let Some(migrated) = migrated {
-                    if faults_on && injector.transfer_drop(mv.gid, epoch) {
-                        // The in-flight transfer was dropped; the
-                        // coordinator retransmits from the retained
-                        // copy, so the admission happens regardless —
-                        // the fault is counted and traced, never
-                        // behavioral.
-                        shared
-                            .coord
-                            .lock()
-                            .expect("coordinator lock")
-                            .stats
-                            .transfer_retransmits += 1;
-                        if coord_sink.enabled() {
-                            coord_sink.counter_add_with(
-                                "predvfs_shard_transfer_retransmits_total",
-                                &label,
-                                1,
-                            );
-                        }
-                        if sink.enabled() {
-                            sink.emit(
-                                TraceEvent::new(t_end, &scope, kinds::TRANSFER_RETRANSMIT)
-                                    .with_u64("epoch", epoch)
-                                    .with_u64("gid", mv.gid as u64),
-                            );
-                        }
-                    }
-                    if faults_on {
-                        // Journal a clone: if this shard crashes later,
-                        // the donor has moved on and cannot re-extract.
-                        inbound.push(migrated.clone());
-                    }
-                    eng.admit_stream(migrated);
-                }
-            }
-            let mut applied = 0usize;
-            for grant in &grants {
-                if eng.owns(grant.gid) && eng.apply_boost(*grant, t_end) {
-                    applied += 1;
-                }
-            }
-            if applied > 0 {
-                let mut c = shared.coord.lock().expect("coordinator lock");
-                c.stats.boosts_applied += applied;
-            }
-        }
-
-        // Journal this boundary's decisions, then checkpoint on the
-        // configured cadence (pruning journal entries the new snapshot
-        // subsumes, which is what bounds replay cost and memory).
-        if faults_on {
-            let _journal_span = predvfs_obs::span("shard.journal");
-            journal.insert(
-                epoch,
-                JournalEntry {
-                    grants,
-                    moves_out,
-                    inbound,
-                },
-            );
-        }
-        if let Some(every) = config.checkpoint_every {
-            if every > 0 && (epoch + 1).is_multiple_of(every) {
-                if let Some(eng) = engine.as_ref() {
-                    let _checkpoint_span = predvfs_obs::span("shard.checkpoint");
-                    let snap = ShardSnapshot {
-                        epoch,
-                        checkpoint: eng.checkpoint(),
-                    };
-                    shared
-                        .coord
-                        .lock()
-                        .expect("coordinator lock")
-                        .stats
-                        .checkpoints += 1;
-                    if coord_sink.enabled() {
-                        coord_sink.counter_add_with("predvfs_shard_checkpoints_total", &label, 1);
-                    }
-                    if sink.enabled() {
-                        sink.emit(
-                            TraceEvent::new(t_end, &scope, kinds::CHECKPOINT)
-                                .with_u64("epoch", epoch)
-                                .with_u64("streams", snap.checkpoint.streams.len() as u64)
-                                .with_u64("jobs_done", snap.checkpoint.jobs_done),
-                        );
-                    }
-                    journal = journal.split_off(&(epoch + 1));
-                    snapshot = Some(snap);
-                }
-            }
-        }
-
-        epoch += 1;
     }
 
-    match engine {
-        Some(eng) => {
-            let horizon_s = eng.horizon_s();
-            let events = eng.events();
-            let jobs_done = eng.jobs_done();
-            WorkerOut {
-                streams: eng.finish(),
-                horizon_s,
-                events,
-                jobs_done,
-            }
-        }
-        None => WorkerOut {
-            streams: Vec::new(),
-            horizon_s: 0.0,
-            events: 0,
-            jobs_done: 0,
-        },
+    for shard in &shards {
+        result.shard_jobs_done.push(shard.engine.jobs_done());
+        result.horizon_s = result.horizon_s.max(shard.engine.horizon_s());
+        result.events += shard.engine.events();
     }
+    result.jobs_done = result.shard_jobs_done.iter().sum();
+    // Each shard finishes its engine and drops its snapshot on its own
+    // thread.
+    let mut keyed: Vec<(usize, StreamResult)> = Vec::with_capacity(n_streams);
+    for streams in fan_out(shards.into_iter().map(|shard| (true, shard)), |shard| {
+        shard.engine.finish()
+    }) {
+        keyed.extend(streams);
+    }
+    keyed.sort_by_key(|&(gid, _)| gid);
+    debug_assert!(keyed.iter().enumerate().all(|(i, &(gid, _))| i == gid));
+    result.streams = keyed.into_iter().map(|(_, r)| r).collect();
+    Ok(result)
 }
 
-/// Rebuild a crashed shard's engine deterministically: restore the last
-/// [`ShardSnapshot`] (or re-prepare the shard's initial engine when none
-/// was taken yet — checkpointing is purely an optimization that bounds
-/// replay depth), then quietly replay the journal through the crash
-/// epoch. Replay runs against a [`NullSink`] because the lost engine
-/// already emitted every pre-crash trace event and metric; re-emitting
-/// them would break merged-trace byte-identity with the fault-free run.
-///
-/// Each replayed boundary `b < crash_epoch` re-derives exactly what the
-/// live loop did: run to the boundary, drain (and discard) boost
-/// requests, extract the journaled outbound streams, admit the journaled
-/// inbound clones, and apply the journaled global grant list filtered by
-/// ownership. The crash epoch itself only replays the `run_until` — its
-/// boundary processing happens live, right after recovery returns.
-///
-/// Returns `(engine, from_epoch, replayed_epochs)`.
-#[allow(clippy::too_many_arguments)]
-fn recover_engine<'rt>(
-    runtime: &'rt ServeRuntime,
-    members: &[usize],
-    engine_config: &EngineConfig,
-    sink: &'rt dyn ObsSink,
-    injector: &'rt dyn FaultInjector,
-    snapshot: &Option<ShardSnapshot<'rt>>,
-    journal: &BTreeMap<u64, JournalEntry<'rt>>,
-    crash_epoch: u64,
-    epoch_s: f64,
-) -> Result<(ShardEngine<'rt>, u64, u64), ServeError> {
-    let _recover_span = predvfs_obs::span("shard.recover");
-    let (mut eng, from_epoch) = match snapshot {
-        Some(snap) => {
-            // Empty shell, then re-admit every checkpointed stream
-            // through the same path migration uses; the snapshot is the
-            // state at the start of epoch `snap.epoch + 1`.
-            let mut eng = runtime.engine(&[], engine_config.clone(), &NullSink, injector)?;
-            for stream in &snap.checkpoint.streams {
-                eng.admit_stream(stream.clone());
-            }
-            eng.restore_counters(
-                snap.checkpoint.horizon_s,
-                snap.checkpoint.events,
-                snap.checkpoint.jobs_done,
-            );
-            (eng, snap.epoch + 1)
-        }
-        None => (
-            runtime.engine(members, engine_config.clone(), &NullSink, injector)?,
-            0,
-        ),
-    };
-    for b in from_epoch..=crash_epoch {
-        let t_b = (b + 1) as f64 * epoch_s;
-        eng.run_until(t_b)?;
-        if b == crash_epoch {
-            // The live loop reports (and drains requests) next.
-            break;
-        }
-        // Requests were consumed by the lost engine's epoch-b report;
-        // the grant decisions they produced are in the journal.
-        drop(eng.drain_boost_requests());
-        if let Some(entry) = journal.get(&b) {
-            for &gid in &entry.moves_out {
-                drop(eng.extract_stream(gid));
-            }
-            for stream in &entry.inbound {
-                eng.admit_stream(stream.clone());
-            }
-            for grant in &entry.grants {
-                if eng.owns(grant.gid) {
-                    eng.apply_boost(*grant, t_b);
-                }
-            }
-        }
-    }
-    eng.set_sink(sink);
-    Ok((eng, from_epoch, crash_epoch + 1 - from_epoch))
-}
-
-/// The per-epoch coordination step, run by shard 0 between barriers:
-/// consumes every shard's report, grants the boost budget in global
-/// `(t_s, gid)` order, schedules migrations off a sustained-overloaded
-/// shard, decides termination, and emits shard-labeled metrics.
+/// The coordination step at an epoch boundary: counts the shards' stalls
+/// and recoveries, grants the boost budget in global `(t_s, gid)` order,
+/// schedules migrations off a sustained-overloaded shard, decides
+/// termination, and emits shard-labeled metrics.
 fn coordinate(
-    shared: &Shared<'_>,
+    reports: &[Report],
     config: &ShardConfig,
+    streak: &mut usize,
+    result: &mut ShardedResult,
     coord_sink: &dyn ObsSink,
-    shard_labels: &[String],
-) {
-    let mut c = shared.coord.lock().expect("coordinator lock");
-    c.stats.epochs += 1;
-
-    let reports: Vec<Report> = c
-        .reports
-        .iter_mut()
-        .map(|r| r.take().expect("every shard reports before the barrier"))
-        .collect();
+    labels: &[String],
+) -> Plan {
+    result.epochs += 1;
+    for (r, label) in reports.iter().zip(labels) {
+        let label = [("shard", label.as_str())];
+        if r.stalled {
+            result.epoch_stalls += 1;
+            if coord_sink.enabled() {
+                coord_sink.counter_add_with("predvfs_shard_epoch_stalls_total", &label, 1);
+            }
+        }
+        if let Some(replayed) = r.replayed {
+            result.crashes += 1;
+            result.recoveries += 1;
+            result.replayed_epochs += replayed;
+            if coord_sink.enabled() {
+                coord_sink.counter_add_with("predvfs_shard_crashes_total", &label, 1);
+                coord_sink.counter_add_with("predvfs_shard_recoveries_total", &label, 1);
+                coord_sink.counter_add_with(
+                    "predvfs_shard_replayed_epochs_total",
+                    &label,
+                    replayed,
+                );
+            }
+        }
+    }
     let all_idle = reports.iter().all(|r| r.load.pending_events == 0);
 
     // Budget: grant the earliest requests across all shards, ties by
@@ -948,8 +871,8 @@ fn coordinate(
     let granted = grants.len().min(budget);
     let denied = grants.len() - granted;
     grants.truncate(granted);
-    c.stats.boosts_granted += granted;
-    c.stats.boosts_denied += denied;
+    result.boosts_granted += granted;
+    result.boosts_denied += denied;
 
     // Migration: move the busiest streams from the most to the least
     // loaded shard once the imbalance has persisted.
@@ -973,12 +896,12 @@ fn coordinate(
             && busy[max_i] > 0
             && busy[max_i] as f64 >= config.migration.imbalance_ratio * busy[min_i].max(1) as f64;
         if imbalanced {
-            c.streak += 1;
+            *streak += 1;
         } else {
-            c.streak = 0;
+            *streak = 0;
         }
-        if c.streak >= config.migration.sustain_epochs {
-            c.streak = 0;
+        if *streak >= config.migration.sustain_epochs {
+            *streak = 0;
             moves.extend(
                 reports[max_i]
                     .candidates
@@ -990,17 +913,17 @@ fn coordinate(
                         to: min_i,
                     }),
             );
-            c.stats.migrations += moves.len();
+            result.migrations += moves.len();
         }
     }
 
-    let done = c.error.is_some() || (all_idle && grants.is_empty() && moves.is_empty());
+    let done = all_idle && grants.is_empty() && moves.is_empty();
 
     // Shard-labeled metrics only — the coordinator never emits trace
     // events, so merged traces stay shard-count invariant.
     if coord_sink.enabled() {
-        for (i, r) in reports.iter().enumerate() {
-            let labels = [("shard", shard_labels[i].as_str())];
+        for (r, label) in reports.iter().zip(labels) {
+            let labels = [("shard", label.as_str())];
             coord_sink.gauge_set_with("predvfs_shard_streams", &labels, r.load.streams as f64);
             coord_sink.gauge_set_with("predvfs_shard_active", &labels, r.load.active as f64);
             coord_sink.gauge_set_with("predvfs_shard_queued", &labels, r.load.queued as f64);
@@ -1023,11 +946,11 @@ fn coordinate(
         }
     }
 
-    c.plan = Plan {
+    Plan {
         grants,
         moves,
         done,
-    };
+    }
 }
 
 /// Merges per-shard trace streams into the canonical global order:

@@ -9,8 +9,9 @@
 //! Streams are grouped into *classes*: every stream in a class shares
 //! its benchmark, workload seed, deadline, and job count, so the
 //! prepare phase trains one model and simulates one job set per class
-//! (the runtime deduplicates on exactly those keys) no matter how many
-//! streams fan out from it. Arrival periods are staggered per stream so
+//! (the runtime trains once per benchmark and seed, and plans arrivals
+//! once per class and job count) no matter how many streams fan out
+//! from it. Arrival periods are staggered per stream so
 //! the streams' timelines aren't one giant tie at every multiple of the
 //! period.
 
@@ -23,7 +24,7 @@ use predvfs_sim::Platform;
 pub struct SynthSpec {
     /// Total stream count.
     pub streams: usize,
-    /// Distinct stream classes (benchmark × seed × deadline groups);
+    /// Distinct stream classes (benchmark × seed groups);
     /// prepare cost scales with classes, not streams.
     pub classes: usize,
     /// Jobs submitted per stream.
@@ -75,7 +76,7 @@ pub fn synth_scenario(spec: &SynthSpec) -> Scenario {
         let bench = benches[class % benches.len()];
         // Deterministic stagger in [1.0, 1.05): spreads arrivals off
         // the common grid without touching the class-level dedupe keys
-        // (benchmark, seed, deadline, jobs).
+        // (benchmark, seed, jobs).
         let stagger = 1.0 + ((i.wrapping_mul(37)) % 101) as f64 * (0.05 / 101.0);
         streams.push(StreamSpec {
             name: format!("s{i:07}"),
@@ -125,7 +126,7 @@ mod tests {
         let names: std::collections::HashSet<_> =
             sc.streams.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names.len(), 10);
-        // Streams 0 and 3 share a class: same bench + seed + deadline.
+        // Streams 0 and 3 share a class: same bench + seed.
         assert_eq!(sc.streams[0].bench.name, sc.streams[3].bench.name);
         assert_eq!(sc.streams[0].seed, sc.streams[3].seed);
         // Streams 0 and 1 differ in class seed.

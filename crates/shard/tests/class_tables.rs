@@ -2,7 +2,9 @@
 //! streams submit. Widening them must not change what any stream reads:
 //! short h264 streams produce bit-identical results whether or not a
 //! long stream of the same class stretches the tables over the whole
-//! test set, on the legacy engine and on two shards alike.
+//! test set, on the legacy engine and on two shards alike. A class is a
+//! (benchmark, seed) pair: streams that differ only in deadline share
+//! one, and each still serves as it would alone.
 
 use predvfs_accel::{by_name, WorkloadSize};
 use predvfs_faults::NullInjector;
@@ -67,5 +69,33 @@ fn short_streams_read_the_same_entries_from_wider_tables() {
             assert_eq!(x.records, y.records, "{posture} {}: records", x.name);
             assert_eq!(x, y, "{posture} {}", x.name);
         }
+    }
+}
+
+#[test]
+fn streams_that_differ_only_in_deadline_share_one_class() {
+    let run = |streams: &[&str], cache: &TraceCache| {
+        let scenario = Scenario::parse(&format!("size quick\n{}\n", streams.join("\n")))
+            .expect("scenario parses");
+        let rt = ServeRuntime::prepare(&scenario, cache).expect("prepare");
+        rt.run().expect("run").streams
+    };
+    // Quick sha jobs meet a 2 ms deadline at the lowest level; 1 ms
+    // needs a faster one.
+    let both = [
+        "stream sha name=a deadline_ms=16.7",
+        "stream sha name=b deadline_ms=1",
+    ];
+    let cache = TraceCache::new();
+    let together = run(&both, &cache);
+    // One class: one trace pass, and no second lookup to hit.
+    assert_eq!((cache.misses(), cache.hits()), (1, 0));
+    assert_ne!(
+        together[0].energy_pj.to_bits(),
+        together[1].energy_pj.to_bits(),
+        "the deadlines must lead to different levels"
+    );
+    for (stream, result) in both.iter().zip(&together) {
+        assert_eq!(&run(&[stream], &TraceCache::new())[0], result, "{stream}");
     }
 }

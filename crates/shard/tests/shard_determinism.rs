@@ -9,7 +9,10 @@
 //!    no boost activity reproduces the legacy serial engine's per-stream
 //!    counters, event count and merged trace, with and without faults;
 //! 5. a configuration built in code that schedules events before the
-//!    one being handled still finishes, on any shard count.
+//!    one being handled still finishes, on any shard count;
+//! 6. a long-gap schedule, with events in a few of its thousands of
+//!    epochs, serves alike on every shard count, with and without shard
+//!    crashes.
 
 use std::collections::HashMap;
 
@@ -486,4 +489,50 @@ fn sharded_run_finishes_when_a_config_built_in_code_schedules_before_now() {
     assert_eq!(m1, m4, "merged trace differs between 1 and 4 shards");
     assert_same_streams(&r1.streams, &r4.streams);
     assert_eq!(r1.events, r4.events);
+}
+
+/// Two quick streams of three jobs each, 100 s apart: about 4,000 epochs
+/// of 50 ms, nearly all of them empty. At 1, 2 and 4 shards, fault-free
+/// and under a plan that crashes shards, the per-stream results and the
+/// merged trace must be the fault-free 1-shard run's.
+#[test]
+fn long_gap_schedule_is_shard_count_invariant_under_crashes() {
+    let scenario = Scenario::parse(
+        "size quick\nstream sha jobs=3 period_ms=1e5\nstream md jobs=3 period_ms=1e5\n",
+    )
+    .expect("scenario parses");
+    let rt = ServeRuntime::prepare(&scenario, &TraceCache::new()).expect("prepare");
+    let base = ShardConfig {
+        checkpoint_every: Some(500),
+        ..ShardConfig::default()
+    };
+    let (reference, m_ref, _) = run_at(&rt, &base, 1, &NullInjector);
+    assert!(
+        reference.epochs > 4_000,
+        "{} epochs: the gaps must span thousands",
+        reference.epochs
+    );
+    assert!(!m_ref.is_empty());
+    let mut crashes = FaultConfig::none();
+    crashes.shard_crash_p = 0.002;
+    let plan = FaultPlan::new(7, crashes);
+    for (injector, crashy) in [(&NullInjector as &dyn FaultInjector, false), (&plan, true)] {
+        for shards in [1, 2, 4] {
+            let (r, merged, _) = run_at(&rt, &base, shards, injector);
+            assert_eq!(
+                r.crashes > 0,
+                crashy,
+                "{shards} shards: {} crashes",
+                r.crashes
+            );
+            assert_eq!(r.crashes, r.recoveries, "{shards} shards");
+            assert_eq!(r.epochs, reference.epochs, "{shards} shards: epochs");
+            assert_same_streams(&reference.streams, &r.streams);
+            assert_eq!(r.events, reference.events, "{shards} shards: events");
+            assert_eq!(
+                merged, m_ref,
+                "{shards} shards, crashes {crashy}: merged trace"
+            );
+        }
+    }
 }

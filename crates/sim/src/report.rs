@@ -1,9 +1,22 @@
-//! Plain-text tables and CSV output for the exhibits of `repro`.
+//! Plain-text tables and CSV output for the exhibits of `repro`, and
+//! [`outln!`](crate::outln), the stdout writer every binary prints through.
 
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::Path;
+
+/// `println!`, except that a closed or failing stdout drops the line
+/// instead of panicking: `predvfs eval sha | head -1` and
+/// `bench_opt | head -1` still write their files and exit 0. The CLI and
+/// the bench binaries send every stdout line through it.
+#[macro_export]
+macro_rules! outln {
+    ($($arg:tt)*) => {{
+        use ::std::io::Write as _;
+        let _ = ::std::writeln!(::std::io::stdout(), $($arg)*);
+    }};
+}
 
 /// A simple aligned text table that can also be serialized as CSV.
 #[derive(Debug, Clone)]
@@ -71,10 +84,10 @@ impl Table {
         out
     }
 
-    /// Prints the table to stdout.
+    /// Prints the table and a blank line to stdout, through
+    /// [`outln!`](crate::outln).
     pub fn print(&self) {
-        print!("{}", self.render());
-        println!();
+        crate::outln!("{}", self.render());
     }
 
     /// Serializes as CSV (headers first).
