@@ -30,7 +30,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..SynthSpec::new(streams)
     };
     eprintln!("preparing {streams} streams...");
-    let runtime = ServeRuntime::prepare(&synth_scenario(&spec), &TraceCache::new())?;
+    let scenario = synth_scenario(&spec);
+    let runtime = ServeRuntime::prepare(&scenario, &TraceCache::new())?;
     let shards = 2;
     let recorders: Vec<Recorder> = (0..shards).map(|_| Recorder::new(1 << 22)).collect();
     let sinks: Vec<&dyn ObsSink> = recorders.iter().map(|r| r as &dyn ObsSink).collect();

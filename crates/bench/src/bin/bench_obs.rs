@@ -93,7 +93,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..SynthSpec::new(streams)
     };
     eprintln!("preparing {streams} streams...");
-    let runtime = ServeRuntime::prepare(&synth_scenario(&spec), &TraceCache::new())?;
+    let scenario = synth_scenario(&spec);
+    let runtime = ServeRuntime::prepare(&scenario, &TraceCache::new())?;
     // Warm-up: the first run over a prepared runtime pays lazy costs
     // (cached controller decision tables); neither side of the A/B
     // should be charged for them.

@@ -104,7 +104,8 @@ fn assert_identity(quick: bool) -> Result<(), Box<dyn std::error::Error>> {
         jobs_per_stream: 4,
         ..SynthSpec::new(streams)
     };
-    let runtime = ServeRuntime::prepare(&synth_scenario(&spec), &TraceCache::new())?;
+    let scenario = synth_scenario(&spec);
+    let runtime = ServeRuntime::prepare(&scenario, &TraceCache::new())?;
     let mut merged: Vec<(usize, String, ShardedResult)> = Vec::new();
     let mut flames: Vec<(usize, String)> = Vec::new();
     // Virtual-clock spans share the determinism contract: with profiling
@@ -214,7 +215,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         spec.classes, spec.jobs_per_stream
     );
     let prep_start = Instant::now();
-    let runtime = ServeRuntime::prepare(&synth_scenario(&spec), &TraceCache::new())?;
+    let scenario = synth_scenario(&spec);
+    let runtime = ServeRuntime::prepare(&scenario, &TraceCache::new())?;
     eprintln!("prepared in {:.1}s", prep_start.elapsed().as_secs_f64());
 
     let mut table = Table::new(
@@ -393,7 +395,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             jobs_per_stream: 4,
             ..SynthSpec::new(2048)
         };
-        let traced = ServeRuntime::prepare(&synth_scenario(&spec), &TraceCache::new())?;
+        let scenario = synth_scenario(&spec);
+        let traced = ServeRuntime::prepare(&scenario, &TraceCache::new())?;
         let config = ShardConfig {
             lean: false,
             // Every epoch, so the smoke exercises snapshot restore (not

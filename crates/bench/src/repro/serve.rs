@@ -4,9 +4,7 @@
 
 use predvfs_faults::{FaultConfig, FaultPlan};
 use predvfs_obs::{MissCause, NullSink, Recorder, TraceAnalysis};
-use predvfs_serve::{
-    ControllerKind, DegradeConfig, DriftSpec, Scenario, ServeResult, ServeRuntime, StreamSpec,
-};
+use predvfs_serve::{ControllerKind, DriftSpec, Scenario, ServeResult, ServeRuntime, StreamSpec};
 use predvfs_sim::{outln, Platform, Table};
 
 use super::{Context, Outcome};
@@ -227,16 +225,16 @@ pub(super) fn fig_serve_chaos(ctx: &Context) -> Outcome {
     );
     let runtime = ServeRuntime::prepare(&scenario, ctx.cache())?;
 
-    let baseline = runtime.run_chaos(None, &NullSink, &plan, &DegradeConfig::disabled())?;
+    let baseline = runtime.run_chaos(None, &NullSink, &plan, false)?;
     let recorder = Recorder::new(1 << 16);
-    let hardened = runtime.run_chaos(None, &recorder, &plan, &DegradeConfig::enabled())?;
+    let hardened = runtime.run_chaos(None, &recorder, &plan, true)?;
 
     // Determinism: the hardened run repeated under a 4-thread pool must
     // match float for float.
     let parallel =
         predvfs_par::with_threads(4, || -> Result<ServeResult, Box<dyn std::error::Error>> {
             let rt = ServeRuntime::prepare(&scenario, ctx.cache())?;
-            Ok(rt.run_chaos(None, &NullSink, &plan, &DegradeConfig::enabled())?)
+            Ok(rt.run_chaos(None, &NullSink, &plan, true)?)
         })?;
     assert_eq!(
         hardened, parallel,
@@ -308,12 +306,12 @@ pub(super) fn fig_serve_chaos(ctx: &Context) -> Outcome {
     Ok(())
 }
 
-/// Runs one chaos mode with a recorder and returns the engine result
-/// plus the analyzed trace.
+/// Runs one chaos mode, degradation on or off, with a recorder and
+/// returns the engine result plus the analyzed trace.
 fn run_mode(
     runtime: &ServeRuntime,
     plan: &FaultPlan,
-    degrade: &DegradeConfig,
+    degrade: bool,
 ) -> Result<(ServeResult, TraceAnalysis), Box<dyn std::error::Error>> {
     let recorder = Recorder::new(1 << 16);
     let result = runtime.run_chaos(None, &recorder, plan, degrade)?;
@@ -350,8 +348,8 @@ pub(super) fn fig_slo(ctx: &Context) -> Outcome {
         scenario.streams.len()
     );
     let runtime = ServeRuntime::prepare(&scenario, ctx.cache())?;
-    let (baseline, base_an) = run_mode(&runtime, &plan, &DegradeConfig::disabled())?;
-    let (hardened, hard_an) = run_mode(&runtime, &plan, &DegradeConfig::enabled())?;
+    let (baseline, base_an) = run_mode(&runtime, &plan, false)?;
+    let (hardened, hard_an) = run_mode(&runtime, &plan, true)?;
 
     let mut table = Table::new(
         &format!("serve SLO analytics — chaos seed {CHAOS_SEED}, miss root causes per mode"),

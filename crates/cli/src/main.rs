@@ -53,7 +53,7 @@ use predvfs_rtl::{
     from_text, to_text, wcet, Analysis, AsicAreaModel, CompiledSim, ExecMode, FeatureSchema,
     FpgaResourceModel, JobInput, Module, SliceOptions,
 };
-use predvfs_serve::{DegradeConfig, Scenario, ServeResult, ServeRuntime};
+use predvfs_serve::{Scenario, ServeResult, ServeRuntime};
 use predvfs_sim::{outln, Experiment, ExperimentConfig, Platform, Scheme};
 
 fn main() -> ExitCode {
@@ -465,7 +465,8 @@ An optional `[faults]` section sets the chaos plan: `seed=<n>` plus
 `<fault>=<p>` or `<fault>=<p>:<magnitude>` lines (slice_corrupt,
 slice_timeout, switch_reject, switch_stall, clock_jitter, trace_spike,
 burst, spurious_done).
-`--demo` runs a built-in 4-stream scenario with drift and backpressure.
+`--demo` runs the built-in 4-stream scenario, examples/demo.scenario, with
+drift and backpressure.
 `chaos` runs the same plan twice — degradation off, then on — and prints
 the per-stream comparison.
 
@@ -799,7 +800,7 @@ fn print_serve_table(runtime: &ServeRuntime, result: &ServeResult, chaos: bool) 
         );
     }
     outln!("{header} {:>14}", "energy_pJ");
-    for (spec, s) in runtime.specs().zip(&result.streams) {
+    for (spec, s) in runtime.specs().iter().zip(&result.streams) {
         let mut row = format!(
             "{:<12} {:<10} {:>9} {:>6} {:>7.2} {:>7.2} {:>8} {:>7}",
             s.name,
@@ -858,7 +859,7 @@ fn cmd_serve(
                 "fault injection on (seed {}), graceful degradation enabled",
                 plan.seed()
             );
-            runtime.run_chaos(None, predvfs_obs::global(), plan, &DegradeConfig::enabled())?
+            runtime.run_chaos(None, predvfs_obs::global(), plan, true)?
         }
         None => runtime.run_observed(None, predvfs_obs::global())?,
     };
@@ -897,11 +898,7 @@ fn serve_sharded(
     let sinks: Vec<&dyn ObsSink> = recorders.iter().map(|r| r as &dyn ObsSink).collect();
     let config = predvfs_shard::ShardConfig {
         shards,
-        degrade: if plan.is_some() || crash.is_some() {
-            DegradeConfig::enabled()
-        } else {
-            DegradeConfig::disabled()
-        },
+        degrade: plan.is_some() || crash.is_some(),
         checkpoint_every,
         ..predvfs_shard::ShardConfig::default()
     };
@@ -1003,18 +1000,8 @@ fn cmd_chaos(
         predvfs_par::current_threads()
     );
     let runtime = ServeRuntime::prepare(&scenario, &predvfs_sim::TraceCache::new())?;
-    let baseline = runtime.run_chaos(
-        None,
-        &predvfs_obs::NullSink,
-        &plan,
-        &DegradeConfig::disabled(),
-    )?;
-    let hardened = runtime.run_chaos(
-        None,
-        predvfs_obs::global(),
-        &plan,
-        &DegradeConfig::enabled(),
-    )?;
+    let baseline = runtime.run_chaos(None, &predvfs_obs::NullSink, &plan, false)?;
+    let hardened = runtime.run_chaos(None, predvfs_obs::global(), &plan, true)?;
     outln!("chaos seed {seed} — graceful degradation DISABLED:");
     print_serve_table(&runtime, &baseline, true);
     outln!("\nchaos seed {seed} — graceful degradation ENABLED:");

@@ -8,8 +8,6 @@
 //! All values are `u64` with wrap-around arithmetic; registers declare a bit
 //! width and mask their stored value on write, mirroring hardware registers.
 
-use std::fmt;
-
 use crate::module::{InputId, RegId};
 
 /// Binary operators available to combinational logic.
@@ -303,60 +301,6 @@ impl Expr {
             }
         }
         None
-    }
-}
-
-/// Pretty printer context: resolves ids to names for human-readable dumps.
-pub struct ExprDisplay<'a> {
-    pub(crate) expr: &'a Expr,
-    pub(crate) reg_names: Vec<String>,
-    pub(crate) input_names: Vec<String>,
-}
-
-impl fmt::Display for ExprDisplay<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.fmt_expr(self.expr, f)
-    }
-}
-
-impl ExprDisplay<'_> {
-    fn fmt_expr(&self, e: &Expr, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match e {
-            Expr::Const(k) => write!(f, "{k}"),
-            Expr::Reg(r) => write!(f, "{}", self.reg_names[r.index()]),
-            Expr::Input(i) => write!(f, "${}", self.input_names[i.index()]),
-            Expr::StreamEmpty => write!(f, "$empty"),
-            Expr::Bin(op, a, b) => {
-                write!(f, "(")?;
-                self.fmt_expr(a, f)?;
-                write!(f, " {} ", op.mnemonic())?;
-                self.fmt_expr(b, f)?;
-                write!(f, ")")
-            }
-            Expr::Un(UnOp::Not, a) => {
-                write!(f, "~")?;
-                self.fmt_expr(a, f)
-            }
-            Expr::Un(UnOp::IsZero, a) => {
-                write!(f, "iszero(")?;
-                self.fmt_expr(a, f)?;
-                write!(f, ")")
-            }
-            Expr::Un(UnOp::IsNonZero, a) => {
-                write!(f, "nonzero(")?;
-                self.fmt_expr(a, f)?;
-                write!(f, ")")
-            }
-            Expr::Mux(c, t, e) => {
-                write!(f, "(")?;
-                self.fmt_expr(c, f)?;
-                write!(f, " ? ")?;
-                self.fmt_expr(t, f)?;
-                write!(f, " : ")?;
-                self.fmt_expr(e, f)?;
-                write!(f, ")")
-            }
-        }
     }
 }
 

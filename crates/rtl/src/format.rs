@@ -112,7 +112,7 @@ pub fn to_text(module: &Module) -> String {
     out
 }
 
-fn expr_text(e: &Expr, m: &Module) -> String {
+pub(crate) fn expr_text(e: &Expr, m: &Module) -> String {
     match e {
         Expr::Const(k) => k.to_string(),
         Expr::Reg(r) => m.regs[r.index()].name.clone(),

@@ -10,7 +10,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use crate::error::RtlError;
-use crate::expr::{Expr, ExprDisplay};
+use crate::expr::Expr;
 
 /// Identifier of a register within its [`Module`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -200,14 +200,10 @@ impl Module {
         &self.regs[id.index()].name
     }
 
-    /// Returns a displayable rendering of an expression using this module's
-    /// register and input names.
-    pub fn display_expr<'a>(&self, expr: &'a Expr) -> ExprDisplay<'a> {
-        ExprDisplay {
-            expr,
-            reg_names: self.regs.iter().map(|r| r.name.clone()).collect(),
-            input_names: self.inputs.iter().map(|i| i.name.clone()).collect(),
-        }
+    /// Renders an expression with this module's register and input names,
+    /// in the syntax [`crate::from_text`] reads.
+    pub fn display_expr(&self, expr: &Expr) -> String {
+        crate::format::expr_text(expr, self)
     }
 
     /// Total number of update rules across all registers.

@@ -184,6 +184,6 @@ fn display_expr_renders_names() {
     let m = chain();
     let f = m.reg_by_name("ctrl.state").unwrap();
     let rule = &m.regs[f.index()].rules[0];
-    let s = format!("{}", m.display_expr(&rule.guard));
+    let s = m.display_expr(&rule.guard);
     assert!(s.contains("ctrl.state"), "rendered guard: {s}");
 }

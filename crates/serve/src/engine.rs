@@ -41,22 +41,25 @@
 //! ## Fault injection and graceful degradation
 //!
 //! [`ServeRuntime::run_chaos`] additionally threads a
-//! [`predvfs_faults::FaultInjector`] and a [`DegradeConfig`] through the
-//! loop. The injector perturbs the simulated hardware at well-defined
-//! sites (arrival bursts, slice corruption/timeouts, switch
-//! rejections/stalls, clock jitter, trace spikes, spurious completions);
-//! the degradation machinery pushes back:
+//! [`predvfs_faults::FaultInjector`] and the degradation switch
+//! ([`EngineConfig::degrade`]) through the loop. The injector perturbs
+//! the simulated hardware at well-defined sites (arrival bursts, slice
+//! corruption/timeouts, switch rejections/stalls, clock jitter, trace
+//! spikes, spurious completions); with the switch on, the degradation
+//! machinery pushes back:
 //!
-//! * a **deadline watchdog** fires at `watchdog_frac` of each job's
-//!   remaining budget and, if the job is projected to miss, escalates it
+//! * a **deadline watchdog** fires at 60 % of each job's remaining
+//!   budget and, if the job is projected to miss, escalates it
 //!   mid-flight to [`DvfsModel::escalation`] (boost);
-//! * rejected level switches are **retried with exponential backoff** up
-//!   to `max_switch_retries` times before the stream stays put;
-//! * a stream entering `quarantine_misses` consecutive misses (or
-//!   sustained controller degradation, or an engine-detected
-//!   inconsistency) drops into **quarantine**: decisions bypass the
-//!   controller and pin the nominal level until `probe_jobs` consecutive
-//!   clean completions probe it back out.
+//! * rejected level switches are **retried with exponential backoff**
+//!   from 20 µs, up to 3 times, before the stream stays put (with the
+//!   switch off, a rejected switch is not retried);
+//! * a stream entering 3 consecutive misses (or 32 dispatches in a row
+//!   on a degraded controller) drops into **quarantine**: decisions
+//!   bypass the controller and pin the nominal level until 8
+//!   consecutive clean completions probe it back out. An
+//!   engine-detected inconsistency quarantines a stream with the switch
+//!   off too.
 //!
 //! Every transition is emitted as a [`TraceEvent`] (kinds in
 //! [`predvfs_obs::kinds`]). Scheduled events carry the **epoch** of the
@@ -90,10 +93,11 @@
 //!   list stays a handful of events that migration and checkpoints move
 //!   as one piece.
 
+use std::borrow::Cow;
 use std::cmp::{Ordering, Reverse};
 use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use predvfs::{
     AdaptiveController, CalibrationConfig, CalibrationMonitor, Decision, DvfsController, DvfsModel,
@@ -121,28 +125,40 @@ struct CachedEntry {
     slice_pj: f64,
 }
 
-/// One stream, trained and ready to serve: the prepared experiment plus
-/// the per-arrival job sequence (with any drift already applied to the
-/// traces). Streams of the same (benchmark, seed) class share
-/// one [`Experiment`] behind an `Arc` (and their [`Class`]'s slice
-/// table), so a million-stream scenario costs a few distinct training
-/// runs.
-struct PreparedStream {
-    spec: StreamSpec,
-    exp: Arc<Experiment>,
-    /// Index of the stream's class in [`ServeRuntime::classes`].
-    class: usize,
-    /// Index into the experiment's test set for each arrival.
-    job_idx: Arc<Vec<usize>>,
-    /// Ground-truth trace for each arrival (drift-scaled past the shift).
-    traces: Arc<Vec<JobTrace>>,
+/// One stream as the event loop reads it: its spec and its class's
+/// experiment. Arrival `i` serves test job `i % n_test`, and its ground
+/// truth is that job's trace, scaled by the stream's drift from arrival
+/// `⌊at_frac · jobs⌋` on.
+#[derive(Clone, Copy)]
+struct StreamView<'a> {
+    spec: &'a StreamSpec,
+    exp: &'a Experiment,
+}
+
+impl<'a> StreamView<'a> {
+    /// The test job that arrival `job` serves, and the arrival's
+    /// ground-truth trace. Only a drifted job's trace is built anew.
+    fn job(self, job: usize) -> (usize, Cow<'a, JobTrace>) {
+        let n_test = self.exp.workloads.test.len();
+        // Most streams submit no more jobs than the test set holds, and
+        // this runs on every dispatch: skip the division until they wrap.
+        let test = if job < n_test { job } else { job % n_test };
+        let base = &self.exp.test_traces[test];
+        let trace = match self.spec.drift {
+            Some(d) if job >= (d.at_frac * self.spec.jobs as f64).floor() as usize => {
+                Cow::Owned(base.scaled(d.cycle_scale))
+            }
+            _ => Cow::Borrowed(base),
+        };
+        (test, trace)
+    }
 }
 
 /// One distinct (benchmark, seed) training problem, with the
 /// slice and decision tables its streams read. [`ServeRuntime::warm`] is
 /// the one builder of both.
 struct Class {
-    exp: Arc<Experiment>,
+    exp: Experiment,
     /// How many test jobs the class's streams can submit: arrival `i`
     /// serves test job `i % n_test`, so this is the largest
     /// `min(jobs, n_test)` over every stream of the class, whatever its
@@ -191,70 +207,45 @@ impl Class {
     }
 }
 
-/// A scenario with every stream prepared; reusable across runs.
-pub struct ServeRuntime {
-    streams: Vec<PreparedStream>,
+/// A scenario with every stream prepared; reusable across runs. It
+/// borrows the scenario's stream specs and keeps, per stream, only the
+/// index of its class.
+pub struct ServeRuntime<'s> {
+    specs: &'s [StreamSpec],
+    /// Index into `classes` of each stream's class, in scenario order.
+    class_of: Vec<usize>,
     classes: Vec<Class>,
 }
 
-/// Degradation machinery configuration for [`ServeRuntime::run_chaos`].
-///
-/// [`DegradeConfig::disabled`] turns every mechanism off (the baseline
-/// the chaos harness compares against); [`DegradeConfig::enabled`] is
-/// the standard production posture.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DegradeConfig {
-    /// Arm the mid-job deadline watchdog.
-    pub watchdog: bool,
-    /// When the watchdog fires, as a fraction of the budget remaining at
-    /// dispatch (in `(0, 1)`).
-    pub watchdog_frac: f64,
-    /// Retries granted to a rejected level switch (0 = give up at once).
-    pub max_switch_retries: u32,
-    /// Backoff before retry `n` is `retry_backoff_s · 2ⁿ` seconds.
-    pub retry_backoff_s: f64,
-    /// Consecutive deadline misses that trip quarantine (0 = never).
-    pub quarantine_misses: usize,
-    /// Consecutive controller-degraded dispatches that trip quarantine
-    /// (0 = never) — the "repeated refit non-convergence" guard.
-    pub quarantine_degraded: usize,
-    /// Consecutive clean completions that probe a stream back out of
-    /// quarantine.
-    pub probe_jobs: usize,
-}
+/// When the watchdog fires, as a fraction of the budget remaining at
+/// dispatch.
+const WATCHDOG_FRAC: f64 = 0.6;
+/// Backoff before switch retry `n` is `RETRY_BACKOFF_S · 2ⁿ` seconds.
+const RETRY_BACKOFF_S: f64 = 20e-6;
+/// Consecutive clean completions that probe a stream back out of
+/// quarantine.
+const PROBE_JOBS: usize = 8;
+/// Retries granted to a rejected level switch with degradation on; with
+/// it off, none.
+const MAX_SWITCH_RETRIES: u32 = 3;
+/// Consecutive deadline misses that trip quarantine with degradation on.
+const QUARANTINE_MISSES: usize = 3;
+/// Consecutive dispatches on a degraded controller that trip quarantine
+/// with degradation on: the guard against refits that never converge.
+const QUARANTINE_DEGRADED: usize = 32;
+/// Relative tolerance of the deadline-miss test: a job misses when its
+/// response exceeds its deadline by more than this fraction of it.
+const MISS_TOLERANCE: f64 = 1e-9;
 
-impl DegradeConfig {
-    /// Everything off: no watchdog, no retries, no quarantine.
-    pub fn disabled() -> DegradeConfig {
-        DegradeConfig {
-            watchdog: false,
-            watchdog_frac: 0.6,
-            max_switch_retries: 0,
-            retry_backoff_s: 20e-6,
-            quarantine_misses: 0,
-            quarantine_degraded: 0,
-            probe_jobs: 8,
-        }
-    }
-
-    /// The standard posture: watchdog at 60 % of the remaining budget,
-    /// 3 switch retries from a 20 µs backoff, quarantine after 3
-    /// consecutive misses or 32 degraded dispatches, 8 probe jobs.
-    pub fn enabled() -> DegradeConfig {
-        DegradeConfig {
-            watchdog: true,
-            max_switch_retries: 3,
-            quarantine_misses: 3,
-            quarantine_degraded: 32,
-            ..DegradeConfig::disabled()
-        }
-    }
-}
-
-impl Default for DegradeConfig {
-    fn default() -> DegradeConfig {
-        DegradeConfig::disabled()
-    }
+/// The virtual time below which one `f64` step of seconds is at most
+/// `MISS_TOLERANCE × deadline_s`, so the miss test still tells a job that
+/// met a `deadline_s` deadline from one that missed it. A step at a time
+/// in `[2^e, 2^(e+1))` is `2^(e−52)`, so the bound is the power of two
+/// where the step first exceeds the tolerance: 2^17 s at the paper's
+/// 16.7 ms deadline.
+fn resolvable_horizon_s(deadline_s: f64) -> f64 {
+    let e = 52 + (MISS_TOLERANCE * deadline_s).log2().floor() as i32;
+    2f64.powi(e + 1)
 }
 
 /// How a [`ShardEngine`] runs its slice of the event loop.
@@ -267,8 +258,13 @@ pub struct EngineConfig {
     /// Force every stream onto one controller kind (baselines, scale
     /// benches); `None` uses each spec's own controller.
     pub force: Option<ControllerKind>,
-    /// Degradation machinery configuration.
-    pub degrade: DegradeConfig,
+    /// Turns the degradation machinery on: the deadline watchdog, up to
+    /// 3 retries of a rejected level switch, and quarantine after 3
+    /// consecutive misses or 32 consecutive degraded dispatches. Off (the
+    /// chaos harness's baseline), the watchdog never fires, a rejected
+    /// switch is not retried, and only an engine-detected inconsistency
+    /// quarantines a stream.
+    pub degrade: bool,
     /// Skip per-job [`ServeRecord`]s and calibration/SLO tracking; keep
     /// only the aggregate counters. A lean stream holds no tracker and
     /// no record buffer, so with predictive decisions its state owns no
@@ -826,7 +822,7 @@ pub struct BoostRequest {
 
 /// A point-in-time load summary of one [`ShardEngine`], the signal the
 /// coordinator's rebalancer reads.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ShardLoad {
     /// Streams currently owned by the shard.
     pub streams: usize,
@@ -839,6 +835,10 @@ pub struct ShardLoad {
     pub pending_events: usize,
     /// Jobs completed by this shard so far.
     pub jobs_done: u64,
+    /// Virtual time of the shard's earliest pending event, `None` when
+    /// idle. A coordinator tells a shard with an event due before a bound
+    /// from one without by it.
+    pub next_event_s: Option<f64>,
 }
 
 /// A stream extracted from one [`ShardEngine`] for admission into
@@ -1013,21 +1013,27 @@ impl EngineCheckpoint<'_> {
     }
 }
 
-impl ServeRuntime {
+impl<'s> ServeRuntime<'s> {
     /// Trains and slices every stream, in parallel, sharing `cache` for
     /// trace simulation. Streams with identical (benchmark, seed) are one
     /// training problem: the class is prepared once and shared, so
     /// scenario size scales the cheap per-stream state, not the expensive
     /// pipeline. A stream's deadline comes from its own spec, never from
-    /// the class.
+    /// the class. The runtime borrows the scenario's specs.
     ///
     /// # Errors
     ///
     /// Rejects degenerate stream specs and a name used by two streams
     /// ([`ServeError::InvalidSpec`]): traces, metrics and the merged
-    /// trace order tell streams apart by name. Propagates pipeline
-    /// failures.
-    pub fn prepare(scenario: &Scenario, cache: &TraceCache) -> Result<ServeRuntime, ServeError> {
+    /// trace order tell streams apart by name. So is a stream whose last
+    /// arrival plus its deadline reaches the virtual time at which one
+    /// `f64` step of seconds exceeds 1e-9 of its deadline, the miss
+    /// test's tolerance: 2^17 s at the paper's 16.7 ms. Propagates
+    /// pipeline failures.
+    pub fn prepare(
+        scenario: &'s Scenario,
+        cache: &TraceCache,
+    ) -> Result<ServeRuntime<'s>, ServeError> {
         for spec in &scenario.streams {
             let invalid = |msg: &str| ServeError::InvalidSpec {
                 stream: spec.name.clone(),
@@ -1041,6 +1047,16 @@ impl ServeRuntime {
             }
             if spec.deadline_s.partial_cmp(&0.0) != Some(Ordering::Greater) {
                 return Err(invalid("deadline must be positive"));
+            }
+            let horizon_s = (spec.jobs - 1) as f64 * spec.period_s + spec.deadline_s;
+            let bound_s = resolvable_horizon_s(spec.deadline_s);
+            if horizon_s.partial_cmp(&bound_s) != Some(Ordering::Less) {
+                return Err(invalid(&format!(
+                    "last arrival plus deadline reaches {horizon_s:e} s of virtual time; \
+                     f64 seconds resolve the {MISS_TOLERANCE:e} relative miss tolerance \
+                     of a {deadline_s:e} s deadline only below {bound_s:e} s",
+                    deadline_s = spec.deadline_s,
+                )));
             }
         }
         // Sorted, a repeated name sits next to its twin. Generated
@@ -1064,7 +1080,7 @@ impl ServeRuntime {
 
         // Deduplicate training problems, keyed by (benchmark, seed), across
         // the scenario.
-        let mut exp_of = Vec::with_capacity(scenario.streams.len());
+        let mut class_of = Vec::with_capacity(scenario.streams.len());
         let mut uniq: Vec<&StreamSpec> = Vec::new();
         let mut index: HashMap<(&str, u64), usize> = HashMap::new();
         for spec in &scenario.streams {
@@ -1074,82 +1090,30 @@ impl ServeRuntime {
                     uniq.push(spec);
                     uniq.len() - 1
                 });
-            exp_of.push(idx);
+            class_of.push(idx);
         }
-        let exps: Vec<Arc<Experiment>> = predvfs_par::par_try_map(&uniq, |spec| {
+        let exps: Vec<Experiment> = predvfs_par::par_try_map(&uniq, |spec| {
             let mut config = ExperimentConfig::paper_default(scenario.platform);
             config.size = scenario.size;
             config.seed = spec.seed;
             let exp =
                 Experiment::prepare_cached(spec.bench, config, cache).map_err(ServeError::Core)?;
-            // Guard the modulo below: a benchmark that generates no
-            // test jobs must surface as a spec error, not as a
-            // divide-by-zero panic deep in the parallel fan-out.
+            // Guard the modulo of `StreamView::job`: a benchmark that
+            // generates no test jobs must surface as a spec error, not as
+            // a divide-by-zero panic in the event loop.
             if exp.workloads.test.is_empty() {
                 return Err(ServeError::InvalidSpec {
                     stream: spec.name.clone(),
                     msg: "benchmark generated an empty test set".to_owned(),
                 });
             }
-            Ok(Arc::new(exp))
+            Ok(exp)
         })?;
 
-        // Arrival plans (job indices + drift-scaled traces) dedupe the
-        // same way, keyed by class, job count, and drift.
-        #[derive(Hash, PartialEq, Eq)]
-        struct PlanKey {
-            exp: usize,
-            jobs: usize,
-            drift: Option<(u64, u64)>,
-        }
-        type Plan = (Arc<Vec<usize>>, Arc<Vec<JobTrace>>);
-        let mut plans: HashMap<PlanKey, Plan> = HashMap::new();
-        let mut streams = Vec::with_capacity(scenario.streams.len());
         // Per class: the test jobs its streams can submit (`Class::reads`).
         let mut reads = vec![0; exps.len()];
-        for (spec, &ei) in scenario.streams.iter().zip(&exp_of) {
-            reads[ei] = reads[ei].max(spec.jobs.min(exps[ei].workloads.test.len()));
-            let key = PlanKey {
-                exp: ei,
-                jobs: spec.jobs,
-                drift: spec
-                    .drift
-                    .map(|d| (d.at_frac.to_bits(), d.cycle_scale.to_bits())),
-            };
-            let (job_idx, traces) = plans
-                .entry(key)
-                .or_insert_with(|| {
-                    let exp = &exps[ei];
-                    let n_test = exp.workloads.test.len();
-                    let shift_at = spec
-                        .drift
-                        .map(|d| (d.at_frac * spec.jobs as f64).floor() as usize)
-                        .unwrap_or(usize::MAX);
-                    // Hoisted out of the loop: `drift` is per-stream, not
-                    // per-job, and `shift_at` is only finite when it is
-                    // set.
-                    let drift_scale = spec.drift.map(|d| d.cycle_scale);
-                    let mut job_idx = Vec::with_capacity(spec.jobs);
-                    let mut traces = Vec::with_capacity(spec.jobs);
-                    for i in 0..spec.jobs {
-                        let idx = i % n_test;
-                        job_idx.push(idx);
-                        let base = &exp.test_traces[idx];
-                        traces.push(match drift_scale {
-                            Some(scale) if i >= shift_at => base.scaled(scale),
-                            _ => base.clone(),
-                        });
-                    }
-                    (Arc::new(job_idx), Arc::new(traces))
-                })
-                .clone();
-            streams.push(PreparedStream {
-                spec: spec.clone(),
-                exp: Arc::clone(&exps[ei]),
-                class: ei,
-                job_idx,
-                traces,
-            });
+        for (spec, &class) in scenario.streams.iter().zip(&class_of) {
+            reads[class] = reads[class].max(spec.jobs.min(exps[class].workloads.test.len()));
         }
         let classes = exps
             .into_iter()
@@ -1161,12 +1125,24 @@ impl ServeRuntime {
                 cached: OnceLock::new(),
             })
             .collect();
-        Ok(ServeRuntime { streams, classes })
+        Ok(ServeRuntime {
+            specs: &scenario.streams,
+            class_of,
+            classes,
+        })
     }
 
     /// The prepared streams' specs, in scenario order.
-    pub fn specs(&self) -> impl Iterator<Item = &StreamSpec> {
-        self.streams.iter().map(|s| &s.spec)
+    pub fn specs(&self) -> &'s [StreamSpec] {
+        self.specs
+    }
+
+    /// Stream `gid` as the event loop reads it.
+    fn stream(&self, gid: usize) -> StreamView<'_> {
+        StreamView {
+            spec: &self.specs[gid],
+            exp: &self.classes[self.class_of[gid]].exp,
+        }
     }
 
     /// Pre-builds every table the streams will read under `force` (or
@@ -1183,7 +1159,7 @@ impl ServeRuntime {
     /// Propagates slice-execution failures: the error of the first
     /// failing class, in class order.
     pub fn warm_cached_tables(&self, force: Option<ControllerKind>) -> Result<(), ServeError> {
-        self.warm(0..self.streams.len(), force)
+        self.warm(0..self.specs.len(), force)
     }
 
     /// Builds the tables the `gids` streams read (see
@@ -1198,13 +1174,13 @@ impl ServeRuntime {
         // Per class: (reads the slice table, reads the decision table).
         let mut wants = vec![(false, false); self.classes.len()];
         for gid in gids {
-            let s = &self.streams[gid];
-            match force.unwrap_or(s.spec.controller) {
+            let class = self.class_of[gid];
+            match force.unwrap_or(self.specs[gid].controller) {
                 ControllerKind::Pid => {}
                 ControllerKind::Predictive | ControllerKind::Cached => {
-                    wants[s.class] = (true, true);
+                    wants[class] = (true, true);
                 }
-                _ => wants[s.class].0 = true,
+                _ => wants[class].0 = true,
             }
         }
         let cold: Vec<&Class> = self
@@ -1290,13 +1266,13 @@ impl ServeRuntime {
         force: Option<ControllerKind>,
         sink: &dyn ObsSink,
     ) -> Result<ServeResult, ServeError> {
-        self.run_chaos(force, sink, &NullInjector, &DegradeConfig::disabled())
+        self.run_chaos(force, sink, &NullInjector, false)
     }
 
-    /// Runs the scenario under fault injection with the degradation
-    /// machinery configured by `degrade` — the chaos-testing entry
-    /// point. With [`NullInjector`] and [`DegradeConfig::disabled`] this
-    /// is exactly [`ServeRuntime::run_observed`].
+    /// Runs the scenario under fault injection, with the degradation
+    /// machinery on when `degrade` is set ([`EngineConfig::degrade`]) —
+    /// the chaos-testing entry point. With [`NullInjector`] and `degrade`
+    /// off this is exactly [`ServeRuntime::run_observed`].
     ///
     /// Determinism is preserved: the injector is only queried with
     /// `(stream, job, attempt)` coordinates from the serial event loop,
@@ -1311,13 +1287,13 @@ impl ServeRuntime {
         force: Option<ControllerKind>,
         sink: &dyn ObsSink,
         injector: &dyn FaultInjector,
-        degrade: &DegradeConfig,
+        degrade: bool,
     ) -> Result<ServeResult, ServeError> {
         let _run_span = predvfs_obs::span("serve.run");
-        let members: Vec<usize> = (0..self.streams.len()).collect();
+        let members: Vec<usize> = (0..self.specs.len()).collect();
         let config = EngineConfig {
             force,
-            degrade: degrade.clone(),
+            degrade,
             ..EngineConfig::default()
         };
         let mut engine = self.engine(&members, config, sink, injector)?;
@@ -1380,11 +1356,11 @@ impl ServeRuntime {
         engine.by_gid.sort_unstable();
         self.warm(members.iter().copied(), config.force)?;
         for &gid in members {
-            let s = &self.streams[gid];
-            let kind = config.force.unwrap_or(s.spec.controller);
+            let spec = &self.specs[gid];
+            let kind = config.force.unwrap_or(spec.controller);
             engine.slots.push(Some(Slot {
                 gid,
-                state: new_state(s, &self.classes[s.class], kind, config.lean),
+                state: new_state(spec, &self.classes[self.class_of[gid]], kind, config.lean),
             }));
             // Job 0 arrives at its nominal instant; each arrival then
             // schedules its successor.
@@ -1399,19 +1375,20 @@ impl ServeRuntime {
 /// Fresh run-time state for one stream. Slice-reading controllers borrow
 /// the class's tables, which the engine warmed beforehand.
 fn new_state<'rt>(
-    s: &'rt PreparedStream,
+    spec: &StreamSpec,
     class: &'rt Class,
     kind: ControllerKind,
     lean: bool,
 ) -> StreamState<'rt> {
-    let dvfs = &s.exp.dvfs;
-    let f_hz = s.exp.energy.f_nominal_hz();
+    let exp = &class.exp;
+    let dvfs = &exp.dvfs;
+    let f_hz = exp.energy.f_nominal_hz();
     let ctrl = match kind {
         ControllerKind::Adaptive => Ctrl::Adaptive(Box::new(AdaptiveController::new(
             dvfs.clone(),
             f_hz,
             class.slice_table(),
-            s.exp.model.clone(),
+            exp.model.clone(),
             OnlineTrainerConfig::default(),
         ))),
         ControllerKind::Pid => Ctrl::Pid(Box::new(PidController::tuned(dvfs.clone(), f_hz))),
@@ -1419,7 +1396,7 @@ fn new_state<'rt>(
             dvfs.clone(),
             f_hz,
             class.slice_table(),
-            &s.exp.model,
+            &exp.model,
         ))),
         ControllerKind::Predictive | ControllerKind::Cached => Ctrl::Cached(CachedCtrl {
             dvfs,
@@ -1443,19 +1420,19 @@ fn new_state<'rt>(
             Box::new(Trackers {
                 calib: CalibrationMonitor::new(CalibrationConfig::default()),
                 calib_alert: false,
-                slo: SloTracker::new(SloConfig::for_deadline(s.spec.deadline_s)),
+                slo: SloTracker::new(SloConfig::for_deadline(spec.deadline_s)),
             })
         }),
         result: StreamResult {
             name: String::new(),
-            submitted: s.spec.jobs,
+            submitted: spec.jobs,
             done: 0,
             missed: 0,
             energy_pj: 0.0,
             records: if lean {
                 Vec::new()
             } else {
-                Vec::with_capacity(s.spec.jobs)
+                Vec::with_capacity(spec.jobs)
             },
             shed: 0,
             relaxed: 0,
@@ -1478,11 +1455,11 @@ fn new_state<'rt>(
 /// common epoch boundary, exchange [`BoostRequest`] grants and stream
 /// migrations, and resume.
 pub struct ShardEngine<'rt> {
-    rt: &'rt ServeRuntime,
+    rt: &'rt ServeRuntime<'rt>,
     sink: &'rt dyn ObsSink,
     injector: &'rt dyn FaultInjector,
     faults_on: bool,
-    degrade: DegradeConfig,
+    degrade: bool,
     lean: bool,
     defer: bool,
     /// Drain each stream to the bound in turn instead of one time order
@@ -1527,17 +1504,6 @@ impl<'rt> ShardEngine<'rt> {
     /// Jobs completed so far.
     pub fn jobs_done(&self) -> u64 {
         self.jobs_done
-    }
-
-    /// Virtual time of the earliest pending event, `None` when idle: one
-    /// read of each slot's first entry. A coordinator tells a shard with
-    /// an event due before a bound from one without by it.
-    pub fn next_event_s(&self) -> Option<f64> {
-        self.pending
-            .iter()
-            .filter_map(StreamQueue::first_key)
-            .min()
-            .map(from_order_bits)
     }
 
     /// Whether the engine currently owns stream `gid`.
@@ -1680,13 +1646,12 @@ impl<'rt> ShardEngine<'rt> {
             return false;
         };
         let slot_idx = self.by_gid[pos].1;
-        let rt = self.rt;
-        let s = &rt.streams[req.gid];
+        let s = self.rt.stream(req.gid);
         let mut cx = Loop {
             sink: self.sink,
             injector: self.injector,
             faults_on: self.faults_on,
-            degrade: &self.degrade,
+            degrade: self.degrade,
             lean: self.lean,
             defer: self.defer,
             events: &mut self.pending[slot_idx],
@@ -1732,19 +1697,24 @@ impl<'rt> ShardEngine<'rt> {
     }
 
     /// The coordinator's end-of-epoch view, gathered in one pass over the
-    /// slots: the load summary (the engine is idle exactly when its
-    /// `pending_events` is 0) and the migration shortlist, the busiest
-    /// streams it owns (global ids, busiest first, gid ascending on ties),
-    /// capped at `limit`. Busyness weighs queued jobs double, plus the
-    /// in-flight job and the quarantine flag; idle streams never appear.
+    /// slots: the load summary, with the earliest pending time (the engine
+    /// is idle exactly when its `pending_events` is 0), and the migration
+    /// shortlist, the busiest streams it owns (global ids, busiest first,
+    /// gid ascending on ties), capped at `limit`. Busyness weighs queued
+    /// jobs double, plus the in-flight job and the quarantine flag; idle
+    /// streams never appear.
     pub fn report(&self, limit: usize) -> (ShardLoad, Vec<usize>) {
         let mut load = ShardLoad {
             jobs_done: self.jobs_done,
             ..ShardLoad::default()
         };
         let mut busy: Vec<(usize, usize)> = Vec::new();
+        let mut first_key: Option<u64> = None;
         for (slot, list) in self.slots.iter().zip(&self.pending) {
             load.pending_events += list.len();
+            if let Some(key) = list.first_key() {
+                first_key = Some(first_key.map_or(key, |first| first.min(key)));
+            }
             let Some(slot) = slot else { continue };
             let state = &slot.state;
             load.streams += 1;
@@ -1757,6 +1727,7 @@ impl<'rt> ShardEngine<'rt> {
                 busy.push((b, slot.gid));
             }
         }
+        load.next_event_s = first_key.map(from_order_bits);
         // Gids are unique, so this order is total and the `limit` first
         // entries are the same whether or not the rest is sorted.
         let busiest_first =
@@ -1772,14 +1743,14 @@ impl<'rt> ShardEngine<'rt> {
     /// Consumes the engine and returns each owned stream's result,
     /// keyed by global stream id, gid-ascending.
     pub fn finish(self) -> Vec<(usize, StreamResult)> {
-        let rt = self.rt;
+        let specs = self.rt.specs;
         let mut slots = self.slots;
         self.by_gid
             .iter()
             .map(|&(gid, slot_idx)| {
                 let mut state = slots[slot_idx].take().expect("by_gid maps to slot").state;
                 state.result.refits = state.ctrl.refits();
-                state.result.name = rt.streams[gid].spec.name.clone();
+                state.result.name = specs[gid].name.clone();
                 (gid, state.result)
             })
             .collect()
@@ -1825,7 +1796,7 @@ impl<'rt> ShardEngine<'rt> {
             sink: self.sink,
             injector: self.injector,
             faults_on: self.faults_on,
-            degrade: &self.degrade,
+            degrade: self.degrade,
             lean: self.lean,
             defer: self.defer,
             events,
@@ -1835,8 +1806,8 @@ impl<'rt> ShardEngine<'rt> {
             Event::Arrival { job } => {
                 let slot = self.slots[stream].as_mut().expect("event for vacated slot");
                 let gid = slot.gid;
-                let s = &rt.streams[gid];
-                let spec = &s.spec;
+                let s = rt.stream(gid);
+                let spec = s.spec;
                 // Schedule the successor before anything this handler
                 // schedules, so on a burst tie the next arrival outranks
                 // this job's service events. An arrival burst collapses
@@ -1920,7 +1891,7 @@ impl<'rt> ShardEngine<'rt> {
                 if slot.state.epoch == epoch && cx.sink.enabled() {
                     cx.sink.emit(TraceEvent::new(
                         time,
-                        &rt.streams[slot.gid].spec.name,
+                        &rt.specs[slot.gid].name,
                         kinds::SLICE_DONE,
                     ));
                 }
@@ -1929,7 +1900,7 @@ impl<'rt> ShardEngine<'rt> {
             Event::JobDone { epoch } => {
                 let slot = self.slots[stream].as_mut().expect("event for vacated slot");
                 let gid = slot.gid;
-                let s = &rt.streams[gid];
+                let s = rt.stream(gid);
                 let state = &mut slot.state;
                 let stale = match &state.in_flight {
                     Some(fly) => fly.epoch != epoch,
@@ -1962,7 +1933,7 @@ impl<'rt> ShardEngine<'rt> {
                 self.jobs_done += 1;
                 let rel_deadline = fly.adm.deadline_abs_s - fly.adm.arrival_s;
                 let response = time - fly.adm.arrival_s;
-                let missed = response > rel_deadline * (1.0 + 1e-9);
+                let missed = response > rel_deadline * (1.0 + MISS_TOLERANCE);
                 let energy_pj = fly.job_pj + fly.slice_pj + fly.transition_pj;
                 if predvfs_obs::profiling_enabled() && cx.sink.enabled() {
                     // Virtual-clock span: response time is deterministic,
@@ -2048,9 +2019,7 @@ impl<'rt> ShardEngine<'rt> {
                 }
                 match state.quarantine {
                     None => {
-                        if cx.degrade.quarantine_misses > 0
-                            && state.consec_misses >= cx.degrade.quarantine_misses
-                        {
+                        if cx.degrade && state.consec_misses >= QUARANTINE_MISSES {
                             state.enter_quarantine(
                                 &s.spec.name,
                                 time,
@@ -2062,7 +2031,7 @@ impl<'rt> ShardEngine<'rt> {
                     Some(clean) => {
                         if missed {
                             state.quarantine = Some(0);
-                        } else if clean + 1 >= cx.degrade.probe_jobs {
+                        } else if clean + 1 >= PROBE_JOBS {
                             state.exit_quarantine(&s.spec.name, time, cx.sink);
                         } else {
                             state.quarantine = Some(clean + 1);
@@ -2164,8 +2133,7 @@ impl<'rt> ShardEngine<'rt> {
             Event::Watchdog { epoch } => {
                 let slot = self.slots[stream].as_mut().expect("event for vacated slot");
                 let gid = slot.gid;
-                let s = &rt.streams[gid];
-                cx.check_watchdog(s, gid, &mut slot.state, epoch, time);
+                cx.check_watchdog(rt.stream(gid), gid, &mut slot.state, epoch, time);
             }
         }
         Ok(())
@@ -2179,7 +2147,7 @@ struct Loop<'a, 'rt> {
     sink: &'rt dyn ObsSink,
     injector: &'rt dyn FaultInjector,
     faults_on: bool,
-    degrade: &'a DegradeConfig,
+    degrade: bool,
     lean: bool,
     defer: bool,
     events: &'a mut StreamQueue<Event>,
@@ -2192,7 +2160,7 @@ impl Loop<'_, '_> {
     /// record a [`BoostRequest`] for the coordinator (deferred mode).
     fn check_watchdog(
         &mut self,
-        s: &PreparedStream,
+        s: StreamView<'_>,
         gid: usize,
         state: &mut StreamState<'_>,
         epoch: u64,
@@ -2249,7 +2217,7 @@ impl Loop<'_, '_> {
     /// caller has verified the attempt is current, un-escalated, and
     /// projected to miss; the time-dependent checks (work remains,
     /// switching still pays) re-run here against `now`.
-    fn escalate(&mut self, s: &PreparedStream, state: &mut StreamState<'_>, now: f64) -> bool {
+    fn escalate(&mut self, s: StreamView<'_>, state: &mut StreamState<'_>, now: f64) -> bool {
         let Some(fly) = state.in_flight.as_mut() else {
             return false;
         };
@@ -2257,8 +2225,9 @@ impl Loop<'_, '_> {
         let esc_key = level_key(&s.exp.dvfs, esc_choice);
         let esc_point = s.exp.dvfs.point(esc_choice);
         let cur_point = s.exp.dvfs.point(key_choice(&s.exp.dvfs, fly.key));
-        let spiked = fly.spike.map(|scale| s.traces[fly.adm.job].scaled(scale));
-        let trace = spiked.as_ref().unwrap_or(&s.traces[fly.adm.job]);
+        let (_, base) = s.job(fly.adm.job);
+        let spiked = fly.spike.map(|scale| base.scaled(scale));
+        let trace = spiked.as_ref().unwrap_or(&base);
         let total = trace.cycles as f64;
         // Cycles retired so far at the effective (possibly jittered)
         // frequency; slice/switch phases retire nothing.
@@ -2323,13 +2292,13 @@ impl Loop<'_, '_> {
     /// job-done (and watchdog) events.
     fn start_service(
         &mut self,
-        s: &PreparedStream,
+        s: StreamView<'_>,
         gid: usize,
         state: &mut StreamState<'_>,
         adm: Admitted,
         now: f64,
     ) -> Result<(), ServeError> {
-        let tidx = s.job_idx[adm.job];
+        let (tidx, base) = s.job(adm.job);
         let job = &s.exp.workloads.test[tidx];
         let faults_on = self.faults_on;
         // Whatever budget queueing left is what the controller gets; the
@@ -2348,8 +2317,8 @@ impl Loop<'_, '_> {
             state.consec_degraded = 0;
         }
         if state.quarantine.is_none()
-            && self.degrade.quarantine_degraded > 0
-            && state.consec_degraded >= self.degrade.quarantine_degraded
+            && self.degrade
+            && state.consec_degraded >= QUARANTINE_DEGRADED
         {
             state.enter_quarantine(&s.spec.name, now, self.sink, "sustained_degradation");
         }
@@ -2416,11 +2385,11 @@ impl Loop<'_, '_> {
                         &FaultKind::SwitchReject,
                         adm.job,
                     );
-                    if attempt >= self.degrade.max_switch_retries {
+                    if !self.degrade || attempt >= MAX_SWITCH_RETRIES {
                         switch_failed = true;
                         break;
                     }
-                    switch_s += self.degrade.retry_backoff_s * f64::from(1u32 << attempt.min(10));
+                    switch_s += RETRY_BACKOFF_S * f64::from(1u32 << attempt.min(10));
                     attempt += 1;
                     retries += 1;
                     continue;
@@ -2495,8 +2464,8 @@ impl Loop<'_, '_> {
         } else {
             None
         };
-        let spiked = spike.map(|scale| s.traces[adm.job].scaled(scale));
-        let trace = spiked.as_ref().unwrap_or(&s.traces[adm.job]);
+        let spiked = spike.map(|scale| base.scaled(scale));
+        let trace = spiked.as_ref().unwrap_or(&base);
 
         // Clock jitter shifts execution time; energy stays keyed to the
         // operating point (the regulator's voltage doesn't move, the
@@ -2575,13 +2544,11 @@ impl Loop<'_, '_> {
             self.events.push(exec_start_s, Event::SwitchDone { epoch });
         }
         self.events.push(done_s, Event::JobDone { epoch });
-        if self.degrade.watchdog {
+        if self.degrade {
             let headroom = adm.deadline_abs_s - now;
             if headroom > 0.0 {
-                self.events.push(
-                    now + self.degrade.watchdog_frac * headroom,
-                    Event::Watchdog { epoch },
-                );
+                self.events
+                    .push(now + WATCHDOG_FRAC * headroom, Event::Watchdog { epoch });
             }
         }
         Ok(())
@@ -2677,9 +2644,35 @@ mod tests {
         }
     }
 
-    /// `report` against a load and shortlist worked out by hand: streams
-    /// with queued jobs, in-flight jobs and quarantine, slots out of gid
-    /// order (ties must rank by gid, not slot), and one vacated slot.
+    /// A stream whose last arrival plus deadline reaches 2^17 s, where one
+    /// `f64` step of seconds exceeds 1e-9 of its 16.7 ms deadline, is
+    /// rejected with that bound in the error; one just below it prepares.
+    #[test]
+    fn prepare_rejects_a_horizon_f64_cannot_resolve() {
+        let scenario = |period_ms: &str| {
+            Scenario::parse(&format!("stream sha jobs=3 period_ms={period_ms}\n"))
+                .expect("scenario parses")
+        };
+        // Two periods of 65,535.99 s plus 16.7 ms: just below 2^17 s.
+        let below = scenario("65535990");
+        ServeRuntime::prepare(&below, &TraceCache::new()).expect("a resolvable horizon prepares");
+        for period_ms in ["65536000", "1e18", "1e300"] {
+            let above = scenario(period_ms);
+            match ServeRuntime::prepare(&above, &TraceCache::new()) {
+                Err(ServeError::InvalidSpec { stream, msg }) => {
+                    assert_eq!(stream, "sha");
+                    assert!(msg.contains("only below 1.31072e5 s"), "{period_ms}: {msg}");
+                }
+                Err(e) => panic!("period_ms={period_ms}: wrong error {e}"),
+                Ok(_) => panic!("period_ms={period_ms} must be rejected"),
+            }
+        }
+    }
+
+    /// `report` against a load, earliest pending time and shortlist
+    /// worked out by hand: streams with queued jobs, in-flight jobs and
+    /// quarantine, slots out of gid order (ties must rank by gid, not
+    /// slot), and one vacated slot, whose events left with its stream.
     #[test]
     fn report_matches_hand_computed_load_and_candidates() {
         let bench = predvfs_accel::by_name("sha").expect("sha benchmark");
@@ -2706,8 +2699,17 @@ mod tests {
         let mut eng = rt
             .engine(&[5, 3, 0, 4, 1, 2], config, &NullSink, &NullInjector)
             .expect("engine");
-        // Each slot starts with its first arrival pending; slot 0 (gid 5)
-        // gets one more event, and gid 1's slot is vacated with its list.
+        // One arrival pending per slot, the earliest in gid 1's slot;
+        // slot 0 (gid 5) gets one more event, and gid 1's slot is vacated
+        // with its list.
+        for (list, t) in eng
+            .pending
+            .iter_mut()
+            .zip([0.5, 0.25, 0.375, 0.125, 0.0625, 0.75])
+        {
+            *list = StreamQueue::default();
+            list.push(t, Event::Arrival { job: 1 });
+        }
         eng.pending[0].push(1.0, Event::JobDone { epoch: 1 });
         assert!(eng.extract_stream(1).is_some());
         // Busyness: queued × 2 + in flight + quarantined.
@@ -2729,6 +2731,7 @@ mod tests {
             queued: 3,
             pending_events: 6,
             jobs_done: 0,
+            next_event_s: Some(0.125),
         };
         for (limit, candidates) in [
             (0, vec![]),
@@ -2745,6 +2748,7 @@ mod tests {
             .engine(&[], EngineConfig::default(), &NullSink, &NullInjector)
             .expect("empty engine");
         assert_eq!(empty.report(4), (ShardLoad::default(), vec![]));
+        assert_eq!(empty.report(4).0.next_event_s, None);
         assert!(empty.is_idle());
     }
 }

@@ -32,7 +32,7 @@
 //!
 //! The engine is deliberately serial: determinism is the contract (the
 //! `serve_determinism` integration test pins it), and parallelism lives
-//! in the preparation phase, which fans out per-stream training/slicing
+//! in the preparation phase, which fans out per-class training/slicing
 //! with [`predvfs_par`] and deduplicates trace simulation through the
 //! shared [`predvfs_sim::TraceCache`], and in the warm-up before the
 //! loop, which runs each class's slice over the test jobs its streams
@@ -46,8 +46,8 @@ mod scenario;
 mod slo;
 
 pub use engine::{
-    BoostRequest, DegradeConfig, EngineCheckpoint, EngineConfig, MigratedStream, ServeRecord,
-    ServeResult, ServeRuntime, ShardEngine, ShardLoad, StreamResult,
+    BoostRequest, EngineCheckpoint, EngineConfig, MigratedStream, ServeRecord, ServeResult,
+    ServeRuntime, ShardEngine, ShardLoad, StreamResult,
 };
 pub use scenario::{
     ControllerKind, DriftSpec, FaultsSpec, OverloadPolicy, Scenario, ServeError, StreamSpec,

@@ -181,35 +181,13 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// The built-in demonstration scenario: four mixed-benchmark streams
-    /// on the ASIC platform, one adaptive stream with injected drift and
-    /// one overloaded stream exercising backpressure.
+    /// The built-in demonstration scenario, `examples/demo.scenario`:
+    /// four mixed-benchmark streams on the ASIC platform, one adaptive
+    /// stream with injected drift and two overloaded streams exercising
+    /// backpressure, one shedding and one relaxing deadlines.
     pub fn demo() -> Scenario {
-        let mut drifted = StreamSpec::new(by_name("aes").expect("aes registered"));
-        drifted.controller = ControllerKind::Adaptive;
-        drifted.drift = Some(DriftSpec {
-            at_frac: 0.5,
-            cycle_scale: 1.6,
-        });
-        let mut overloaded = StreamSpec::new(by_name("md").expect("md registered"));
-        overloaded.period_s = 0.5e-3; // arrivals ~3x faster than service
-        overloaded.queue_bound = 2;
-        let mut relaxed = StreamSpec::new(by_name("stencil").expect("stencil registered"));
-        relaxed.period_s = 0.03e-3;
-        relaxed.queue_bound = 2;
-        relaxed.policy = OverloadPolicy::Relax { factor: 1.5 };
-        relaxed.controller = ControllerKind::Hybrid;
-        Scenario {
-            platform: Platform::Asic,
-            size: WorkloadSize::Quick,
-            streams: vec![
-                StreamSpec::new(by_name("sha").expect("sha registered")),
-                drifted,
-                overloaded,
-                relaxed,
-            ],
-            faults: None,
-        }
+        Scenario::parse(include_str!("../../../examples/demo.scenario"))
+            .expect("examples/demo.scenario parses")
     }
 
     /// Parses the line-oriented scenario format (see the module docs).

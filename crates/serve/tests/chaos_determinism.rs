@@ -17,7 +17,7 @@
 use predvfs_accel::{by_name, WorkloadSize};
 use predvfs_faults::{FaultConfig, FaultPlan, NullInjector};
 use predvfs_obs::{NullSink, Recorder};
-use predvfs_serve::{DegradeConfig, Scenario, ServeResult, ServeRuntime, StreamSpec};
+use predvfs_serve::{Scenario, ServeResult, ServeRuntime, StreamSpec};
 use predvfs_sim::{Experiment, ExperimentConfig, Platform, TraceCache};
 
 /// Runs the demo scenario under the standard fault mix with `threads`
@@ -26,10 +26,11 @@ fn run_chaos_recorded(threads: usize) -> (ServeResult, Recorder) {
     let recorder = Recorder::new(1 << 16);
     let plan = FaultPlan::new(7, FaultConfig::standard());
     let result = predvfs_par::with_threads(threads, || {
-        let runtime = ServeRuntime::prepare(&Scenario::demo(), &TraceCache::new())
-            .expect("demo scenario prepares");
+        let scenario = Scenario::demo();
+        let runtime =
+            ServeRuntime::prepare(&scenario, &TraceCache::new()).expect("demo scenario prepares");
         runtime
-            .run_chaos(None, &recorder, &plan, &DegradeConfig::enabled())
+            .run_chaos(None, &recorder, &plan, true)
             .expect("chaos run")
     });
     (result, recorder)
@@ -94,10 +95,10 @@ fn degradation_strictly_reduces_misses_under_faults() {
     let plan = FaultPlan::new(7, config);
 
     let baseline = runtime
-        .run_chaos(None, &NullSink, &plan, &DegradeConfig::disabled())
+        .run_chaos(None, &NullSink, &plan, false)
         .expect("baseline run");
     let hardened = runtime
-        .run_chaos(None, &NullSink, &plan, &DegradeConfig::enabled())
+        .run_chaos(None, &NullSink, &plan, true)
         .expect("hardened run");
 
     let misses = |r: &ServeResult| r.streams.iter().map(|s| s.misses()).sum::<usize>();
@@ -169,7 +170,7 @@ fn spurious_done_is_contained_not_a_panic() {
     // panic: every completion is followed by a phantom completion at the
     // same epoch, which the idle stream must contain, not die on.
     let result = runtime
-        .run_chaos(None, &recorder, &plan, &DegradeConfig::enabled())
+        .run_chaos(None, &recorder, &plan, true)
         .expect("spurious completions must not fail the run");
     let s = &result.streams[0];
     assert_eq!(
@@ -187,10 +188,11 @@ fn spurious_done_is_contained_not_a_panic() {
 
 #[test]
 fn null_chaos_matches_plain_run() {
-    let runtime = ServeRuntime::prepare(&Scenario::demo(), &TraceCache::new()).expect("prepare");
+    let scenario = Scenario::demo();
+    let runtime = ServeRuntime::prepare(&scenario, &TraceCache::new()).expect("prepare");
     let plain = runtime.run().expect("plain run");
     let chaos = runtime
-        .run_chaos(None, &NullSink, &NullInjector, &DegradeConfig::disabled())
+        .run_chaos(None, &NullSink, &NullInjector, false)
         .expect("null chaos run");
     assert_eq!(
         plain, chaos,

@@ -16,7 +16,7 @@ use std::cmp::Ordering;
 
 use predvfs_faults::{FaultConfig, FaultPlan};
 use predvfs_obs::NullSink;
-use predvfs_serve::{DegradeConfig, Scenario, ServeRuntime};
+use predvfs_serve::{Scenario, ServeRuntime};
 use predvfs_sim::TraceCache;
 use queue::StreamQueue;
 
@@ -241,25 +241,21 @@ fn first_keys_order_lists_as_total_cmp_orders_their_first_times() {
 }
 
 /// The parsers reject every setting that schedules before `now`, but a
-/// configuration built in code can: a negative watchdog fraction, and a
-/// jitter fraction above 1 that makes some execution times negative. Such
-/// a push becomes the first entry of its stream's list, the single
-/// engine's time-major drain re-keys that slot below the current time,
-/// and the run still finishes.
+/// fault configuration built in code can: a jitter fraction above 1 makes
+/// some execution times negative. Such a push becomes the first entry of
+/// its stream's list, the single engine's time-major drain re-keys that
+/// slot below the current time, and the run still finishes.
 #[test]
 fn engine_finishes_when_a_config_built_in_code_schedules_before_now() {
-    let runtime = ServeRuntime::prepare(&Scenario::demo(), &TraceCache::new())
-        .expect("demo scenario prepares");
+    let scenario = Scenario::demo();
+    let runtime =
+        ServeRuntime::prepare(&scenario, &TraceCache::new()).expect("demo scenario prepares");
     let mut faults = FaultConfig::none();
     faults.clock_jitter_p = 0.2;
     faults.clock_jitter_frac = 1.5;
     let plan = FaultPlan::new(7, faults);
-    let degrade = DegradeConfig {
-        watchdog_frac: -0.5,
-        ..DegradeConfig::enabled()
-    };
     let result = runtime
-        .run_chaos(None, &NullSink, &plan, &degrade)
+        .run_chaos(None, &NullSink, &plan, true)
         .expect("run finishes");
     for s in &result.streams {
         assert_eq!(s.completed() + s.shed, s.submitted, "stream {}", s.name);

@@ -56,9 +56,9 @@ fn counted<T>(f: impl FnOnce() -> T) -> (u64, u64, T) {
 }
 
 /// `streams` streams of one class, each named on its own.
-fn runtime(streams: usize) -> ServeRuntime {
+fn scenario(streams: usize) -> Scenario {
     let bench = predvfs_accel::by_name("sha").expect("sha benchmark");
-    let scenario = Scenario {
+    Scenario {
         platform: Platform::Asic,
         size: WorkloadSize::Quick,
         streams: (0..streams)
@@ -69,14 +69,14 @@ fn runtime(streams: usize) -> ServeRuntime {
             })
             .collect(),
         faults: None,
-    };
-    ServeRuntime::prepare(&scenario, &TraceCache::new()).expect("prepare")
+    }
 }
 
 /// Build, checkpoint and snapshot-drop allocation counts at `streams`
 /// streams forced onto `kind`.
 fn measure(streams: usize, kind: ControllerKind) -> (u64, u64, u64) {
-    let rt = runtime(streams);
+    let scenario = scenario(streams);
+    let rt = ServeRuntime::prepare(&scenario, &TraceCache::new()).expect("prepare");
     rt.warm_cached_tables(Some(kind)).expect("warm tables");
     let config = EngineConfig {
         force: Some(kind),

@@ -23,8 +23,9 @@ use predvfs_sim::{Platform, TraceCache};
 fn run_recorded(threads: usize) -> (ServeResult, Recorder) {
     let recorder = Recorder::new(1 << 16);
     let result = predvfs_par::with_threads(threads, || {
-        let runtime = ServeRuntime::prepare(&Scenario::demo(), &TraceCache::new())
-            .expect("demo scenario prepares");
+        let scenario = Scenario::demo();
+        let runtime =
+            ServeRuntime::prepare(&scenario, &TraceCache::new()).expect("demo scenario prepares");
         runtime.run_observed(None, &recorder).expect("run")
     });
     (result, recorder)
@@ -174,7 +175,8 @@ fn duplicate_stream_names_are_invalid_spec() {
 #[test]
 fn null_sink_run_matches_plain_run() {
     let cache = TraceCache::new();
-    let runtime = ServeRuntime::prepare(&Scenario::demo(), &cache).expect("prepare");
+    let scenario = Scenario::demo();
+    let runtime = ServeRuntime::prepare(&scenario, &cache).expect("prepare");
     let plain = runtime.run().expect("plain run");
     let observed = runtime
         .run_observed(None, &predvfs_obs::NullSink)

@@ -13,7 +13,7 @@
 use predvfs_accel::{by_name, WorkloadSize};
 use predvfs_faults::{FaultConfig, FaultPlan};
 use predvfs_obs::{Recorder, TraceAnalysis};
-use predvfs_serve::{DegradeConfig, Scenario, ServeResult, ServeRuntime, StreamSpec};
+use predvfs_serve::{Scenario, ServeResult, ServeRuntime, StreamSpec};
 use predvfs_sim::{Experiment, ExperimentConfig, Platform, TraceCache};
 
 /// A stream with its deadline sized to `headroom ×` the benchmark's
@@ -54,10 +54,11 @@ fn chaos_plan() -> FaultPlan {
 /// surface as misses), recorded and analyzed.
 fn run_analyzed() -> (ServeResult, Recorder, TraceAnalysis) {
     let cache = TraceCache::new();
-    let runtime = ServeRuntime::prepare(&chaos_scenario(&cache), &cache).expect("prepare");
+    let scenario = chaos_scenario(&cache);
+    let runtime = ServeRuntime::prepare(&scenario, &cache).expect("prepare");
     let recorder = Recorder::new(1 << 16);
     let result = runtime
-        .run_chaos(None, &recorder, &chaos_plan(), &DegradeConfig::disabled())
+        .run_chaos(None, &recorder, &chaos_plan(), false)
         .expect("chaos run");
     assert_eq!(recorder.ring().dropped(), 0, "ring must not overflow");
     let analysis = TraceAnalysis::from_jsonl(&recorder.ring().to_jsonl()).expect("trace parses");
@@ -143,10 +144,11 @@ fn analysis_report_is_thread_count_invariant() {
     let report_for = |threads: usize| {
         predvfs_par::with_threads(threads, || {
             let cache = TraceCache::new();
-            let runtime = ServeRuntime::prepare(&chaos_scenario(&cache), &cache).expect("prepare");
+            let scenario = chaos_scenario(&cache);
+            let runtime = ServeRuntime::prepare(&scenario, &cache).expect("prepare");
             let recorder = Recorder::new(1 << 16);
             runtime
-                .run_chaos(None, &recorder, &chaos_plan(), &DegradeConfig::enabled())
+                .run_chaos(None, &recorder, &chaos_plan(), true)
                 .expect("chaos run");
             TraceAnalysis::from_jsonl(&recorder.ring().to_jsonl())
                 .expect("trace parses")

@@ -97,8 +97,8 @@ use std::thread::ScopedJoinHandle;
 use predvfs_faults::FaultInjector;
 use predvfs_obs::{kinds, NullSink, ObsSink, TraceEvent};
 use predvfs_serve::{
-    BoostRequest, ControllerKind, DegradeConfig, EngineCheckpoint, EngineConfig, MigratedStream,
-    ServeError, ServeRuntime, ShardEngine, ShardLoad, StreamResult,
+    BoostRequest, ControllerKind, EngineCheckpoint, EngineConfig, MigratedStream, ServeError,
+    ServeRuntime, ShardEngine, ShardLoad, StreamResult,
 };
 
 mod synth;
@@ -108,8 +108,6 @@ pub use synth::{synth_scenario, SynthSpec};
 /// When and how the coordinator moves streams between shards.
 #[derive(Debug, Clone, Copy)]
 pub struct MigrationConfig {
-    /// Whether rebalancing runs at all.
-    pub enabled: bool,
     /// Busy-score ratio (busiest shard over least busy shard, floored at
     /// 1) at or above which an epoch counts as imbalanced.
     pub imbalance_ratio: f64,
@@ -123,7 +121,6 @@ pub struct MigrationConfig {
 impl Default for MigrationConfig {
     fn default() -> MigrationConfig {
         MigrationConfig {
-            enabled: true,
             imbalance_ratio: 4.0,
             sustain_epochs: 2,
             max_moves_per_epoch: 4,
@@ -148,8 +145,9 @@ pub struct ShardConfig {
     /// Force every stream onto one controller kind (e.g.
     /// [`ControllerKind::Cached`] for scale runs).
     pub force: Option<ControllerKind>,
-    /// Graceful-degradation thresholds, shared by every shard.
-    pub degrade: DegradeConfig,
+    /// Turns every shard's degradation machinery on
+    /// ([`EngineConfig::degrade`]).
+    pub degrade: bool,
     /// Lean mode: skip per-job records and calibration/SLO tracking to
     /// hold memory flat at millions of streams. Aggregate counters
     /// (done, missed, shed, energy) stay exact.
@@ -169,7 +167,7 @@ impl Default for ShardConfig {
             boost_tokens_per_epoch: None,
             migration: MigrationConfig::default(),
             force: None,
-            degrade: DegradeConfig::disabled(),
+            degrade: false,
             lean: false,
             checkpoint_every: None,
         }
@@ -340,7 +338,7 @@ struct Plan {
 
 /// What every shard reads during a run and none of them changes.
 struct Tier<'a, 'rt> {
-    runtime: &'rt ServeRuntime,
+    runtime: &'rt ServeRuntime<'rt>,
     config: &'a ShardConfig,
     engine_config: EngineConfig,
     injector: &'rt dyn FaultInjector,
@@ -372,10 +370,11 @@ struct Shard<'rt> {
     /// run's.
     scope: String,
     engine: ShardEngine<'rt>,
-    /// The engine's earliest pending event time. The shard refreshes it
-    /// on its own thread at the end of each epoch, and after a boundary
-    /// that moved its streams or boosted one; the epoch loop gives the
-    /// shard a thread only when it falls before the next boundary.
+    /// The engine's earliest pending event time. The shard takes it from
+    /// its report at the end of each epoch, and recomputes it after a
+    /// boundary that moved its streams or boosted one; the epoch loop
+    /// gives the shard a thread only when it falls before the next
+    /// boundary.
     next_event_s: Option<f64>,
     snapshot: Option<ShardSnapshot<'rt>>,
     /// The boundary decisions applied since the snapshot, by epoch.
@@ -421,14 +420,10 @@ impl<'rt> Shard<'rt> {
                 }
             }
         }
-        let migration = &tier.config.migration;
-        let limit = if migration.enabled {
-            migration.max_moves_per_epoch
-        } else {
-            0
-        };
-        let (load, candidates) = self.engine.report(limit);
-        self.next_event_s = self.engine.next_event_s();
+        let (load, candidates) = self
+            .engine
+            .report(tier.config.migration.max_moves_per_epoch);
+        self.next_event_s = load.next_event_s;
         Ok(Report {
             load,
             candidates,
@@ -477,7 +472,7 @@ impl<'rt> Shard<'rt> {
         let moved = !moves_out.is_empty() || !inbound.is_empty();
         let applied = admit_and_grant(&mut self.engine, inbound, grants, t_end);
         if moved || applied > 0 {
-            self.next_event_s = self.engine.next_event_s();
+            self.next_event_s = self.engine.report(0).0.next_event_s;
         }
         if let Some(inbound) = journaled {
             let _journal_span = predvfs_obs::span("shard.journal");
@@ -658,7 +653,7 @@ fn fan_out<I: Send, T: Send>(
 /// engine or recovery failure ends the run after the epoch in which it
 /// happened, and the lowest-numbered failing shard's error is returned.
 pub fn run_sharded<'rt>(
-    runtime: &'rt ServeRuntime,
+    runtime: &'rt ServeRuntime<'rt>,
     config: &ShardConfig,
     shard_sinks: &[&'rt dyn ObsSink],
     coord_sink: &dyn ObsSink,
@@ -687,7 +682,7 @@ pub fn run_sharded<'rt>(
         config,
         engine_config: EngineConfig {
             force: config.force,
-            degrade: config.degrade.clone(),
+            degrade: config.degrade,
             lean: config.lean,
             defer_escalations: true,
             one_ahead_arrivals: true,
@@ -695,7 +690,7 @@ pub fn run_sharded<'rt>(
         injector,
         faults_on: injector.enabled(),
     };
-    let n_streams = runtime.specs().count();
+    let n_streams = runtime.specs().len();
     let mut shards = fan_out((0..config.shards).map(|index| (true, index)), |index| {
         let members: Vec<usize> = (index..n_streams).step_by(config.shards).collect();
         let sink = shard_sinks.get(index).copied().unwrap_or(&NullSink);
@@ -705,7 +700,7 @@ pub fn run_sharded<'rt>(
             members,
             sink,
             scope: format!("shard{index}"),
-            next_event_s: engine.next_event_s(),
+            next_event_s: engine.report(0).0.next_event_s,
             engine,
             snapshot: None,
             journal: BTreeMap::new(),
@@ -877,7 +872,7 @@ fn coordinate(
     // Migration: move the busiest streams from the most to the least
     // loaded shard once the imbalance has persisted.
     let mut moves: Vec<Move> = Vec::new();
-    if config.migration.enabled && reports.len() > 1 {
+    if reports.len() > 1 {
         let busy: Vec<usize> = reports
             .iter()
             .map(|r| r.load.queued * 2 + r.load.active)
@@ -969,6 +964,7 @@ fn coordinate(
 pub fn merged_trace(runtime: &ServeRuntime, sources: Vec<Vec<TraceEvent>>) -> Vec<TraceEvent> {
     let rank: HashMap<&str, u64> = runtime
         .specs()
+        .iter()
         .enumerate()
         .map(|(gid, s)| (s.name.as_str(), gid as u64))
         .collect();

@@ -9,14 +9,13 @@
 //! Streams are grouped into *classes*: every stream in a class shares
 //! its benchmark, workload seed, deadline, and job count, so the
 //! prepare phase trains one model and simulates one job set per class
-//! (the runtime trains once per benchmark and seed, and plans arrivals
-//! once per class and job count) no matter how many streams fan out
-//! from it. Arrival periods are staggered per stream so
-//! the streams' timelines aren't one giant tie at every multiple of the
-//! period.
+//! (the runtime trains once per benchmark and seed, and keeps only each
+//! stream's class index) no matter how many streams fan out from it.
+//! Arrival periods are staggered per stream so the streams' timelines
+//! aren't one giant tie at every multiple of the period.
 
 use predvfs_accel::{all, WorkloadSize};
-use predvfs_serve::{ControllerKind, OverloadPolicy, Scenario, StreamSpec};
+use predvfs_serve::{Scenario, StreamSpec};
 use predvfs_sim::Platform;
 
 /// Parameters for a synthesized scale scenario.
@@ -29,27 +28,18 @@ pub struct SynthSpec {
     pub classes: usize,
     /// Jobs submitted per stream.
     pub jobs_per_stream: usize,
-    /// Base inter-arrival period, seconds (staggered ±5% per stream).
-    pub period_s: f64,
-    /// Per-job deadline, seconds.
-    pub deadline_s: f64,
-    /// Admission-queue bound per stream.
-    pub queue_bound: usize,
     /// Base workload seed (class `c` uses `seed + c`).
     pub seed: u64,
 }
 
 impl SynthSpec {
     /// A spec for `streams` streams with the scale-run defaults: 8
-    /// classes, 10 jobs per stream, paper-rate arrivals and deadlines.
+    /// classes, 10 jobs per stream.
     pub fn new(streams: usize) -> SynthSpec {
         SynthSpec {
             streams,
             classes: 8,
             jobs_per_stream: 10,
-            period_s: 16.7e-3,
-            deadline_s: 16.7e-3,
-            queue_bound: 4,
             seed: 42,
         }
     }
@@ -58,11 +48,13 @@ impl SynthSpec {
 /// Builds the scenario described by `spec`.
 ///
 /// Stream `i` is named `s{i:07}` (unique, so the merged-trace rank map
-/// is faithful), belongs to class `i % classes`, and staggers its
-/// arrival period by a fixed per-stream factor in `[1.0, 1.05)`. All
-/// streams shed on overload and default to the predictive controller —
-/// scale runs force [`ControllerKind::Cached`] at the shard layer
-/// instead of baking it into the scenario.
+/// is faithful), belongs to class `i % classes`, and otherwise starts
+/// from [`StreamSpec::new`]: the paper's deadline, a queue bound of 4,
+/// shedding on overload, and the predictive controller — scale runs
+/// force [`ControllerKind::Cached`](predvfs_serve::ControllerKind::Cached)
+/// at the shard layer instead of baking it into the scenario. Its
+/// arrival period is the paper period staggered by a fixed per-stream
+/// factor in `[1.0, 1.05)`.
 ///
 /// # Panics
 ///
@@ -78,17 +70,13 @@ pub fn synth_scenario(spec: &SynthSpec) -> Scenario {
         // the common grid without touching the class-level dedupe keys
         // (benchmark, seed, jobs).
         let stagger = 1.0 + ((i.wrapping_mul(37)) % 101) as f64 * (0.05 / 101.0);
+        let base = StreamSpec::new(bench);
         streams.push(StreamSpec {
             name: format!("s{i:07}"),
-            bench,
-            deadline_s: spec.deadline_s,
-            period_s: spec.period_s * stagger,
+            period_s: base.period_s * stagger,
             jobs: spec.jobs_per_stream,
-            queue_bound: spec.queue_bound,
-            policy: OverloadPolicy::Shed,
-            controller: ControllerKind::Predictive,
             seed: spec.seed + class as u64,
-            drift: None,
+            ..base
         });
     }
     Scenario {

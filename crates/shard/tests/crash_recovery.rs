@@ -18,7 +18,7 @@ use std::sync::OnceLock;
 
 use predvfs_faults::{FaultConfig, FaultInjector, FaultPlan, NullInjector};
 use predvfs_obs::{NullSink, ObsSink, Recorder};
-use predvfs_serve::{ControllerKind, DegradeConfig, EngineConfig, ServeRuntime, StreamResult};
+use predvfs_serve::{ControllerKind, EngineConfig, Scenario, ServeRuntime, StreamResult};
 use predvfs_shard::{
     merged_trace_jsonl, run_sharded, synth_scenario, MigrationConfig, ShardConfig, ShardSnapshot,
     ShardedResult, SynthSpec,
@@ -47,16 +47,19 @@ impl FaultInjector for CrashAt {
     }
 }
 
-fn small_runtime() -> &'static ServeRuntime {
-    static RT: OnceLock<ServeRuntime> = OnceLock::new();
+fn small_runtime() -> &'static ServeRuntime<'static> {
+    static SCENARIO: OnceLock<Scenario> = OnceLock::new();
+    static RT: OnceLock<ServeRuntime<'static>> = OnceLock::new();
     RT.get_or_init(|| {
-        let spec = SynthSpec {
-            streams: 24,
-            classes: 3,
-            jobs_per_stream: 6,
-            ..SynthSpec::new(24)
-        };
-        ServeRuntime::prepare(&synth_scenario(&spec), &TraceCache::new()).expect("prepare")
+        let scenario = SCENARIO.get_or_init(|| {
+            synth_scenario(&SynthSpec {
+                streams: 24,
+                classes: 3,
+                jobs_per_stream: 6,
+                ..SynthSpec::new(24)
+            })
+        });
+        ServeRuntime::prepare(scenario, &TraceCache::new()).expect("prepare")
     })
 }
 
@@ -79,7 +82,7 @@ fn config_at(shards: usize, checkpoint_every: Option<u64>) -> ShardConfig {
     ShardConfig {
         shards,
         epoch_s: 1e-3,
-        degrade: DegradeConfig::enabled(),
+        degrade: true,
         checkpoint_every,
         ..ShardConfig::default()
     }
@@ -131,14 +134,14 @@ fn snapshot_bytes_identical_run_to_run() {
     let rt = small_runtime();
     let full = EngineConfig {
         force: None,
-        degrade: DegradeConfig::enabled(),
+        degrade: true,
         lean: false,
         defer_escalations: true,
         one_ahead_arrivals: true,
     };
     let lean_cached = EngineConfig {
         force: Some(ControllerKind::Cached),
-        degrade: DegradeConfig::disabled(),
+        degrade: false,
         lean: true,
         ..full.clone()
     };
@@ -324,7 +327,6 @@ fn crash_during_migration_conserves_streams() {
         shards: 2,
         epoch_s: 0.5e-3,
         migration: MigrationConfig {
-            enabled: true,
             imbalance_ratio: 2.0,
             sustain_epochs: 2,
             max_moves_per_epoch: 2,

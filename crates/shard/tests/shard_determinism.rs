@@ -8,8 +8,8 @@
 //! 4. the boost budget is shard-count invariant, and a sharded run with
 //!    no boost activity reproduces the legacy serial engine's per-stream
 //!    counters, event count and merged trace, with and without faults;
-//! 5. a configuration built in code that schedules events before the
-//!    one being handled still finishes, on any shard count;
+//! 5. a fault configuration built in code that schedules events before
+//!    the one being handled still finishes, on any shard count;
 //! 6. a long-gap schedule, with events in a few of its thousands of
 //!    epochs, serves alike on every shard count, with and without shard
 //!    crashes.
@@ -19,9 +19,7 @@ use std::collections::HashMap;
 use predvfs_accel::{by_name, WorkloadSize};
 use predvfs_faults::{FaultConfig, FaultInjector, FaultPlan, NullInjector};
 use predvfs_obs::{kinds, FieldValue, NullSink, ObsSink, Recorder};
-use predvfs_serve::{
-    DegradeConfig, EngineConfig, Scenario, ServeRuntime, StreamResult, StreamSpec,
-};
+use predvfs_serve::{EngineConfig, Scenario, ServeRuntime, StreamResult, StreamSpec};
 use predvfs_shard::{
     merged_trace, merged_trace_jsonl, run_sharded, synth_scenario, MigrationConfig, ShardConfig,
     ShardedResult, SynthSpec,
@@ -81,27 +79,31 @@ fn assert_same_streams(a: &[StreamResult], b: &[StreamResult]) {
     }
 }
 
-fn small_runtime() -> ServeRuntime {
-    let spec = SynthSpec {
+fn prepare(scenario: &Scenario) -> ServeRuntime<'_> {
+    ServeRuntime::prepare(scenario, &TraceCache::new()).expect("prepare")
+}
+
+fn small_scenario() -> Scenario {
+    synth_scenario(&SynthSpec {
         streams: 24,
         classes: 3,
         jobs_per_stream: 6,
         ..SynthSpec::new(24)
-    };
-    ServeRuntime::prepare(&synth_scenario(&spec), &TraceCache::new()).expect("prepare")
+    })
 }
 
 fn base_config() -> ShardConfig {
     ShardConfig {
         epoch_s: 2e-3,
-        degrade: DegradeConfig::enabled(),
+        degrade: true,
         ..ShardConfig::default()
     }
 }
 
 #[test]
 fn merged_trace_identical_across_shard_counts() {
-    let rt = small_runtime();
+    let scenario = small_scenario();
+    let rt = prepare(&scenario);
     let base = base_config();
     let (r1, m1, _) = run_at(&rt, &base, 1, &NullInjector);
     let (r4, m4, _) = run_at(&rt, &base, 4, &NullInjector);
@@ -117,7 +119,8 @@ fn merged_trace_identical_across_shard_counts() {
 
 #[test]
 fn merged_trace_identical_across_shard_counts_under_chaos() {
-    let rt = small_runtime();
+    let scenario = small_scenario();
+    let rt = prepare(&scenario);
     let base = base_config();
     let plan = FaultPlan::new(7, FaultConfig::standard());
     let (r1, m1, _) = run_at(&rt, &base, 1, &plan);
@@ -135,7 +138,8 @@ fn merged_trace_identical_across_shard_counts_under_chaos() {
 
 #[test]
 fn per_shard_traces_identical_run_to_run() {
-    let rt = small_runtime();
+    let scenario = small_scenario();
+    let rt = prepare(&scenario);
     let base = base_config();
     let plan = FaultPlan::new(7, FaultConfig::standard());
     let (_, m_a, per_a) = run_at(&rt, &base, 4, &plan);
@@ -152,7 +156,7 @@ fn per_shard_traces_identical_run_to_run() {
 /// overloaded stream on shard 0: class 0 (even gids) floods its queue,
 /// class 1 (odd gids) is nearly idle. Under two shards the imbalance is
 /// structural and sustained, so the coordinator must migrate.
-fn imbalanced_runtime() -> ServeRuntime {
+fn imbalanced_scenario() -> Scenario {
     let spec = SynthSpec {
         streams: 12,
         classes: 2,
@@ -167,16 +171,16 @@ fn imbalanced_runtime() -> ServeRuntime {
             s.jobs = 40;
         }
     }
-    ServeRuntime::prepare(&scenario, &TraceCache::new()).expect("prepare")
+    scenario
 }
 
 #[test]
 fn rebalance_conserves_every_stream_and_job() {
-    let rt = imbalanced_runtime();
+    let scenario = imbalanced_scenario();
+    let rt = prepare(&scenario);
     let base = ShardConfig {
         epoch_s: 0.5e-3,
         migration: MigrationConfig {
-            enabled: true,
             imbalance_ratio: 2.0,
             sustain_epochs: 2,
             max_moves_per_epoch: 2,
@@ -252,7 +256,7 @@ fn rebalance_conserves_every_stream_and_job() {
 /// largest nominal job (names kept unique for the merged-trace rank
 /// map) — tight enough that transient spikes project misses and the
 /// watchdog raises escalation requests.
-fn tight_runtime() -> ServeRuntime {
+fn tight_scenario() -> Scenario {
     let cache = TraceCache::new();
     let mut streams = Vec::new();
     for (i, bench_name) in ["sha", "md", "sha", "md", "sha", "md"].iter().enumerate() {
@@ -268,18 +272,18 @@ fn tight_runtime() -> ServeRuntime {
         spec.jobs = 40;
         streams.push(spec);
     }
-    let scenario = Scenario {
+    Scenario {
         platform: Platform::Asic,
         size: WorkloadSize::Quick,
         streams,
         faults: None,
-    };
-    ServeRuntime::prepare(&scenario, &cache).expect("prepare")
+    }
 }
 
 #[test]
 fn boost_budget_is_shard_count_invariant() {
-    let rt = tight_runtime();
+    let scenario = tight_scenario();
+    let rt = prepare(&scenario);
     // Transient spikes that undefended levels cannot absorb force
     // watchdog escalation requests; one token per epoch makes the
     // budget bind.
@@ -290,7 +294,7 @@ fn boost_budget_is_shard_count_invariant() {
     let base = ShardConfig {
         epoch_s: 2e-3,
         boost_tokens_per_epoch: Some(1),
-        degrade: DegradeConfig::enabled(),
+        degrade: true,
         ..ShardConfig::default()
     };
     let (r1, m1, _) = run_at(&rt, &base, 1, &plan);
@@ -312,7 +316,7 @@ fn boost_budget_is_shard_count_invariant() {
 /// quarantine trips on consecutive misses, and quarantine's pinned
 /// nominal level serves un-spiked jobs cleanly — so streams spend real
 /// time *mid-probe*, with a partial clean-completion countdown.
-fn quarantine_runtime() -> ServeRuntime {
+fn quarantine_scenario() -> Scenario {
     let cache = TraceCache::new();
     let mut streams = Vec::new();
     for (i, bench_name) in ["sha", "md", "sha", "md", "sha", "md"].iter().enumerate() {
@@ -328,13 +332,12 @@ fn quarantine_runtime() -> ServeRuntime {
         spec.jobs = 40;
         streams.push(spec);
     }
-    let scenario = Scenario {
+    Scenario {
         platform: Platform::Asic,
         size: WorkloadSize::Quick,
         streams,
         faults: None,
-    };
-    ServeRuntime::prepare(&scenario, &cache).expect("prepare")
+    }
 }
 
 /// The quarantine probe countdown is the one piece of degradation state
@@ -347,13 +350,14 @@ fn quarantine_runtime() -> ServeRuntime {
 /// countdown demonstrably round-tripped through [`MigratedStream`].
 #[test]
 fn quarantine_probe_state_survives_forced_migration() {
-    let rt = quarantine_runtime();
+    let scenario = quarantine_scenario();
+    let rt = prepare(&scenario);
     let mut chaos = FaultConfig::none();
     chaos.set("trace_spike", "0.4:1.6").unwrap();
     let plan = FaultPlan::new(11, chaos);
     let cfg = EngineConfig {
         force: None,
-        degrade: DegradeConfig::enabled(),
+        degrade: true,
         lean: false,
         defer_escalations: true,
         one_ahead_arrivals: true,
@@ -423,7 +427,8 @@ fn quarantine_probe_state_survives_forced_migration() {
 
 #[test]
 fn one_shard_matches_legacy_serial_engine_without_boosts() {
-    let rt = small_runtime();
+    let scenario = small_scenario();
+    let rt = prepare(&scenario);
     // Degradation off: no watchdog, so deferral has nothing to defer
     // and the sharded run must reproduce the serial engine, whose one
     // time order is the oracle of the sharded event order: the same
@@ -432,14 +437,14 @@ fn one_shard_matches_legacy_serial_engine_without_boosts() {
     // global stream id, so its own ring is already in the merged order.
     let base = ShardConfig {
         epoch_s: 2e-3,
-        degrade: DegradeConfig::disabled(),
+        degrade: false,
         ..ShardConfig::default()
     };
     let plan = FaultPlan::new(7, FaultConfig::standard());
     for injector in [&NullInjector as &dyn FaultInjector, &plan] {
         let rec = Recorder::new(RING);
         let legacy = rt
-            .run_chaos(None, &rec, injector, &DegradeConfig::disabled())
+            .run_chaos(None, &rec, injector, false)
             .expect("legacy run");
         assert_eq!(rec.ring().dropped(), 0, "ring too small for the test");
         let legacy_trace = merged_trace_jsonl(&rt, vec![rec.ring().snapshot()]);
@@ -461,23 +466,20 @@ fn one_shard_matches_legacy_serial_engine_without_boosts() {
 
 /// The sharded counterpart of the serve suite's
 /// `engine_finishes_when_a_config_built_in_code_schedules_before_now`.
-/// A negative watchdog fraction and a jitter fraction above 1, which
-/// only a configuration built in code can set, schedule events before
-/// the one being handled. The run must still finish, conserve every job
-/// and merge to one trace on any shard count.
+/// A jitter fraction above 1, which only a fault configuration built in
+/// code can set, makes some execution times negative, which schedules
+/// completions before the event being handled. The run must still
+/// finish, conserve every job and merge to one trace on any shard count.
 #[test]
 fn sharded_run_finishes_when_a_config_built_in_code_schedules_before_now() {
-    let rt = ServeRuntime::prepare(&Scenario::demo(), &TraceCache::new())
-        .expect("demo scenario prepares");
+    let scenario = Scenario::demo();
+    let rt = prepare(&scenario);
     let mut faults = FaultConfig::none();
     faults.clock_jitter_p = 0.2;
     faults.clock_jitter_frac = 1.5;
     let plan = FaultPlan::new(7, faults);
     let base = ShardConfig {
-        degrade: DegradeConfig {
-            watchdog_frac: -0.5,
-            ..DegradeConfig::enabled()
-        },
+        degrade: true,
         ..ShardConfig::default()
     };
     let (r1, m1, _) = run_at(&rt, &base, 1, &plan);

@@ -11,15 +11,6 @@ use predvfs_serve::ServeRuntime;
 use predvfs_shard::{run_sharded, synth_scenario, ShardConfig, SynthSpec};
 use predvfs_sim::TraceCache;
 
-fn runtime(streams: usize) -> ServeRuntime {
-    let spec = SynthSpec {
-        streams,
-        jobs_per_stream: 4,
-        ..SynthSpec::new(streams)
-    };
-    ServeRuntime::prepare(&synth_scenario(&spec), &TraceCache::new()).expect("prepare")
-}
-
 /// Runs the workload at `shards` with profiling on and returns the
 /// collapsed virtual-domain profile.
 fn virtual_flame(rt: &ServeRuntime, shards: usize, injector: &dyn FaultInjector) -> String {
@@ -41,7 +32,12 @@ fn virtual_flame(rt: &ServeRuntime, shards: usize, injector: &dyn FaultInjector)
 
 #[test]
 fn virtual_flamegraph_is_shard_count_invariant_and_replay_blind() {
-    let rt = runtime(192);
+    let scenario = synth_scenario(&SynthSpec {
+        streams: 192,
+        jobs_per_stream: 4,
+        ..SynthSpec::new(192)
+    });
+    let rt = ServeRuntime::prepare(&scenario, &TraceCache::new()).expect("prepare");
 
     let reference = virtual_flame(&rt, 1, &NullInjector);
     assert!(

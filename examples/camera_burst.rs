@@ -2,7 +2,7 @@
 //! next one arrives. Sizes are uncorrelated shot to shot, which defeats
 //! reactive control — exactly the scenario of §2.4.
 //!
-//! Run with: `cargo run -p predvfs --release --example camera_burst`
+//! Run with: `cargo run -p predvfs-sim --release --example camera_burst`
 
 use predvfs::{
     train, DvfsController, DvfsModel, JobContext, PidController, PredictiveController, SliceFlavor,
@@ -12,6 +12,7 @@ use predvfs_accel::cjpeg;
 use predvfs_accel::common::{self, WorkloadSize};
 use predvfs_power::{AlphaPowerCurve, EnergyModel, Ladder, PowerParams, SwitchingModel};
 use predvfs_rtl::{AsicAreaModel, CompiledSim, ExecMode, JobInput, SliceOptions};
+use predvfs_sim::outln;
 use rand::Rng;
 
 const SHOT_DEADLINE_S: f64 = 16.7e-3;
@@ -77,12 +78,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             pj += energy.job_pj(trace.cycles, &trace.dp_active, point, 1.0);
             controller.observe(trace.cycles);
         }
-        println!(
+        outln!(
             "{name:>11}: {:.1} uJ for {} shots, {missed} missed shot deadlines",
             pj / 1e6,
             shots.len()
         );
     }
-    println!("uncorrelated shot sizes leave reactive control no history to learn from.");
+    outln!("uncorrelated shot sizes leave reactive control no history to learn from.");
     Ok(())
 }

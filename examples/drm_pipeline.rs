@@ -11,7 +11,7 @@ use predvfs::{train, DvfsModel, SliceFlavor, SlicePredictor, TrainerConfig};
 use predvfs_accel::{aes, sha, WorkloadSize};
 use predvfs_power::{AlphaPowerCurve, EnergyModel, Ladder, PowerParams, SwitchingModel};
 use predvfs_rtl::{AsicAreaModel, CompiledSim, ExecMode, JobInput, JobTrace, Module, SliceOptions};
-use predvfs_sim::{run_pipeline, PipelineStage, SplitPolicy};
+use predvfs_sim::{outln, run_pipeline, PipelineStage, SplitPolicy};
 
 const FRAME_DEADLINE_S: f64 = 16.7e-3;
 
@@ -96,13 +96,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("proportional to prediction", SplitPolicy::Proportional),
     ] {
         let res = run_pipeline(&stages, &traces, FRAME_DEADLINE_S, policy);
-        println!(
+        outln!(
             "{label:>27}: {:8.1} uJ, {:.1}% frames late",
             res.total_energy_pj() / 1e6,
             res.frame_miss_pct()
         );
     }
-    println!(
+    outln!(
         "per-stage predictions let the big decrypt jobs borrow the hash \
          stage's unused budget."
     );

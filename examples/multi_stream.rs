@@ -10,11 +10,11 @@
 //! Run with: `cargo run -p predvfs-serve --release --example multi_stream`
 
 use predvfs_serve::{Scenario, ServeRuntime};
-use predvfs_sim::{report::Table, TraceCache};
+use predvfs_sim::{outln, report::Table, TraceCache};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scenario = Scenario::demo();
-    println!(
+    outln!(
         "preparing {} streams ({:?} platform)...",
         scenario.streams.len(),
         scenario.platform
@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "energy (uJ)",
         ],
     );
-    for (spec, s) in runtime.specs().zip(&result.streams) {
+    for (spec, s) in runtime.specs().iter().zip(&result.streams) {
         let mean_service_ms = s
             .records
             .iter()
@@ -66,9 +66,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The adaptive stream's drift story, job by job.
     if let Some(s) = result.streams.iter().find(|s| s.refits > 0) {
         let first_degraded = s.records.iter().find(|r| r.degraded).map(|r| r.job);
-        println!(
+        outln!(
             "\nstream '{}' detected drift around job {:?} and installed {} refit(s).",
-            s.name, first_degraded, s.refits
+            s.name,
+            first_degraded,
+            s.refits
         );
     }
     Ok(())

@@ -1,7 +1,7 @@
 //! Quickstart: generate an execution-time predictor for an accelerator and
 //! use it to pick a DVFS level for one job.
 //!
-//! Run with: `cargo run -p predvfs --release --example quickstart`
+//! Run with: `cargo run -p predvfs-sim --release --example quickstart`
 
 use predvfs::{
     train, DvfsController, DvfsModel, JobContext, LevelChoice, PredictiveController, SliceFlavor,
@@ -10,12 +10,13 @@ use predvfs::{
 use predvfs_accel::{sha, WorkloadSize};
 use predvfs_power::{AlphaPowerCurve, Ladder, SwitchingModel};
 use predvfs_rtl::SliceOptions;
+use predvfs_sim::outln;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Build the accelerator (a SHA engine) and a training workload.
     let module = sha::build();
     let jobs = sha::workloads(42, WorkloadSize::Quick);
-    println!(
+    outln!(
         "accelerator: {} ({} registers)",
         module.name,
         module.regs.len()
@@ -23,15 +24,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Offline flow: mine features, profile, fit the sparse model.
     let model = train::train(&module, &jobs.train, &TrainerConfig::default())?;
-    println!("selected features:");
+    outln!("selected features:");
     for (name, coeff) in model.support_summary() {
-        println!("  {name:<24} {coeff:>12.3}");
+        outln!("  {name:<24} {coeff:>12.3}");
     }
 
     // 3. Generate the hardware slice that computes those features.
     let predictor =
         SlicePredictor::generate(&module, &model, SliceOptions::default(), SliceFlavor::Rtl)?;
-    println!(
+    outln!(
         "slice: kept {} registers, dropped {} datapath blocks, removed {} wait states",
         predictor.report().kept_regs.len(),
         predictor.report().dropped_datapaths.len(),
@@ -58,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     match decision.choice {
         LevelChoice::Regular(i) => {
             let p = dvfs.ladder.level(i);
-            println!(
+            outln!(
                 "job of {} chunks: predicted {predicted_ms:.2} ms -> level {i} \
                  ({:.3} V, {:.0}% of nominal frequency)",
                 job.len(),
@@ -66,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 p.freq_ratio * 100.0
             );
         }
-        LevelChoice::Boost => println!("job needs the boost level"),
+        LevelChoice::Boost => outln!("job needs the boost level"),
     }
     Ok(())
 }

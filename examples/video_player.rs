@@ -1,7 +1,7 @@
 //! A 60 fps video player: decode a clip with per-frame predictive DVFS and
 //! compare the energy bill against constant-frequency decoding.
 //!
-//! Run with: `cargo run -p predvfs --release --example video_player`
+//! Run with: `cargo run -p predvfs-sim --release --example video_player`
 
 use predvfs::{
     train, DvfsController, DvfsModel, JobContext, PredictiveController, SliceFlavor,
@@ -10,6 +10,7 @@ use predvfs::{
 use predvfs_accel::h264;
 use predvfs_power::{AlphaPowerCurve, EnergyModel, Ladder, PowerParams, SwitchingModel};
 use predvfs_rtl::{AsicAreaModel, CompiledSim, ExecMode, SliceOptions};
+use predvfs_sim::outln;
 
 const DEADLINE_S: f64 = 16.7e-3; // one frame at 60 fps
 
@@ -62,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         baseline_pj += energy.job_pj(trace.cycles, &trace.dp_active, nominal, 1.0);
         controller.observe(trace.cycles);
         if i < 5 {
-            println!(
+            outln!(
                 "frame {i}: {:.2} ms predicted, ran at {:.3} V ({:.2} ms wall)",
                 decision.predicted_cycles.unwrap_or(0.0) / f_hz * 1e3,
                 point.volts,
@@ -70,8 +71,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             );
         }
     }
-    println!("...");
-    println!(
+    outln!("...");
+    outln!(
         "{} frames decoded: {:.1}% of baseline energy, {misses} dropped frames",
         clip.len(),
         100.0 * dvfs_pj / baseline_pj
