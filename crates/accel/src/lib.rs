@@ -30,6 +30,7 @@
 //! # Ok::<(), predvfs_rtl::RtlError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use predvfs_rtl::{JobInput, Module};

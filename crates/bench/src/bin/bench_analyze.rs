@@ -11,6 +11,8 @@
 //! Results land in `BENCH_analyze.json` (schema v1);
 //! `analyze_mb_per_sec` is the gated metric.
 
+#![forbid(unsafe_code)]
+
 use predvfs_bench::bench_report::BenchReport;
 use predvfs_bench::{best_of, quick};
 use predvfs_faults::NullInjector;

@@ -15,6 +15,8 @@
 //! reports with no baseline are listed as new (commit a baseline to start
 //! gating them).
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

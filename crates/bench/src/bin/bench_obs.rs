@@ -18,6 +18,8 @@
 //!
 //! Results land in `BENCH_obs.json` (schema v1).
 
+#![forbid(unsafe_code)]
+
 use std::hint::black_box;
 
 use predvfs_bench::bench_report::BenchReport;

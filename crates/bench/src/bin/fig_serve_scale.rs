@@ -22,6 +22,8 @@
 //! `results/fig_serve_scale.trace.jsonl` so the workflow can run the
 //! binary twice and `cmp` the traces byte-for-byte.
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use predvfs_bench::bench_report::BenchReport;

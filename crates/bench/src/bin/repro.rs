@@ -13,6 +13,8 @@
 //! tracked `*.rs` files under `crates/` and `examples/` (left out outside
 //! a git checkout).
 
+#![forbid(unsafe_code)]
+
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;

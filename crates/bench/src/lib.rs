@@ -20,6 +20,7 @@
 //! best-of-N wall timer ([`best_of`]), and print through
 //! [`predvfs_sim::outln!`], a stdout writer that never panics.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::path::PathBuf;

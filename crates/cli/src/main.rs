@@ -43,12 +43,15 @@
 //! declaration order); a line containing only `---` ends a job. Lines
 //! starting with `#` are comments.
 
+#![forbid(unsafe_code)]
+
 use std::fs;
 use std::process::ExitCode;
 
 use predvfs::{train, SliceFlavor, SlicePredictor, TrainerConfig};
 use predvfs_faults::{FaultConfig, FaultPlan};
 use predvfs_obs::{Recorder, TraceEvent};
+use predvfs_rtl::module::InputField;
 use predvfs_rtl::{
     from_text, to_text, wcet, Analysis, AsicAreaModel, CompiledSim, ExecMode, FeatureSchema,
     FpgaResourceModel, JobInput, Module, SliceOptions,
@@ -490,27 +493,43 @@ fn load(path: &str) -> Result<Module, Box<dyn std::error::Error>> {
     Ok(from_text(&src)?)
 }
 
-/// Parses the jobs file format (see module docs).
-fn load_jobs(path: &str, fields: usize) -> Result<Vec<JobInput>, Box<dyn std::error::Error>> {
+/// Parses the jobs file format (see module docs) for a design whose
+/// input token has `fields`; every value must fit its field's width.
+fn load_jobs(
+    path: &str,
+    fields: &[InputField],
+) -> Result<Vec<JobInput>, Box<dyn std::error::Error>> {
     let src = fs::read_to_string(path)?;
     let mut jobs = Vec::new();
-    let mut cur = JobInput::new(fields);
+    let mut cur = JobInput::new(fields.len());
     for (ln, line) in src.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
         if line == "---" {
-            jobs.push(std::mem::replace(&mut cur, JobInput::new(fields)));
+            jobs.push(std::mem::replace(&mut cur, JobInput::new(fields.len())));
             continue;
         }
         let token: Result<Vec<u64>, _> = line.split(',').map(|v| v.trim().parse::<u64>()).collect();
         let token = token.map_err(|e| format!("jobs line {}: {e}", ln + 1))?;
-        if token.len() != fields {
+        if token.len() != fields.len() {
             return Err(format!(
-                "jobs line {}: expected {fields} fields, found {}",
+                "jobs line {}: expected {} fields, found {}",
                 ln + 1,
+                fields.len(),
                 token.len()
+            )
+            .into());
+        }
+        // `Module::validate` bounds every width to 1..=64.
+        let too_wide = |(f, &v): &(&InputField, &u64)| f.width < 64 && v >> f.width != 0;
+        if let Some((f, v)) = fields.iter().zip(&token).find(too_wide) {
+            return Err(format!(
+                "jobs line {}: {v} does not fit field `{}` of {} bits",
+                ln + 1,
+                f.name,
+                f.width
             )
             .into());
         }
@@ -603,7 +622,7 @@ fn analyze(path: &str) -> Result<(), Box<dyn std::error::Error>> {
 
 fn simulate(path: &str, jobs_path: &str) -> Result<(), Box<dyn std::error::Error>> {
     let module = load(path)?;
-    let jobs = load_jobs(jobs_path, module.inputs.len())?;
+    let jobs = load_jobs(jobs_path, &module.inputs)?;
     let sim = CompiledSim::new(&module)?;
     outln!(
         "{:>5} {:>10} {:>12} {:>10}",
@@ -626,7 +645,7 @@ fn simulate(path: &str, jobs_path: &str) -> Result<(), Box<dyn std::error::Error
 
 fn cmd_train(path: &str, jobs_path: &str) -> Result<(), Box<dyn std::error::Error>> {
     let module = load(path)?;
-    let jobs = load_jobs(jobs_path, module.inputs.len())?;
+    let jobs = load_jobs(jobs_path, &module.inputs)?;
     let model = train::train(&module, &jobs, &TrainerConfig::default())?;
     outln!(
         "fitted {} of {} features:",
@@ -645,7 +664,7 @@ fn cmd_slice(
     out: Option<&String>,
 ) -> Result<(), Box<dyn std::error::Error>> {
     let module = load(path)?;
-    let jobs = load_jobs(jobs_path, module.inputs.len())?;
+    let jobs = load_jobs(jobs_path, &module.inputs)?;
     let model = train::train(&module, &jobs, &TrainerConfig::default())?;
     let predictor =
         SlicePredictor::generate(&module, &model, SliceOptions::default(), SliceFlavor::Rtl)?;
@@ -1068,13 +1087,23 @@ mod tests {
         );
     }
 
+    /// Two input fields of `width` bits each.
+    fn fields(width: u32) -> Vec<InputField> {
+        ["a", "n_blocks"]
+            .map(|name| InputField {
+                name: name.into(),
+                width,
+            })
+            .to_vec()
+    }
+
     #[test]
     fn jobs_parser_splits_on_separator() {
         let dir = std::env::temp_dir().join("predvfs_cli_test");
         fs::create_dir_all(&dir).unwrap();
         let p = dir.join("jobs.txt");
         fs::write(&p, "# two jobs\n1,2\n3,4\n---\n5,6\n").unwrap();
-        let jobs = load_jobs(p.to_str().unwrap(), 2).unwrap();
+        let jobs = load_jobs(p.to_str().unwrap(), &fields(16)).unwrap();
         assert_eq!(jobs.len(), 2);
         assert_eq!(jobs[0].len(), 2);
         assert_eq!(jobs[1].get(0, 0), 5);
@@ -1087,7 +1116,25 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let p = dir.join("jobs.txt");
         fs::write(&p, "1,2,3\n").unwrap();
-        assert!(load_jobs(p.to_str().unwrap(), 2).is_err());
+        assert!(load_jobs(p.to_str().unwrap(), &fields(16)).is_err());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn jobs_parser_rejects_values_wider_than_their_field() {
+        let dir = std::env::temp_dir().join("predvfs_cli_test_width");
+        fs::create_dir_all(&dir).unwrap();
+        let p = dir.join("jobs.txt");
+        let path = p.to_str().unwrap();
+        fs::write(&p, "1,127\n---\n2,128\n").unwrap();
+        let err = load_jobs(path, &fields(7)).unwrap_err().to_string();
+        assert_eq!(
+            err,
+            "jobs line 3: 128 does not fit field `n_blocks` of 7 bits"
+        );
+        fs::write(&p, "0,18446744073709551615\n").unwrap();
+        assert!(load_jobs(path, &fields(63)).is_err());
+        assert_eq!(load_jobs(path, &fields(64)).unwrap()[0].get(0, 1), u64::MAX);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -55,6 +55,7 @@
 //! # Ok::<(), predvfs::CoreError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod controllers;

@@ -9,8 +9,8 @@
 //! [`SliceTable`] that every controller reads by job index.
 
 use predvfs_rtl::{
-    slice, Analysis, CompiledSim, DatapathKind, ExecMode, JobInput, Module, ProbeProgram, RtlError,
-    SliceOptions, SliceReport,
+    slice, Analysis, CompiledSim, DatapathKind, ExecMode, JobInput, Module, ProbeProgram,
+    ProbedSim, RtlError, SliceOptions, SliceReport,
 };
 
 use crate::error::CoreError;
@@ -46,7 +46,8 @@ impl SliceFlavor {
 #[derive(Debug)]
 pub struct SlicePredictor {
     module: Module,
-    sim: CompiledSim,
+    /// The compiled slice with `probes` bound to it.
+    sim: ProbedSim,
     probes: ProbeProgram,
     report: SliceReport,
     flavor: SliceFlavor,
@@ -54,8 +55,8 @@ pub struct SlicePredictor {
 }
 
 impl SlicePredictor {
-    /// Slices `module` down to the features selected by `model` and
-    /// compiles the slice for the VM, once for every runner.
+    /// Slices `module` down to the features selected by `model`, compiles
+    /// the slice for the VM and binds its probes, once for every runner.
     ///
     /// # Errors
     ///
@@ -72,7 +73,7 @@ impl SlicePredictor {
         let (sliced, report) = slice(module, schema, &selected, options)?;
         let analysis = Analysis::run(&sliced);
         let probes = schema.probe_program(&analysis);
-        let sim = CompiledSim::with_analysis(&sliced, &analysis)?;
+        let sim = CompiledSim::with_analysis(&sliced, &analysis)?.bind(&probes)?;
         let serial_dp_indices = sliced
             .datapaths
             .iter()
@@ -118,8 +119,8 @@ impl SlicePredictor {
         }
     }
 
-    /// Creates a runner over the compiled slice; free, since the slice was
-    /// compiled by [`SlicePredictor::generate`].
+    /// Creates a runner over the compiled slice; free, since
+    /// [`SlicePredictor::generate`] compiled the slice and bound its probes.
     pub fn runner(&self) -> SliceRunner<'_> {
         SliceRunner { predictor: self }
     }
@@ -201,7 +202,7 @@ impl SliceRunner<'_> {
     pub fn run(&self, job: &JobInput) -> Result<SliceRun, RtlError> {
         let _span = predvfs_obs::span("core.slice.run");
         let p = self.predictor;
-        let t = p.sim.run(job, ExecMode::Compressed, Some(&p.probes))?;
+        let t = p.sim.run(job, ExecMode::Compressed)?;
         let mut cycles = t.cycles as f64;
         if let SliceFlavor::Hls { serial_speedup, .. } = p.flavor {
             let serial: u64 = p.serial_dp_indices.iter().map(|&i| t.dp_active[i]).sum();

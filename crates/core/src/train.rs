@@ -69,18 +69,31 @@ pub struct TrainingData {
 ///
 /// Returns an error when `jobs` is empty or a simulation fails.
 pub fn profile(module: &Module, jobs: &[JobInput]) -> Result<TrainingData, CoreError> {
+    let analysis = Analysis::run(module);
+    // Profiling runs on the compiled VM, which reuses the analysis the
+    // probes are derived from.
+    let sim = CompiledSim::with_analysis(module, &analysis)?;
+    profile_on(&sim, module, &analysis, jobs)
+}
+
+/// [`profile`] on `sim`, compiled from `module` under `analysis`, so a
+/// caller that also runs the module's test jobs compiles it once.
+///
+/// # Errors
+///
+/// As for [`profile`].
+pub fn profile_on(
+    sim: &CompiledSim,
+    module: &Module,
+    analysis: &Analysis,
+    jobs: &[JobInput],
+) -> Result<TrainingData, CoreError> {
     if jobs.is_empty() {
         return Err(CoreError::EmptyTrainingSet);
     }
-    let analysis = Analysis::run(module);
-    let schema = FeatureSchema::from_analysis(module, &analysis);
-    let probes = schema.probe_program(&analysis);
-    // Profiling runs on the compiled VM, which reuses the analysis the
-    // probes were derived from.
-    let sim = CompiledSim::with_analysis(module, &analysis)?;
-    let traces: Vec<_> = predvfs_par::par_try_map(jobs, |job| {
-        sim.run(job, ExecMode::FastForward, Some(&probes))
-    })?;
+    let schema = FeatureSchema::from_analysis(module, analysis);
+    let sim = sim.bind(&schema.probe_program(analysis))?;
+    let traces: Vec<_> = predvfs_par::par_try_map(jobs, |job| sim.run(job, ExecMode::FastForward))?;
     let mut x = Matrix::zeros(jobs.len(), schema.len());
     let mut y = Vec::with_capacity(jobs.len());
     for (i, t) in traces.iter().enumerate() {

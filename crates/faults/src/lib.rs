@@ -29,6 +29,7 @@
 //! assert_eq!(plan.slice_fault(0, 3), plan.slice_fault(0, 3));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use rand::rngs::StdRng;

@@ -54,6 +54,7 @@
 //! assert!(rec.ring().to_jsonl().contains("\"event\":\"job_done\""));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analyze;

@@ -29,6 +29,7 @@
 //! assert!((fit.beta[1] - 2.0).abs() < 1e-3);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod matrix;

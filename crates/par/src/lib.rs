@@ -24,6 +24,7 @@
 //! A count of 1 short-circuits to a plain serial loop on the calling
 //! thread, so single-threaded runs have zero synchronization overhead.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::cell::Cell;

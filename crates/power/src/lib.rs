@@ -18,6 +18,7 @@
 //! assert!(ladder.boost().is_some());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod energy;

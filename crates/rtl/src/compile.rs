@@ -7,14 +7,16 @@
 //! removes all three costs ahead of time:
 //!
 //! 1. **Flatten.** The module's register hierarchy becomes one contiguous
-//!    `Vec<u64>` state buffer with a two-region *stable/shadow* layout:
-//!    slots `[0, n)` hold the architectural (current-cycle) values, slots
-//!    `[n, 2n)` receive the deferred synchronous writes. A cycle program
-//!    reads only the stable region and stores only to the shadow region, so
-//!    rule evaluation order cannot leak next-state values — exactly the
-//!    synchronous semantics the interpreter implements with its `changes`
-//!    list. The commit loop (in [`crate::vm`]) then moves shadow → stable
-//!    in ascending register order, firing probes along the way.
+//!    `Vec<u64>` state buffer, one slot per register. A cycle program
+//!    loads every register it reads before its first store, so it stores
+//!    in place and rule evaluation order cannot leak next-state values —
+//!    exactly the synchronous semantics the interpreter implements with
+//!    its `changes` list. Each `Store` names its *store site*
+//!    ([`StoreSite`]): the register and rule it commits and, where the
+//!    program pins them, the value it overwrites and the value it stores.
+//!    A store records its site's probes as it writes; a probe program
+//!    binds them to the sites once per simulator. Stores run in ascending
+//!    register order, the order the interpreter applies its `changes`.
 //!
 //! 2. **Schedule.** Per primary-FSM state (mirroring the interpreter's
 //!    bucketed schedule), the guarded update graph is rebuilt as a
@@ -39,7 +41,10 @@
 //!    the module shares one interned constant pool, placed above the
 //!    working slots of the largest program, and operands read their pool
 //!    slot directly. The VM copies the pool in once per run, and since no
-//!    instruction writes it, rollback scopes never reuse a pool slot.
+//!    instruction writes it, rollback scopes never reuse a pool slot. The
+//!    operators that survive specialization on the stepped path (`+`, `-`,
+//!    `*`, `&`, `==`, `!=`, `<`, `IsZero`, `IsNonZero`) lower to opcodes of
+//!    their own; the rest keep one generic opcode per arity.
 //!
 //! A generic (unspecialized) program is always compiled as well: it is the
 //! whole design when no FSM is detected, and the fallback bucket when the
@@ -50,7 +55,13 @@
 //! but its bound and datapath-activity expressions are compiled to
 //! [`ExprProgram`]s specialized to the waiting state, and each bucket of
 //! the bucketing FSM records the index of its state's wait plan, so the
-//! VM's wait scan reads it instead of searching.
+//! VM's wait scan reads it instead of searching. Two more per-bucket
+//! facts spare the VM work on the stepped path:
+//!
+//! - a down-counting wait's bucket also gets an *exit program*, specialized
+//!   to the counter at 0 as well, for the cycle that follows a skip;
+//! - a bucket is *plain* when its `done` folds to 0 and no wait plan can
+//!   decide its cycles, so the VM runs it without either test.
 //!
 //! Everything here is semantics-preserving by construction *and* checked:
 //! the interpreter remains the differential-testing oracle, and the
@@ -82,24 +93,34 @@ enum Node {
     Sel(u32, u32, u32),
 }
 
-/// Hash-consing expression DAG with optional partial evaluation of one
-/// register (the FSM register pinned to the bucket's state).
+/// Registers pinned to constants while a program is built: the FSM
+/// register to the bucket's state, and in an exit program also the wait's
+/// counter to 0.
+type Folds<'a> = &'a [(usize, u64)];
+
+/// Hash-consing expression DAG with partial evaluation of the registers in
+/// `fold`.
 struct Dag {
     nodes: Vec<Node>,
     /// `boolean[id]`: node `id` provably evaluates to 0 or 1.
     boolean: Vec<bool>,
     memo: HashMap<Node, u32>,
-    fold: Option<(u32, u64)>,
+    fold: Vec<(usize, u64)>,
 }
 
 impl Dag {
-    fn new(fold: Option<(usize, u64)>) -> Dag {
+    fn new(fold: Folds) -> Dag {
         Dag {
             nodes: Vec::new(),
             boolean: Vec::new(),
             memo: HashMap::new(),
-            fold: fold.map(|(r, v)| (r as u32, v)),
+            fold: fold.to_vec(),
         }
+    }
+
+    /// The constant register `reg` is pinned to, if any.
+    fn folded(&self, reg: usize) -> Option<u64> {
+        self.fold.iter().find(|&&(r, _)| r == reg).map(|&(_, v)| v)
     }
 
     fn intern(&mut self, n: Node) -> u32 {
@@ -130,6 +151,26 @@ impl Dag {
         }
     }
 
+    /// The `Load` nodes `root` reads, directly or through its operands.
+    fn loads(&self, root: u32) -> Vec<u32> {
+        let mut seen = vec![false; self.nodes.len()];
+        let mut stack = vec![root];
+        let mut out = Vec::new();
+        while let Some(id) = stack.pop() {
+            if std::mem::replace(&mut seen[id as usize], true) {
+                continue;
+            }
+            match self.nodes[id as usize] {
+                Node::Load(_) => out.push(id),
+                Node::Const(_) | Node::Input(_) | Node::StreamEmpty => {}
+                Node::Bin(_, a, b) => stack.extend([a, b]),
+                Node::Un(_, a) => stack.push(a),
+                Node::Sel(c, t, f) => stack.extend([c, t, f]),
+            }
+        }
+        out
+    }
+
     fn konst(&self, id: u32) -> Option<u64> {
         match self.nodes[id as usize] {
             Node::Const(k) => Some(k),
@@ -150,13 +191,10 @@ impl Dag {
     fn lower(&mut self, e: &Expr) -> u32 {
         match e {
             Expr::Const(k) => self.intern(Node::Const(*k)),
-            Expr::Reg(r) => {
-                let ri = r.index() as u32;
-                match self.fold {
-                    Some((f, v)) if f == ri => self.intern(Node::Const(v)),
-                    _ => self.intern(Node::Load(ri)),
-                }
-            }
+            Expr::Reg(r) => match self.folded(r.index()) {
+                Some(v) => self.intern(Node::Const(v)),
+                None => self.intern(Node::Load(r.index() as u32)),
+            },
             Expr::Input(i) => self.intern(Node::Input(i.index() as u32)),
             Expr::StreamEmpty => self.intern(Node::StreamEmpty),
             Expr::Bin(op, a, b) => {
@@ -239,7 +277,7 @@ struct Emitter<'p> {
 }
 
 impl<'p> Emitter<'p> {
-    fn new(fold: Option<(usize, u64)>, pool: &'p mut Pool) -> Emitter<'p> {
+    fn new(fold: Folds, pool: &'p mut Pool) -> Emitter<'p> {
         Emitter {
             dag: Dag::new(fold),
             pool,
@@ -275,10 +313,16 @@ impl<'p> Emitter<'p> {
         }
         let instr = match self.dag.nodes[id as usize] {
             Node::Const(k) => return self.pool.slot(k),
-            Node::Load(reg) => Instr::Load {
-                dst: self.alloc(id),
-                slot: reg,
-            },
+            Node::Load(reg) => {
+                debug_assert!(
+                    !self.code.iter().any(|i| matches!(i, Instr::Store { .. })),
+                    "a load after a store would read this cycle's write"
+                );
+                Instr::Load {
+                    dst: self.alloc(id),
+                    slot: reg,
+                }
+            }
             Node::Input(field) => Instr::Input {
                 dst: self.alloc(id),
                 field,
@@ -289,19 +333,25 @@ impl<'p> Emitter<'p> {
             Node::Bin(op, a, b) => {
                 let a = self.ensure(a);
                 let b = self.ensure(b);
-                Instr::Bin {
-                    dst: self.alloc(id),
-                    op,
-                    a,
-                    b,
+                let dst = self.alloc(id);
+                match op {
+                    BinOp::Add => Instr::Add { dst, a, b },
+                    BinOp::Sub => Instr::Sub { dst, a, b },
+                    BinOp::Mul => Instr::Mul { dst, a, b },
+                    BinOp::And => Instr::And { dst, a, b },
+                    BinOp::Eq => Instr::Eq { dst, a, b },
+                    BinOp::Ne => Instr::Ne { dst, a, b },
+                    BinOp::Lt => Instr::Lt { dst, a, b },
+                    op => Instr::Bin { dst, op, a, b },
                 }
             }
             Node::Un(op, a) => {
                 let a = self.ensure(a);
-                Instr::Un {
-                    dst: self.alloc(id),
-                    op,
-                    a,
+                let dst = self.alloc(id);
+                match op {
+                    UnOp::IsZero => Instr::IsZero { dst, a },
+                    UnOp::IsNonZero => Instr::IsNonZero { dst, a },
+                    op => Instr::Un { dst, op, a },
                 }
             }
             Node::Sel(c, t, f) => {
@@ -351,11 +401,18 @@ fn relocate_code(code: &mut [Instr], base: u32) {
     let fix = |s: &mut u32| *s = relocated(*s, base);
     for i in code {
         match i {
-            Instr::Bin { a, b, .. } => {
+            Instr::Bin { a, b, .. }
+            | Instr::Add { a, b, .. }
+            | Instr::Sub { a, b, .. }
+            | Instr::Mul { a, b, .. }
+            | Instr::And { a, b, .. }
+            | Instr::Eq { a, b, .. }
+            | Instr::Ne { a, b, .. }
+            | Instr::Lt { a, b, .. } => {
                 fix(a);
                 fix(b);
             }
-            Instr::Un { a, .. } => fix(a),
+            Instr::Un { a, .. } | Instr::IsZero { a, .. } | Instr::IsNonZero { a, .. } => fix(a),
             Instr::Sel { c, t, f, .. } => {
                 fix(c);
                 fix(t);
@@ -402,7 +459,7 @@ impl ExprProgram {
 }
 
 /// One synchronous step of the design, specialized to (at most) one FSM
-/// state: guard/datapath/advance evaluation, shadow-region stores with
+/// state: guard/datapath/advance evaluation, in-place stores with
 /// first-fire-wins chains, and datapath activity counting.
 #[derive(Debug, Clone)]
 pub(crate) struct CycleProgram {
@@ -428,6 +485,33 @@ pub(crate) struct StatePrograms {
     /// that FSM's wait table ([`Compiled::bucket_waits`]), so the wait scan
     /// reads it instead of searching. Always `None` in the generic program.
     pub wait: Option<usize>,
+    /// When this state's plan is a down-counting wait whose counter is no
+    /// FSM register: the cycle program with that counter folded to 0. The
+    /// VM runs it on the cycle right after a skip of this plan, which
+    /// leaves the counter at 0 and the bucket and every other FSM as they
+    /// were, so that cycle's wait scan would stop at the exhausted plan.
+    pub exit: Option<CycleProgram>,
+    /// `done` folds to 0 here and no wait plan can decide this bucket's
+    /// cycles (it has none, and no other FSM has a wait table), so the VM
+    /// runs the cycle program without the `done` test or the wait scan.
+    pub plain: bool,
+}
+
+/// What the compiler knows about one `Store` instruction: the rule it
+/// commits, and the register's value before and after the store when
+/// the program is specialized to them. A probe program binds each site
+/// once ([`crate::instrument::ProbeProgram::bind`]), instead of resolving
+/// every store at run time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct StoreSite {
+    pub reg: usize,
+    pub rule: usize,
+    /// The overwritten value, when the program pins the register to a
+    /// constant: the bucket's state for the bucketing FSM register.
+    pub old: Option<u64>,
+    /// The stored (masked) value, when the rule's value folds to a
+    /// constant.
+    pub new: Option<u64>,
 }
 
 /// A wait state with its bound/activity expressions pre-lowered.
@@ -473,9 +557,7 @@ impl WaitTable {
 /// Everything [`crate::vm::CompiledSim`] needs at run time.
 #[derive(Debug)]
 pub(crate) struct Compiled {
-    pub n_regs: usize,
-    /// Initial state buffer: stable region `[0, n)` holds reset values,
-    /// shadow region `[n, 2n)` is scratch for deferred writes.
+    /// Initial state buffer: the registers' reset values.
     pub init: Vec<u64>,
     /// Unspecialized fallback program (and the only program when no
     /// primary FSM exists or its state space is too large to bucket).
@@ -492,6 +574,8 @@ pub(crate) struct Compiled {
     pub bucket_waits: Option<usize>,
     /// `is_fsm_reg[r]`: does a probe transition apply to register `r`?
     pub is_fsm_reg: Vec<bool>,
+    /// Every `Store` of every cycle program, indexed by its `site`.
+    pub sites: Vec<StoreSite>,
     /// Initial scratch image: the working slots of the largest program,
     /// zeroed, then the constant pool every program reads its constants
     /// from.
@@ -505,10 +589,7 @@ pub(crate) struct Compiled {
 pub(crate) fn compile(module: &Module, analysis: &Analysis) -> Result<Compiled, RtlError> {
     module.validate()?;
     let n = module.regs.len();
-    let mut init = vec![0u64; 2 * n];
-    for (i, r) in module.regs.iter().enumerate() {
-        init[i] = r.init;
-    }
+    let init = module.regs.iter().map(|r| r.init).collect();
     let mut pool = Pool::default();
     let mut fsm_regs: Vec<usize> = analysis.fsms.iter().map(|f| f.reg.index()).collect();
     fsm_regs.sort_unstable();
@@ -539,10 +620,13 @@ pub(crate) fn compile(module: &Module, analysis: &Analysis) -> Result<Compiled, 
             .collect();
         waits.push(WaitTable { fsm: f, plans });
     }
+    let mut sites = Vec::new();
     let mut generic = StatePrograms {
-        cycle: build_cycle_program(module, None, &mut pool),
-        done: build_expr_program(&module.done, None, &mut pool),
+        cycle: build_cycle_program(module, &[], &mut pool, &mut sites),
+        done: build_expr_program(&module.done, &[], &mut pool),
         wait: None,
+        exit: None,
+        plain: false,
     };
     // Mirror the interpreter's bucketing policy exactly: first detected
     // FSM, states bucketed 0..=max, flat fallback past 4096 states.
@@ -553,12 +637,26 @@ pub(crate) fn compile(module: &Module, analysis: &Analysis) -> Result<Compiled, 
     let bucket_waits = fsm.and_then(|(f, _)| waits.iter().position(|t| t.fsm == f));
     let mut by_state = Vec::new();
     if let Some((freg, max_state)) = fsm {
+        let only_waiting_fsm = waits.iter().all(|t| t.fsm == freg);
         for s in 0..=max_state {
-            let fold = Some((freg, s));
+            let fold = [(freg, s)];
+            let cycle = build_cycle_program(module, &fold, &mut pool, &mut sites);
+            let done = build_expr_program(&module.done, &fold, &mut pool);
+            let plan =
+                bucket_waits.and_then(|t| waits[t].position(s).map(|i| (i, &waits[t].plans[i].1)));
+            let exit = plan
+                .filter(|(_, w)| w.dir == WaitDir::Down && !is_fsm_reg[w.counter])
+                .map(|(_, w)| {
+                    let fold = [(freg, s), (w.counter, 0)];
+                    build_cycle_program(module, &fold, &mut pool, &mut sites)
+                });
+            let plain = done.konst == Some(0) && plan.is_none() && only_waiting_fsm;
             by_state.push(StatePrograms {
-                cycle: build_cycle_program(module, fold, &mut pool),
-                done: build_expr_program(&module.done, fold, &mut pool),
-                wait: bucket_waits.and_then(|t| waits[t].position(s)),
+                cycle,
+                done,
+                wait: plan.map(|(i, _)| i),
+                exit,
+                plain,
             });
         }
     }
@@ -566,7 +664,10 @@ pub(crate) fn compile(module: &Module, analysis: &Analysis) -> Result<Compiled, 
     let work = by_state
         .iter()
         .chain(std::iter::once(&generic))
-        .flat_map(|p| [p.cycle.scratch, p.done.scratch])
+        .flat_map(|p| {
+            let exit = p.exit.as_ref().map_or(0, |x| x.scratch);
+            [p.cycle.scratch, p.done.scratch, exit]
+        })
         .chain(waits.iter().flat_map(|t| &t.plans).flat_map(|(_, w)| {
             w.bound
                 .iter()
@@ -578,6 +679,9 @@ pub(crate) fn compile(module: &Module, analysis: &Analysis) -> Result<Compiled, 
     for p in by_state.iter_mut().chain(std::iter::once(&mut generic)) {
         p.cycle.relocate(work);
         p.done.relocate(work);
+        if let Some(x) = &mut p.exit {
+            x.relocate(work);
+        }
     }
     for (_, w) in waits.iter_mut().flat_map(|t| &mut t.plans) {
         for p in w.bound.iter_mut().chain(w.dps.iter_mut().map(|(_, p)| p)) {
@@ -587,7 +691,6 @@ pub(crate) fn compile(module: &Module, analysis: &Analysis) -> Result<Compiled, 
     let mut scratch = vec![0; work as usize];
     scratch.extend_from_slice(&pool.values);
     Ok(Compiled {
-        n_regs: n,
         init,
         generic,
         by_state,
@@ -595,6 +698,7 @@ pub(crate) fn compile(module: &Module, analysis: &Analysis) -> Result<Compiled, 
         waits,
         bucket_waits,
         is_fsm_reg,
+        sites,
         scratch,
     })
 }
@@ -604,24 +708,24 @@ fn compile_wait(module: &Module, w: &WaitState, pool: &mut Pool) -> CompiledWait
     // bound/activity programs may fold it; the counter is *not* folded —
     // activity is evaluated after it jumps to its terminal value, read
     // live from the state buffer.
-    let fold = Some((w.fsm.index(), w.state));
+    let fold = [(w.fsm.index(), w.state)];
     CompiledWait {
         counter: w.counter.index(),
         dir: w.dir,
-        bound: w.bound.as_ref().map(|b| build_expr_program(b, fold, pool)),
+        bound: w.bound.as_ref().map(|b| build_expr_program(b, &fold, pool)),
         dps: w
             .maybe_active_dps
             .iter()
             .map(|&di| {
                 let active = &module.datapaths[di].active;
-                (di, build_expr_program(active, fold, pool))
+                (di, build_expr_program(active, &fold, pool))
             })
             .collect(),
         serial: w.serial,
     }
 }
 
-fn build_expr_program(e: &Expr, fold: Option<(usize, u64)>, pool: &mut Pool) -> ExprProgram {
+fn build_expr_program(e: &Expr, fold: Folds, pool: &mut Pool) -> ExprProgram {
     let mut em = Emitter::new(fold, pool);
     let root = em.dag.lower(e);
     let out = em.ensure(root);
@@ -641,11 +745,11 @@ type RuleChain = Vec<(usize, Option<u32>)>;
 
 fn build_cycle_program(
     module: &Module,
-    fold: Option<(usize, u64)>,
+    fold: Folds,
     pool: &mut Pool,
+    sites: &mut Vec<StoreSite>,
 ) -> CycleProgram {
     let mut em = Emitter::new(fold, pool);
-    let n = module.regs.len() as u32;
 
     // Lower every guard, pruning rules that provably cannot fire in this
     // bucket (guard folds to 0) and truncating chains at a rule whose
@@ -696,9 +800,18 @@ fn build_cycle_program(
         }
     }
     let advance = em.ensure(advance_root);
+    // Every register a rule value reads is loaded here too, before the
+    // first store: stores write the state buffer in place.
+    for (reg, chain) in &chains {
+        for &(ri, _) in chain {
+            let v = em.dag.lower(&module.regs[*reg].rules[ri].value);
+            for load in em.dag.loads(v) {
+                em.ensure(load);
+            }
+        }
+    }
 
-    // Phase B: first-fire-wins chains. Stores write the shadow region
-    // (slot n + reg) and log (reg, rule) for the commit loop.
+    // Phase B: first-fire-wins chains, storing in place.
     for (reg, chain) in &chains {
         let reg = *reg;
         let mask = module.regs[reg].mask();
@@ -714,11 +827,16 @@ fn build_cycle_program(
             let v = em.dag.lower(&module.regs[reg].rules[ri].value);
             let src = em.ensure(v);
             em.code.push(Instr::Store {
-                slot: n + reg as u32,
-                reg: reg as u32,
-                rule: ri as u32,
+                slot: reg as u32,
+                site: sites.len() as u32,
                 src,
                 mask,
+            });
+            sites.push(StoreSite {
+                reg,
+                rule: ri,
+                old: em.dag.folded(reg),
+                new: em.dag.konst(v).map(|k| k & mask),
             });
             em.rollback(cp);
             if k + 1 < chain.len() {
@@ -835,6 +953,15 @@ mod tests {
                     Instr::Load { dst, .. }
                     | Instr::Input { dst, .. }
                     | Instr::StreamEmpty { dst }
+                    | Instr::Add { dst, .. }
+                    | Instr::Sub { dst, .. }
+                    | Instr::Mul { dst, .. }
+                    | Instr::And { dst, .. }
+                    | Instr::Eq { dst, .. }
+                    | Instr::Ne { dst, .. }
+                    | Instr::Lt { dst, .. }
+                    | Instr::IsZero { dst, .. }
+                    | Instr::IsNonZero { dst, .. }
                     | Instr::Bin { dst, .. }
                     | Instr::Un { dst, .. }
                     | Instr::Sel { dst, .. } => dst,
@@ -846,7 +973,7 @@ mod tests {
                 assert!((dst as usize) < base, "{i:?} writes the pool");
             }
         }
-        // FETCH stores the constant RUN (1) into the FSM's shadow slot,
+        // FETCH stores the constant RUN (1) into the FSM's slot,
         // straight from the pool.
         let fsm = c.fsm.unwrap();
         let store = c.by_state[0]
@@ -854,7 +981,7 @@ mod tests {
             .code
             .iter()
             .find_map(|i| match *i {
-                Instr::Store { reg, src, .. } if reg as usize == fsm => Some(src),
+                Instr::Store { site, src, .. } if c.sites[site as usize].reg == fsm => Some(src),
                 _ => None,
             })
             .unwrap();
@@ -863,8 +990,34 @@ mod tests {
     }
 
     #[test]
+    fn a_wait_bucket_gets_an_exit_program_and_a_bucket_nothing_can_decide_is_plain() {
+        let m = toy();
+        let a = Analysis::run(&m);
+        let c = compile(&m, &a).unwrap();
+        let [fetch, run, emit] = &c.by_state[..] else {
+            panic!("three buckets")
+        };
+        // FETCH's `done` reads the stream and RUN has a wait plan; EMIT
+        // has neither.
+        assert_eq!((fetch.plain, run.plain, emit.plain), (false, false, true));
+        assert!(fetch.exit.is_none() && emit.exit.is_none());
+        // With the counter also folded to 0, RUN's tick and its exit test
+        // fold away: the exit program stores EMIT (2) over RUN (1) and
+        // counts the ALU, unconditionally.
+        let exit = run.exit.as_ref().unwrap();
+        assert!(exit.code.len() < run.cycle.code.len());
+        let fsm = c.fsm.unwrap();
+        assert!(matches!(
+            exit.code[..],
+            [Instr::Store { site, .. }, Instr::IncDp { dp: 0 }]
+                if c.sites[site as usize].reg == fsm
+                    && (c.sites[site as usize].old, c.sites[site as usize].new) == (Some(1), Some(2))
+        ));
+    }
+
+    #[test]
     fn constant_folding_uses_runtime_semantics() {
-        let mut d = Dag::new(None);
+        let mut d = Dag::new(&[]);
         // (7 / 0) folds to 0, matching BinOp::apply, not to a panic.
         let e = E::k(7).div(E::zero());
         let id = d.lower(e.expr());
@@ -878,7 +1031,7 @@ mod tests {
 
     #[test]
     fn cse_shares_repeated_subexpressions() {
-        let mut d = Dag::new(None);
+        let mut d = Dag::new(&[]);
         let x = E::stream_empty() & E::stream_empty();
         d.lower(x.expr());
         // One StreamEmpty node, interned once.
@@ -925,7 +1078,7 @@ mod tests {
         let m = toy();
         let a = Analysis::run(&m);
         let c = compile(&m, &a).unwrap();
-        let is_and = |i: &Instr| matches!(i, Instr::Bin { op: BinOp::And, .. });
+        let is_and = |i: &Instr| matches!(i, Instr::And { .. } | Instr::Bin { op: BinOp::And, .. });
         assert!(c.generic.cycle.code.iter().any(is_and));
         for (s, p) in c.by_state.iter().enumerate() {
             assert!(
@@ -948,7 +1101,7 @@ mod tests {
 
     #[test]
     fn and_with_one_folds_only_boolean_operands() {
-        let mut d = Dag::new(None);
+        let mut d = Dag::new(&[]);
         let x = E::reg(crate::module::RegId::new(0));
         // `1 & x` is x's low bit: a multi-bit `x` keeps its And, on
         // either side.

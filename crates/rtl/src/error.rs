@@ -6,9 +6,9 @@ use std::fmt;
 /// Errors reported by module validation, analysis, and slicing.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RtlError {
-    /// A register declared a width outside `1..=64`.
+    /// A register or an input field declared a width outside `1..=64`.
     BadWidth {
-        /// Register name.
+        /// Register or input field name.
         name: String,
         /// Offending width.
         width: u32,
@@ -68,7 +68,7 @@ impl fmt::Display for RtlError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RtlError::BadWidth { name, width } => {
-                write!(f, "register `{name}` has invalid width {width}")
+                write!(f, "register or input `{name}` has invalid width {width}")
             }
             RtlError::InitOutOfRange { name, init, width } => write!(
                 f,

@@ -11,19 +11,26 @@
 //! The probes are pure observers: attaching them never changes the design's
 //! timing, which the test suite verifies.
 //!
-//! Both execution engines call the probe hooks on every committed register
+//! The interpreter calls the probe hooks on every committed register
 //! write, so [`ProbeProgram`] resolves everything before cycle 0: a hook
 //! indexes a register-indexed table and at most binary-searches one FSM's
 //! sorted transition list. It never hashes, and linking a program to a
-//! module is a single bound check on the tables' register range. The
-//! compiled VM narrows the search further: once per run it splits the
-//! bucketing FSM's sorted list by source state (`StcBySrc`), and a
-//! state-specialized program, whose source state is fixed, searches only
-//! that state's successors.
+//! module is a single bound check on the tables' register range.
+//!
+//! The compiled VM resolves further, once per simulator rather than per
+//! commit: [`crate::vm::CompiledSim::bind`] binds the program to the VM's
+//! store sites. Each `Store` instruction is one site, and the compiler
+//! knows its register and rule and, where the program is specialized to
+//! them, the value it overwrites (the bucket's FSM state) and the value it
+//! stores. Binding validates the program once, gives each site its
+//! IC/AIV/APV columns, and gives a site whose FSM endpoints are both
+//! constant its one STC column. Only a store of a run-time FSM value
+//! still searches its register's sorted transition list.
 
 use std::fmt;
 
 use crate::analysis::Analysis;
+use crate::compile::StoreSite;
 use crate::error::RtlError;
 use crate::module::{Module, RegId};
 
@@ -295,20 +302,59 @@ impl ProbeProgram {
         }
     }
 
-    /// The STC columns of FSM register `reg` split by source state, for
-    /// sources `0..n_states`: one pass over the register's sorted list,
-    /// O(`n_states` + pairs).
-    pub(crate) fn stc_by_src(&self, reg: usize, n_states: usize) -> StcBySrc<'_> {
-        let stc = self.regs.get(reg).map_or(&[][..], |p| &p.stc[..]);
-        let mut start = Vec::with_capacity(n_states + 1);
-        let mut i = 0;
-        for src in 0..=n_states as u64 {
-            while stc.get(i).is_some_and(|&((s, _), _)| s < src) {
-                i += 1;
-            }
-            start.push(i);
-        }
-        StcBySrc { stc, start }
+    /// Binds this program to a compiled program's store sites (see the
+    /// module docs), after checking it against a module named `module`
+    /// whose FSM registers are those set in `is_fsm_reg`.
+    ///
+    /// # Errors
+    ///
+    /// As for [`ProbeProgram::validate`].
+    pub(crate) fn bind(
+        &self,
+        module: &str,
+        sites: &[StoreSite],
+        is_fsm_reg: &[bool],
+    ) -> Result<SiteProbes, RtlError> {
+        self.validate_regs(module, is_fsm_reg.len())?;
+        let mut stc = Vec::new();
+        // Each searched register's range in `stc`, copied on first use.
+        let mut rows: Vec<Option<(u32, u32)>> = vec![None; self.regs.len()];
+        let sites = sites
+            .iter()
+            .map(|s| {
+                let mut out = SiteProbe::default();
+                let Some(p) = self.regs.get(s.reg) else {
+                    return out;
+                };
+                if p.init.get(s.rule).copied().unwrap_or(false) {
+                    (out.ic, out.aiv, out.apv) = (p.ic, p.aiv, p.apv);
+                }
+                if is_fsm_reg[s.reg] && !p.stc.is_empty() {
+                    out.stc = match (s.old, s.new) {
+                        (Some(old), Some(new)) if old == new => SiteStc::None,
+                        (Some(old), Some(new)) => p
+                            .stc
+                            .binary_search_by_key(&(old, new), |&(pair, _)| pair)
+                            .map_or(SiteStc::None, |i| SiteStc::Column(p.stc[i].1)),
+                        _ => {
+                            let (lo, hi) = *rows[s.reg].get_or_insert_with(|| {
+                                let lo = stc.len() as u32;
+                                stc.extend_from_slice(&p.stc);
+                                (lo, stc.len() as u32)
+                            });
+                            SiteStc::Search { lo, hi }
+                        }
+                    };
+                }
+                out
+            })
+            .collect();
+        Ok(SiteProbes {
+            n_features: self.n_features,
+            bias: self.bias,
+            sites,
+            stc,
+        })
     }
 
     /// Checks that every register this program probes exists in
@@ -348,26 +394,80 @@ impl ProbeProgram {
     }
 }
 
-/// One FSM register's STC columns indexed by source state; see
-/// [`ProbeProgram::stc_by_src`].
-#[derive(Debug)]
-pub(crate) struct StcBySrc<'p> {
-    /// The register's `(src, dst)`-sorted STC list.
-    stc: &'p [((u64, u64), usize)],
-    /// `stc[start[s]..start[s + 1]]` holds the pairs leaving state `s`,
-    /// sorted by destination.
-    start: Vec<usize>,
+/// A [`ProbeProgram`] bound to the store sites of one compiled program
+/// (see the module docs): what each `Store` records when it writes.
+#[derive(Debug, Clone)]
+pub(crate) struct SiteProbes {
+    n_features: usize,
+    bias: Option<usize>,
+    /// Indexed by store site.
+    sites: Vec<SiteProbe>,
+    /// The sorted STC lists of the FSM registers that some site searches,
+    /// back to back.
+    stc: Vec<((u64, u64), usize)>,
 }
 
-impl StcBySrc<'_> {
-    /// Records the transition `src -> dst`, exactly as
-    /// [`ProbeProgram::record_transition`] would. `src` must be below the
-    /// `n_states` the table was built for.
+/// The columns one store site records into.
+#[derive(Debug, Clone, Copy, Default)]
+struct SiteProbe {
+    /// The counter's IC, AIV and APV columns, when the site's rule
+    /// re-initializes a probed counter.
+    ic: Option<usize>,
+    aiv: Option<usize>,
+    apv: Option<usize>,
+    stc: SiteStc,
+}
+
+/// The transition a store site records.
+#[derive(Debug, Clone, Copy, Default)]
+enum SiteStc {
+    /// None: the register is no probed FSM, or the site's constant
+    /// transition has no column or is no transition at all.
+    #[default]
+    None,
+    /// The site's constant transition, counted in this column.
+    Column(usize),
+    /// A transition known only at run time, looked up in `stc[lo..hi]`.
+    Search { lo: u32, hi: u32 },
+}
+
+impl SiteProbes {
+    /// Width of the feature vector.
+    pub(crate) fn feature_count(&self) -> usize {
+        self.n_features
+    }
+
+    /// Index of the bias column.
+    pub(crate) fn bias_index(&self) -> Option<usize> {
+        self.bias
+    }
+
+    /// Records the store of site `site`, `old -> new`: exactly what
+    /// [`ProbeProgram::record_counter_init`] and, for an FSM register that
+    /// changes, [`ProbeProgram::record_transition`] record for the site's
+    /// register and rule.
     #[inline]
-    pub(crate) fn record(&self, features: &mut [f64], src: usize, dst: u64) {
-        let row = &self.stc[self.start[src]..self.start[src + 1]];
-        if let Ok(i) = row.binary_search_by_key(&dst, |&((_, d), _)| d) {
-            features[row[i].1] += 1.0;
+    pub(crate) fn record(&self, features: &mut [f64], site: usize, old: u64, new: u64) {
+        let s = &self.sites[site];
+        if let Some(ic) = s.ic {
+            features[ic] += 1.0;
+        }
+        if let Some(aiv) = s.aiv {
+            features[aiv] += new as f64;
+        }
+        if let Some(apv) = s.apv {
+            features[apv] += old as f64;
+        }
+        match s.stc {
+            SiteStc::None => {}
+            SiteStc::Column(c) => features[c] += 1.0,
+            SiteStc::Search { lo, hi } if old != new => {
+                let row = &self.stc[lo as usize..hi as usize];
+                if let Ok(i) = row.binary_search_by_key(&(old, new), |&(pair, _)| pair) {
+                    features[row[i].1] += 1.0;
+                }
+            }
+            SiteStc::Search { .. } => {}
         }
     }
 }
@@ -482,34 +582,78 @@ mod tests {
         }
     }
 
-    #[test]
-    fn stc_by_src_records_what_record_transition_does() {
-        // Every (src, dst) over the toy's states and one past them, plus
-        // a register with no STC columns: the per-source rows touch the
-        // same column as the sorted search, or none.
-        let m = toy();
-        let a = Analysis::run(&m);
-        let p = FeatureSchema::from_analysis(&m, &a).probe_program(&a);
-        let fsm = m.reg_by_name("ctrl.state").unwrap().index();
-        let cnt = m.reg_by_name("ctrl.cnt").unwrap().index();
-        for reg in [fsm, cnt] {
-            let rows = p.stc_by_src(reg, 4);
-            for src in 0..4 {
-                for dst in 0..5 {
+    /// Binds the probes of `schema` under `a` to every store site of `m`
+    /// compiled under `a`, and checks that each site records exactly what
+    /// the interpreter's run-time hooks record for its register and rule,
+    /// over every `(old, new)` the site can see: its known endpoints, or
+    /// else every FSM state, one past the largest, and a few counter
+    /// values. Returns how many sites resolved to one STC column and how
+    /// many search at run time.
+    fn assert_sites_bind_exactly(
+        m: &Module,
+        a: &Analysis,
+        schema: &FeatureSchema,
+    ) -> (usize, usize) {
+        let p = schema.probe_program(a);
+        let c = crate::compile::compile(m, a).unwrap();
+        let bound = p.bind(&m.name, &c.sites, &c.is_fsm_reg).unwrap();
+        let mut values: Vec<u64> = a
+            .fsms
+            .iter()
+            .flat_map(|f| f.states.iter().copied())
+            .collect();
+        let past = values.iter().max().map_or(0, |&s| s + 1);
+        values.extend([past, 0, 1, 5, 300, u64::from(u16::MAX)]);
+        values.sort_unstable();
+        values.dedup();
+        let (mut columns, mut searches) = (0, 0);
+        for (i, site) in c.sites.iter().enumerate() {
+            match bound.sites[i].stc {
+                SiteStc::Column(_) => columns += 1,
+                SiteStc::Search { .. } => searches += 1,
+                SiteStc::None => {}
+            }
+            let olds = site.old.map_or(values.clone(), |v| vec![v]);
+            let news = site.new.map_or(values.clone(), |v| vec![v]);
+            for &old in &olds {
+                for &new in &news {
                     let mut want = vec![0.0; p.feature_count()];
                     let mut got = want.clone();
-                    p.record_transition(&mut want, reg, src, dst);
-                    rows.record(&mut got, src as usize, dst);
-                    assert_eq!(want, got, "r{reg}: {src} -> {dst}");
+                    p.record_counter_init(&mut want, site.reg, site.rule, old, new);
+                    if old != new && c.is_fsm_reg[site.reg] {
+                        p.record_transition(&mut want, site.reg, old, new);
+                    }
+                    bound.record(&mut got, i, old, new);
+                    assert_eq!(want, got, "{}: site {i} {site:?}: {old} -> {new}", m.name);
                 }
             }
         }
-        // Sources past the table's range are left out, not misfiled.
-        let narrow = p.stc_by_src(fsm, 2);
-        let mut f = vec![0.0; p.feature_count()];
-        narrow.record(&mut f, 1, 2);
-        assert_eq!(f.iter().sum::<f64>(), 1.0);
-        assert_eq!(narrow.start, [0, 1, 2]);
+        (columns, searches)
+    }
+
+    #[test]
+    fn bound_sites_record_what_the_run_time_hooks_do() {
+        // The toy: the FSM store of each bucket, and of RUN's exit
+        // program, has constant endpoints and resolves to its column; the
+        // generic program's stores search.
+        let m = toy();
+        let a = Analysis::run(&m);
+        let schema = FeatureSchema::from_analysis(&m, &a);
+        let (columns, searches) = assert_sites_bind_exactly(&m, &a, &schema);
+        assert_eq!(columns, 4, "FETCH->RUN, RUN->EMIT twice and EMIT->FETCH");
+        assert!(searches > 0);
+        // A paper benchmark (djpeg, as `predvfs export djpeg` writes it)
+        // and its slice for every feature, whose probes come from the full
+        // design's schema, as `SlicePredictor` builds them.
+        let full = crate::from_text(include_str!("../tests/data/djpeg.rtl")).unwrap();
+        let a = Analysis::run(&full);
+        let schema = FeatureSchema::from_analysis(&full, &a);
+        let (columns, _) = assert_sites_bind_exactly(&full, &a, &schema);
+        assert!(columns >= a.fsms[0].transition_pairs().len());
+        let every: Vec<usize> = (1..schema.len()).collect();
+        let (sliced, _) = crate::slice(&full, &schema, &every, Default::default()).unwrap();
+        let (columns, _) = assert_sites_bind_exactly(&sliced, &Analysis::run(&sliced), &schema);
+        assert!(columns > 0);
     }
 
     #[test]

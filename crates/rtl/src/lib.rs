@@ -44,6 +44,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analysis;
@@ -69,7 +70,7 @@ pub use instrument::{FeatureDesc, FeatureKind, FeatureSchema, ProbeProgram};
 pub use interp::{ExecMode, JobInput, JobTrace, Simulator};
 pub use module::{Datapath, DatapathKind, InputId, Memory, Module, RegId, Register};
 pub use slice::{slice, SliceOptions, SliceReport};
-pub use vm::CompiledSim;
+pub use vm::{CompiledSim, ProbedSim};
 pub use wcet::{wcet, WcetBound};
 
 /// The RTL engine under its earlier name.

@@ -215,10 +215,17 @@ impl Module {
     ///
     /// # Errors
     ///
-    /// Returns [`RtlError`] if a register has zero/oversized width, a rule
-    /// references an out-of-range register or input, names collide, or the
-    /// `advance`/`done` expressions reference unknown ids.
+    /// Returns [`RtlError`] if a register or an input field has
+    /// zero/oversized width, a rule references an out-of-range register or
+    /// input, names collide, or the `advance`/`done` expressions reference
+    /// unknown ids.
     pub fn validate(&self) -> Result<(), RtlError> {
+        if let Some(f) = self.inputs.iter().find(|f| f.width == 0 || f.width > 64) {
+            return Err(RtlError::BadWidth {
+                name: f.name.clone(),
+                width: f.width,
+            });
+        }
         let mut seen = HashMap::new();
         for (i, r) in self.regs.iter().enumerate() {
             if r.width == 0 || r.width > 64 {
@@ -343,6 +350,30 @@ mod tests {
         let mut m = tiny();
         m.regs[0].width = 0;
         assert!(matches!(m.validate(), Err(RtlError::BadWidth { .. })));
+    }
+
+    #[test]
+    fn validate_rejects_input_widths_outside_one_to_64() {
+        for width in [0, 65, 1000] {
+            let mut m = tiny();
+            m.inputs.push(InputField {
+                name: "n_blocks".into(),
+                width,
+            });
+            assert_eq!(
+                m.validate(),
+                Err(RtlError::BadWidth {
+                    name: "n_blocks".into(),
+                    width
+                })
+            );
+        }
+        let mut m = tiny();
+        m.inputs.push(InputField {
+            name: "n_blocks".into(),
+            width: 64,
+        });
+        assert_eq!(m.validate(), Ok(()));
     }
 
     #[test]

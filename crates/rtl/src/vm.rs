@@ -28,47 +28,59 @@
 //!    fold into `counter ± m` / `dp_active += m` / `cycles += m` with
 //!    Step-mode accounting (all stepped, none skipped) — byte-identical
 //!    to per-cycle stepping, at fast-forward speed.
-//! 4. Otherwise run the state's cycle program: guards/datapath
-//!    activity/`advance` evaluate into scratch, stores land in the shadow
-//!    region of the state buffer, then the commit loop moves shadow →
-//!    stable in ascending register order, firing probe hooks with the same
-//!    `(old, new)` pairs the interpreter produces.
+//! 4. Otherwise run the state's cycle program: every register read,
+//!    guards, datapath activity and `advance` evaluate into scratch first,
+//!    then the stores write the state buffer in place, in ascending
+//!    register order, each recording its store site's probes with the
+//!    same `(old, new)` pair the interpreter produces.
 //!
-//! Steps 3 and 4 run on every cycle that is not skipped, and a hardware
-//! slice is almost all such cycles, so everything they need is looked up
-//! through the current bucket and nothing on the path hashes (CI fails if
-//! this file or `instrument.rs` names a hashed collection):
+//! A stepped cycle does only the work its bucket needs:
 //!
-//! - the wait scan reads the bucketing FSM's plan from the bucket's plan
-//!   index and binary-searches only the other FSM registers' tables
-//!   (sorted by state, sized by the number of wait states);
-//! - the probe hooks index [`ProbeProgram`]'s register-indexed tables, and
-//!   a bucket's FSM transitions search only the STC columns leaving its
-//!   state, split out once per run before cycle 0;
-//! - no instruction loads a constant: the compiler interns every constant
-//!   into one pool at the top of scratch, copied in once per run, and
-//!   operands read it in place.
+//! - A *plain* bucket, whose `done` folds to 0 and whose cycles no wait
+//!   plan can decide (djpeg's counterless drain is one), skips steps 2
+//!   and 3.
+//! - The cycle right after a skip of a down-counting wait runs the
+//!   bucket's *exit program*, compiled with the counter folded to 0, and
+//!   no wait scan: the skip left the counter at 0 and everything else as
+//!   it was, so the scan would stop at the exhausted plan. This exit
+//!   cycle is most of the stepped cycles of a fast-forwarded job.
+//! - Probes are bound to store sites once per simulator
+//!   ([`CompiledSim::bind`]), so a store records its site's resolved
+//!   columns; only a store of a run-time FSM value searches.
+//! - The hot operators have opcodes of their own; the rest dispatch on
+//!   [`BinOp`]/[`UnOp`].
 //!
-//! The generic program, which has no state to key on, keeps the sorted
-//! searches, exactly as the interpreter's flat fallback keeps its maps.
+//! Nothing on the stepped path hashes (CI fails if this file or
+//! `instrument.rs` names a hashed collection): the wait scan reads the
+//! bucketing FSM's plan from the bucket's plan index and binary-searches
+//! only the other FSM registers' tables (sorted by state, sized by the
+//! number of wait states); no instruction loads a constant, since the
+//! compiler interns every constant into one pool at the top of scratch,
+//! copied in once per run, and operands read it in place. The generic
+//! program, which has no state to key on, keeps the sorted searches,
+//! exactly as the interpreter's flat fallback keeps its maps.
 //!
-//! All run-time mutable state (state buffer, scratch, fired list) is
+//! All run-time mutable state (state buffer, scratch) is
 //! allocated per [`run`](CompiledSim::run) call, so one `CompiledSim` can
 //! serve many threads — the same `&self` contract the interpreter offers.
 
+use std::sync::Arc;
+
 use crate::analysis::{Analysis, WaitDir};
-use crate::compile::{self, Compiled, CompiledWait, ExprProgram, StatePrograms};
+use crate::compile::{self, Compiled, CompiledWait, CycleProgram, ExprProgram, StatePrograms};
 use crate::error::RtlError;
 use crate::expr::{BinOp, UnOp};
-use crate::instrument::ProbeProgram;
+use crate::instrument::{ProbeProgram, SiteProbes};
 use crate::interp::{ExecMode, JobInput, JobTrace};
 use crate::module::Module;
 
 /// One bytecode instruction. Operands named `dst`/`a`/`b`/`c`/`t`/`f`/`src`
 /// are scratch-register indices; `slot` indexes the flattened state buffer
-/// (stable region `[0, n)`, shadow region `[n, 2n)`). There is no constant
+/// (one slot per register). There is no constant
 /// instruction: a constant operand names its slot in the constant pool at
-/// the top of scratch, which is loaded once per run.
+/// the top of scratch, which is loaded once per run. The operators state
+/// specialization leaves on the stepped path have opcodes of their own,
+/// with [`BinOp::apply`]/[`UnOp::apply`] semantics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Instr {
     /// `scratch[dst] = state[slot]` (stable-region read).
@@ -77,9 +89,27 @@ pub(crate) enum Instr {
     Input { dst: u32, field: u32 },
     /// `scratch[dst] = (tok >= job.len())`.
     StreamEmpty { dst: u32 },
-    /// `scratch[dst] = op(scratch[a], scratch[b])`.
+    /// `scratch[dst] = scratch[a] + scratch[b]` (wrapping).
+    Add { dst: u32, a: u32, b: u32 },
+    /// `scratch[dst] = scratch[a] - scratch[b]` (wrapping).
+    Sub { dst: u32, a: u32, b: u32 },
+    /// `scratch[dst] = scratch[a] * scratch[b]` (wrapping).
+    Mul { dst: u32, a: u32, b: u32 },
+    /// `scratch[dst] = scratch[a] & scratch[b]`.
+    And { dst: u32, a: u32, b: u32 },
+    /// `scratch[dst] = (scratch[a] == scratch[b])`.
+    Eq { dst: u32, a: u32, b: u32 },
+    /// `scratch[dst] = (scratch[a] != scratch[b])`.
+    Ne { dst: u32, a: u32, b: u32 },
+    /// `scratch[dst] = (scratch[a] < scratch[b])`.
+    Lt { dst: u32, a: u32, b: u32 },
+    /// `scratch[dst] = (scratch[a] == 0)`.
+    IsZero { dst: u32, a: u32 },
+    /// `scratch[dst] = (scratch[a] != 0)`.
+    IsNonZero { dst: u32, a: u32 },
+    /// `scratch[dst] = op(scratch[a], scratch[b])`, for the other operators.
     Bin { dst: u32, op: BinOp, a: u32, b: u32 },
-    /// `scratch[dst] = op(scratch[a])`.
+    /// `scratch[dst] = op(scratch[a])`, for the other operators.
     Un { dst: u32, op: UnOp, a: u32 },
     /// `scratch[dst] = scratch[c] != 0 ? scratch[t] : scratch[f]`.
     Sel { dst: u32, c: u32, t: u32, f: u32 },
@@ -87,12 +117,12 @@ pub(crate) enum Instr {
     Jz { src: u32, to: u32 },
     /// Unconditional jump.
     Jmp { to: u32 },
-    /// `state[slot] = scratch[src] & mask`; log `(reg, rule)` as fired.
-    /// `slot` is always in the shadow region.
+    /// `state[slot] = scratch[src] & mask`, recording the probes bound to
+    /// store site `site`. Every `Load` of the program precedes its first
+    /// `Store`.
     Store {
         slot: u32,
-        reg: u32,
-        rule: u32,
+        site: u32,
         src: u32,
         mask: u64,
     },
@@ -101,7 +131,9 @@ pub(crate) enum Instr {
 }
 
 /// Executes one straight-line program. Returns nothing; results live in
-/// `scratch`, `state` (shadow stores), `fired`, and `dp_active`.
+/// `scratch`, `state` (stores), `features` (the stores' bound probes) and
+/// `dp_active`.
+#[allow(clippy::too_many_arguments)]
 #[inline]
 fn exec(
     code: &[Instr],
@@ -109,7 +141,8 @@ fn exec(
     scratch: &mut [u64],
     job: &JobInput,
     tok: usize,
-    fired: &mut Vec<(u32, u32)>,
+    probes: Option<&SiteProbes>,
+    features: &mut [f64],
     dp_active: &mut [u64],
 ) {
     let mut pc = 0usize;
@@ -126,6 +159,33 @@ fn exec(
             }
             Instr::StreamEmpty { dst } => {
                 scratch[dst as usize] = u64::from(tok >= job.len());
+            }
+            Instr::Add { dst, a, b } => {
+                scratch[dst as usize] = scratch[a as usize].wrapping_add(scratch[b as usize]);
+            }
+            Instr::Sub { dst, a, b } => {
+                scratch[dst as usize] = scratch[a as usize].wrapping_sub(scratch[b as usize]);
+            }
+            Instr::Mul { dst, a, b } => {
+                scratch[dst as usize] = scratch[a as usize].wrapping_mul(scratch[b as usize]);
+            }
+            Instr::And { dst, a, b } => {
+                scratch[dst as usize] = scratch[a as usize] & scratch[b as usize];
+            }
+            Instr::Eq { dst, a, b } => {
+                scratch[dst as usize] = u64::from(scratch[a as usize] == scratch[b as usize]);
+            }
+            Instr::Ne { dst, a, b } => {
+                scratch[dst as usize] = u64::from(scratch[a as usize] != scratch[b as usize]);
+            }
+            Instr::Lt { dst, a, b } => {
+                scratch[dst as usize] = u64::from(scratch[a as usize] < scratch[b as usize]);
+            }
+            Instr::IsZero { dst, a } => {
+                scratch[dst as usize] = u64::from(scratch[a as usize] == 0);
+            }
+            Instr::IsNonZero { dst, a } => {
+                scratch[dst as usize] = u64::from(scratch[a as usize] != 0);
             }
             Instr::Bin { dst, op, a, b } => {
                 scratch[dst as usize] = op.apply(scratch[a as usize], scratch[b as usize]);
@@ -148,13 +208,15 @@ fn exec(
             Instr::Jmp { to } => pc = to as usize,
             Instr::Store {
                 slot,
-                reg,
-                rule,
+                site,
                 src,
                 mask,
             } => {
-                state[slot as usize] = scratch[src as usize] & mask;
-                fired.push((reg, rule));
+                let v = scratch[src as usize] & mask;
+                let old = std::mem::replace(&mut state[slot as usize], v);
+                if let Some(p) = probes {
+                    p.record(features, site as usize, old, v);
+                }
             }
             Instr::IncDp { dp } => {
                 let d = &mut dp_active[dp as usize];
@@ -176,12 +238,9 @@ fn exec_expr(
     if let Some(k) = p.konst {
         return k;
     }
-    // Expression programs contain no Store/IncDp, so the fired/dp sinks
-    // are never touched; empty ones keep the shared interpreter loop.
-    let mut fired = Vec::new();
-    let mut dp: [u64; 0] = [];
-    exec(&p.code, state, scratch, job, tok, &mut fired, &mut dp);
-    debug_assert!(fired.is_empty());
+    // Expression programs contain no Store/IncDp, so they get no probes
+    // and empty sinks.
+    exec(&p.code, state, scratch, job, tok, None, &mut [], &mut []);
     scratch[p.out as usize]
 }
 
@@ -191,14 +250,38 @@ fn exec_expr(
 /// crate-private `compile` module); [`CompiledSim::run`] may then be
 /// called once per job, from any number of threads. The compiled program
 /// holds everything a run needs, so the engine does not borrow the module
-/// and can be stored next to it.
-#[derive(Debug)]
+/// and can be stored next to it. Clones share the compiled program.
+#[derive(Debug, Clone)]
 pub struct CompiledSim {
     /// Module name, for probe-link errors.
     name: String,
     n_datapaths: usize,
-    c: Compiled,
+    c: Arc<Compiled>,
     cycle_limit: u64,
+}
+
+/// A [`CompiledSim`] with a [`ProbeProgram`] bound to its store sites;
+/// see [`CompiledSim::bind`].
+#[derive(Debug, Clone)]
+pub struct ProbedSim {
+    sim: CompiledSim,
+    probes: SiteProbes,
+}
+
+impl ProbedSim {
+    /// Runs one job with the bound probes; the same as
+    /// [`CompiledSim::run`] with the program that was bound, without
+    /// binding it again.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RtlError::CycleLimit`] if `done` never asserts within the
+    /// cycle budget.
+    pub fn run(&self, job: &JobInput, mode: ExecMode) -> Result<JobTrace, RtlError> {
+        self.sim
+            .run_sites(job, mode, Some(&self.probes))
+            .map(|(t, _)| t)
+    }
 }
 
 impl CompiledSim {
@@ -227,19 +310,40 @@ impl CompiledSim {
         Ok(CompiledSim {
             name: module.name.clone(),
             n_datapaths: module.datapaths.len(),
-            c,
+            c: Arc::new(c),
             cycle_limit: 1 << 34,
         })
     }
 
     /// Overrides the default cycle budget (2³⁴) after which a job is
-    /// declared hung.
+    /// declared hung. A [`ProbedSim`] keeps the budget it was bound with.
     pub fn set_cycle_limit(&mut self, limit: u64) {
         self.cycle_limit = limit;
     }
 
+    /// Binds `probes` to this simulator's store sites, once for every job
+    /// the returned [`ProbedSim`] runs: each store records its resolved
+    /// feature columns when it writes (see [`crate::instrument`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RtlError::UnknownRegister`] if `probes` references a
+    /// register the module does not have.
+    pub fn bind(&self, probes: &ProbeProgram) -> Result<ProbedSim, RtlError> {
+        Ok(ProbedSim {
+            sim: self.clone(),
+            probes: self.bind_sites(probes)?,
+        })
+    }
+
+    fn bind_sites(&self, probes: &ProbeProgram) -> Result<SiteProbes, RtlError> {
+        probes.bind(&self.name, &self.c.sites, &self.c.is_fsm_reg)
+    }
+
     /// Runs one job to completion; see [`crate::interp::Simulator::run`]
     /// for the contract — the compiled engine is observationally identical.
+    /// `probes` is bound for this run alone; a caller running many jobs
+    /// binds once with [`CompiledSim::bind`].
     ///
     /// # Errors
     ///
@@ -270,21 +374,23 @@ impl CompiledSim {
         mode: ExecMode,
         probes: Option<&ProbeProgram>,
     ) -> Result<(JobTrace, Vec<u64>), RtlError> {
+        let probes = probes.map(|p| self.bind_sites(p)).transpose()?;
+        self.run_sites(job, mode, probes.as_ref())
+    }
+
+    /// The execution loop, with probes bound to this simulator's sites.
+    fn run_sites(
+        &self,
+        job: &JobInput,
+        mode: ExecMode,
+        probes: Option<&SiteProbes>,
+    ) -> Result<(JobTrace, Vec<u64>), RtlError> {
         // One span per job, never per cycle: the inner loop stays free of
         // profiling branches beyond the wait-batch retirement below.
         let _span = predvfs_obs::span("rtl.vm.run");
-        let c = &self.c;
-        // Resolved before cycle 0: the bucketing FSM's STC columns by
-        // source state, so a bucket's commits search only its successors.
-        let mut bucket_stc = None;
-        if let Some(p) = probes {
-            p.validate_regs(&self.name, c.n_regs)?;
-            bucket_stc = c.fsm.map(|f| (f, p.stc_by_src(f, c.by_state.len())));
-        }
-        let n = c.n_regs;
+        let c = &*self.c;
         let mut state = c.init.clone();
         let mut scratch = c.scratch.clone();
-        let mut fired: Vec<(u32, u32)> = Vec::with_capacity(16);
         let mut trace = JobTrace {
             cycles: 0,
             dp_active: vec![0; self.n_datapaths],
@@ -295,19 +401,19 @@ impl CompiledSim {
                 .map(|p| vec![0.0; p.feature_count()])
                 .unwrap_or_default(),
         };
-        if let Some(p) = probes {
-            if let Some(b) = p.bias_index() {
-                trace.features[b] = 1.0;
-            }
+        if let Some(b) = probes.and_then(SiteProbes::bias_index) {
+            trace.features[b] = 1.0;
         }
         let mut tok = 0usize;
+        // Set by a skip whose bucket has an exit program: the program of
+        // the next cycle, which then needs no wait scan.
+        let mut exit: Option<&CycleProgram> = None;
         loop {
             // Bucket selection mirrors the interpreter: out-of-range FSM
             // values fall back to the generic (flat-schedule) program.
             let bucket = c.fsm.and_then(|f| c.by_state.get(state[f] as usize));
             let progs = bucket.unwrap_or(&c.generic);
-            if exec_expr(&progs.done, &mut state, &mut scratch, job, tok) != 0 {
-                state.truncate(n);
+            if !progs.plain && exec_expr(&progs.done, &mut state, &mut scratch, job, tok) != 0 {
                 return Ok((trace, state));
             }
             if trace.cycles >= self.cycle_limit {
@@ -315,60 +421,48 @@ impl CompiledSim {
                     limit: self.cycle_limit,
                 });
             }
-            if mode != ExecMode::Step {
-                if let Some(skip) =
-                    self.try_skip(bucket, &mut state, &mut scratch, job, tok, mode, &mut trace)
-                {
-                    // Saturate exactly as the interpreter does: adversarial
-                    // bounds can make one skip cover ~2^64 cycles.
-                    trace.cycles = trace.cycles.saturating_add(skip.0);
-                    trace.skipped_cycles = trace.skipped_cycles.saturating_add(skip.1);
-                    continue;
+            let cycle = match exit.take() {
+                Some(x) => x,
+                None if progs.plain => &progs.cycle,
+                None if mode != ExecMode::Step => {
+                    if let Some((charged, skipped, x)) =
+                        self.try_skip(bucket, &mut state, &mut scratch, job, tok, mode, &mut trace)
+                    {
+                        // Saturate exactly as the interpreter does:
+                        // adversarial bounds can make one skip cover ~2^64
+                        // cycles.
+                        trace.cycles = trace.cycles.saturating_add(charged);
+                        trace.skipped_cycles = trace.skipped_cycles.saturating_add(skipped);
+                        exit = x;
+                        continue;
+                    }
+                    &progs.cycle
                 }
-            } else if let Some(m) =
-                self.try_batch_step(bucket, &mut state, &mut scratch, job, tok, &mut trace)
-            {
-                // Wait cycles retired in a batch still count as *stepped*:
-                // Step mode's accounting is per-cycle, only its execution
-                // is batched.
-                trace.cycles = trace.cycles.saturating_add(m);
-                trace.stepped_cycles = trace.stepped_cycles.saturating_add(m);
-                continue;
-            }
-            fired.clear();
+                None => {
+                    if let Some(m) =
+                        self.try_batch_step(bucket, &mut state, &mut scratch, job, tok, &mut trace)
+                    {
+                        // Wait cycles retired in a batch still count as
+                        // *stepped*: Step mode's accounting is per-cycle,
+                        // only its execution is batched.
+                        trace.cycles = trace.cycles.saturating_add(m);
+                        trace.stepped_cycles = trace.stepped_cycles.saturating_add(m);
+                        continue;
+                    }
+                    &progs.cycle
+                }
+            };
             exec(
-                &progs.cycle.code,
+                &cycle.code,
                 &mut state,
                 &mut scratch,
                 job,
                 tok,
-                &mut fired,
+                probes,
+                &mut trace.features,
                 &mut trace.dp_active,
             );
-            let advance = scratch[progs.cycle.advance as usize] != 0;
-            // Commit shadow → stable in ascending register order — the
-            // same order the interpreter applies its `changes` list — so
-            // probe streams accumulate in an identical sequence.
-            for &(reg, rule) in &fired {
-                let (reg, rule) = (reg as usize, rule as usize);
-                let old = state[reg];
-                let v = state[n + reg];
-                state[reg] = v;
-                if let Some(p) = probes {
-                    p.record_counter_init(&mut trace.features, reg, rule, old, v);
-                    if old != v && c.is_fsm_reg[reg] {
-                        match &bucket_stc {
-                            // In a bucket, the bucketing FSM's `old` is the
-                            // bucket's state.
-                            Some((f, stc)) if *f == reg && bucket.is_some() => {
-                                stc.record(&mut trace.features, old as usize, v);
-                            }
-                            _ => p.record_transition(&mut trace.features, reg, old, v),
-                        }
-                    }
-                }
-            }
-            if advance && tok < job.len() {
+            if scratch[cycle.advance as usize] != 0 && tok < job.len() {
                 tok += 1;
                 trace.tokens_consumed += 1;
             }
@@ -380,36 +474,45 @@ impl CompiledSim {
     /// The plan that decides this cycle's wait scan: that of the lowest
     /// FSM register whose current state is a wait state (the
     /// interpreter's scan order). The bucketing FSM's plan comes straight
-    /// from the current bucket; other FSMs, and every FSM in the generic
-    /// program, binary-search their tables.
+    /// from the current bucket, with the bucket's exit program; other
+    /// FSMs, and every FSM in the generic program, binary-search their
+    /// tables.
     #[inline]
-    fn wait_plan(&self, bucket: Option<&StatePrograms>, state: &[u64]) -> Option<&CompiledWait> {
+    fn wait_plan<'a>(
+        &'a self,
+        bucket: Option<&'a StatePrograms>,
+        state: &[u64],
+    ) -> Option<(&'a CompiledWait, Option<&'a CycleProgram>)> {
         let c = &self.c;
         c.waits
             .iter()
             .enumerate()
             .find_map(|(t, table)| match bucket {
-                Some(b) if c.bucket_waits == Some(t) => b.wait.map(|i| &table.plans[i].1),
-                _ => table.get(state[table.fsm]),
+                Some(b) if c.bucket_waits == Some(t) => {
+                    b.wait.map(|i| (&table.plans[i].1, b.exit.as_ref()))
+                }
+                _ => table.get(state[table.fsm]).map(|w| (w, None)),
             })
     }
 
     /// If the current configuration is a skippable wait, applies the skip
-    /// and returns `(cycles_charged, cycles_skipped)` — the interpreter's
-    /// `try_skip`, with bound/activity expressions pre-compiled. A plan
-    /// with nothing left to skip, or without a bound, stops the scan.
+    /// and returns `(cycles_charged, cycles_skipped, exit program)` — the
+    /// interpreter's `try_skip`, with bound/activity expressions
+    /// pre-compiled, plus the program of the cycle after the skip when the
+    /// bucket has one. A plan with nothing left to skip, or without a
+    /// bound, stops the scan.
     #[allow(clippy::too_many_arguments)]
-    fn try_skip(
-        &self,
-        bucket: Option<&StatePrograms>,
+    fn try_skip<'a>(
+        &'a self,
+        bucket: Option<&'a StatePrograms>,
         state: &mut [u64],
         scratch: &mut [u64],
         job: &JobInput,
         tok: usize,
         mode: ExecMode,
         trace: &mut JobTrace,
-    ) -> Option<(u64, u64)> {
-        let plan = self.wait_plan(bucket, state)?;
+    ) -> Option<(u64, u64, Option<&'a CycleProgram>)> {
+        let (plan, exit) = self.wait_plan(bucket, state)?;
         let cur = state[plan.counter];
         let (remaining, terminal) = match plan.dir {
             WaitDir::Down => (cur, 0),
@@ -440,7 +543,7 @@ impl CompiledSim {
                 trace.dp_active[*di] = trace.dp_active[*di].saturating_add(charged);
             }
         }
-        Some((charged, remaining))
+        Some((charged, remaining, exit))
     }
 
     /// Step-mode analogue of [`CompiledSim::try_skip`]: retires a run of
@@ -471,7 +574,7 @@ impl CompiledSim {
         tok: usize,
         trace: &mut JobTrace,
     ) -> Option<u64> {
-        let plan = self.wait_plan(bucket, state)?;
+        let (plan, _) = self.wait_plan(bucket, state)?;
         if self.c.is_fsm_reg[plan.counter] {
             // A counter that doubles as an FSM register would emit a
             // transition probe per tick; step it cycle by cycle.
@@ -664,6 +767,28 @@ mod tests {
         a.waits = vec![bogus, real];
         let traces = assert_identical_under(&m, &a, &job(&[6, 2]), true);
         assert_eq!(traces[1].skipped_cycles, 6 + 2);
+    }
+
+    #[test]
+    fn a_rule_reads_a_register_as_it_was_before_this_cycles_store() {
+        // A shift register: `a` counts and `b` copies it, so `b` must read
+        // `a` before `a`'s own store of the same cycle, from either side
+        // of `a` in register order.
+        let mut b = ModuleBuilder::new("shift");
+        let lo = b.reg("lo", 8, 0);
+        let a = b.reg("a", 8, 0);
+        let hi = b.reg("hi", 8, 0);
+        b.set(a, E::one(), a.e() + E::one());
+        b.set(lo, E::one(), a.e());
+        b.set(hi, E::one(), a.e());
+        b.done_when(a.e().eq_(E::k(5)));
+        let m = b.build().unwrap();
+        assert_identical(&m, &JobInput::new(0), false);
+        let vm = CompiledSim::new(&m).unwrap();
+        let (_, state) = vm
+            .run_with_state(&JobInput::new(0), ExecMode::Step, None)
+            .unwrap();
+        assert_eq!(state, [4, 5, 4]);
     }
 
     #[test]

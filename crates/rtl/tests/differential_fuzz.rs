@@ -5,6 +5,7 @@
 //! same [`ModuleBuilder`] idioms the benchmark designs use — chains of
 //! 1..=3 wait states with input-derived, offset, constant, or scaled
 //! durations, optional compute/serial datapaths per stage, an optional
+//! counterless drain loop shaped like djpeg's `HUFFX`, an optional
 //! accumulator register that is neither an FSM nor a counter, and an
 //! optional second FSM with its own counter waits. Every design runs under
 //! both engines in all three execution modes, probed and unprobed, and the
@@ -74,7 +75,22 @@ fn aux_states(x: Aux) -> Vec<String> {
     names
 }
 
-fn build(stages: &[Stage], with_acc: bool, aux: Option<Aux>) -> Module {
+/// The optional `DRAIN` state after the last wait stage, shaped like
+/// djpeg's `HUFFX`: `x := x - (x >> shift) - 1` while `x != 0`, with `x`
+/// loaded from the input as the last wait exits. No wait plan covers it,
+/// so without the `aux` FSM its bucket is a plain one, and the wait exit
+/// before it runs an exit program.
+#[derive(Debug, Clone, Copy)]
+struct Drain {
+    /// 1..=3.
+    shift: u64,
+}
+
+fn drain_strategy() -> impl Strategy<Value = Option<Drain>> {
+    (0..4u64).prop_map(|shift| (shift > 0).then_some(Drain { shift }))
+}
+
+fn build(stages: &[Stage], with_acc: bool, aux: Option<Aux>, drain: Option<Drain>) -> Module {
     let mut b = ModuleBuilder::new("fuzz");
     let a = b.input("a", 8);
     let aux_fsm_of = |b: &mut ModuleBuilder, x: Aux| {
@@ -87,6 +103,9 @@ fn build(stages: &[Stage], with_acc: bool, aux: Option<Aux>) -> Module {
     for i in 0..stages.len() {
         names.push(format!("W{i}"));
     }
+    if drain.is_some() {
+        names.push("DRAIN".to_owned());
+    }
     if aux.is_some() {
         names.push("HAND".to_owned());
     }
@@ -94,7 +113,12 @@ fn build(stages: &[Stage], with_acc: bool, aux: Option<Aux>) -> Module {
     let state_refs: Vec<&str> = names.iter().map(String::as_str).collect();
     let fsm = b.fsm("ctrl", &state_refs);
     let aux_fsm = aux_below.or_else(|| aux.map(|x| aux_fsm_of(&mut b, x)));
-    let after_stages = if aux.is_some() { "HAND" } else { "EMIT" };
+    let after_drain = if aux.is_some() { "HAND" } else { "EMIT" };
+    let after_stages = if drain.is_some() {
+        "DRAIN"
+    } else {
+        after_drain
+    };
     let mut counters: Vec<predvfs_rtl::builder::Reg> = Vec::new();
     for (i, stage) in stages.iter().enumerate() {
         let this = format!("W{i}");
@@ -127,6 +151,19 @@ fn build(stages: &[Stage], with_acc: bool, aux: Option<Aux>) -> Module {
             _ => b.datapath_serial(&format!("d{i}"), fsm.in_state(&this), 50.0, 0.5, 5, 0),
         }
         counters.push(c);
+    }
+    if let Some(d) = drain {
+        let last = format!("W{}", stages.len() - 1);
+        let exhausted = counters[stages.len() - 1].e().eq_(E::zero());
+        let x = b.reg("drain.x", 16, 0);
+        b.set(x, fsm.in_state(&last) & exhausted, a.clone() * E::k(3));
+        b.set(
+            x,
+            fsm.in_state("DRAIN") & x.e().ne_(E::zero()),
+            x.e() - (x.e() >> E::k(d.shift)) - E::one(),
+        );
+        b.trans(&fsm, "DRAIN", after_drain, x.e().eq_(E::zero()));
+        b.datapath_serial("drain.dp", fsm.in_state("DRAIN"), 20.0, 0.2, 2, 0);
     }
     if let (Some(x), Some(aux_fsm)) = (aux, &aux_fsm) {
         let hand = fsm.in_state("HAND");
@@ -172,6 +209,9 @@ fn build(stages: &[Stage], with_acc: bool, aux: Option<Aux>) -> Module {
         // and specialization of a multi-term value expression.
         let acc = b.reg("acc", 32, 0);
         b.set(acc, fsm.in_state("EMIT"), acc.e() + a.clone() + E::one());
+        // In FETCH the first wait's counter loads on the same cycle, so
+        // this value must read the counter's old value, not its new one.
+        b.set(acc, fsm.in_state("FETCH"), acc.e() + counters[0].e());
     }
     b.advance_when(fsm.in_state("EMIT"));
     b.done_when(fsm.in_state("FETCH") & E::stream_empty());
@@ -269,9 +309,10 @@ proptest! {
         ),
         with_acc in any::<bool>(),
         aux in aux_strategy(),
+        drain in drain_strategy(),
         vals in prop::collection::vec(0..40u64, 0..6),
     ) {
-        let m = build(&stages, with_acc, aux);
+        let m = build(&stages, with_acc, aux, drain);
         let analysis = analyze(&m, aux);
         let schema = FeatureSchema::from_analysis(&m, &analysis);
         let probes = schema.probe_program(&analysis);
@@ -288,8 +329,8 @@ proptest! {
         let j = job(&vals);
         for p in [Some(&probes), None] {
             let ctx = format!(
-                "stages={:?}, acc={}, aux={:?}, vals={:?}, probed={}",
-                &stages, with_acc, aux, &vals, p.is_some()
+                "stages={:?}, acc={}, aux={:?}, drain={:?}, vals={:?}, probed={}",
+                &stages, with_acc, aux, drain, &vals, p.is_some()
             );
             let final_states = run_both(&interp, &vm, &j, p)
                 .map_err(|e| TestCaseError::fail(format!("{e} ({ctx})")))?;
@@ -304,11 +345,12 @@ proptest! {
         dur in 0..4u8,
         dp in 0..3u8,
         aux in aux_strategy(),
+        drain in drain_strategy(),
         vals in prop::collection::vec(0..200u64, 0..5),
     ) {
         // Single-stage designs with wider duration range, no probes: the
         // probe-free fast path through both engines.
-        let m = build(&[Stage { dur, dp }], false, aux);
+        let m = build(&[Stage { dur, dp }], false, aux, drain);
         let analysis = analyze(&m, aux);
         let interp = Simulator::with_analysis(&m, &analysis);
         let vm = CompiledSim::with_analysis(&m, &analysis).unwrap();

@@ -38,6 +38,7 @@
 //! loop, which runs each class's slice over the test jobs its streams
 //! submit in one fan-out.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod engine;

@@ -89,6 +89,7 @@
 //! # Ok::<(), predvfs_serve::ServeError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::collections::{BTreeMap, HashMap};

@@ -27,7 +27,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use predvfs::train::{self, TrainingData};
 use predvfs_accel::{Benchmark, WorkloadSize, Workloads};
-use predvfs_rtl::{CompiledSim, ExecMode, JobTrace, Module};
+use predvfs_rtl::{Analysis, CompiledSim, ExecMode, JobTrace, Module};
 
 /// Everything about one `(benchmark, seed, size)` that requires trace
 /// simulation: the generated workloads, the profiled training data
@@ -61,8 +61,10 @@ impl TraceBundle {
         size: WorkloadSize,
     ) -> Result<TraceBundle, predvfs::CoreError> {
         let workloads = (bench.workloads)(seed, size);
-        let data = train::profile(module, &workloads.train)?;
-        let sim = CompiledSim::new(module)?;
+        // One analysis and one compile serve both job sets.
+        let analysis = Analysis::run(module);
+        let sim = CompiledSim::with_analysis(module, &analysis)?;
+        let data = train::profile_on(&sim, module, &analysis, &workloads.train)?;
         let test_traces = predvfs_par::par_try_map(&workloads.test, |job| {
             sim.run(job, ExecMode::FastForward, None)
         })?;

@@ -19,6 +19,7 @@
 //! # Ok::<(), predvfs::CoreError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cache;
