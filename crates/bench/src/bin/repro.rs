@@ -66,17 +66,23 @@ fn main() -> ExitCode {
     let total_s = start.elapsed().as_secs_f64();
     report.metric("total_s", total_s).notes(
         "Wall time of one repro run: all exhibits share one context, so each \
-         experiment configuration is prepared once. rust_lines_info counts \
-         the lines of the tracked *.rs files under crates/ and examples/.",
+         experiment configuration is prepared once, and each design, trace \
+         pass, fit, slice and slice table is built once. rust_lines_info \
+         counts the lines of the tracked *.rs files under crates/ and \
+         examples/.",
     );
     if let Some(lines) = rust_lines(Path::new(".")) {
         report.metric("rust_lines_info", lines as f64);
     }
+    let layers = ctx.cache().counts();
     match report.write_into(Path::new(".")) {
         Ok(path) => eprintln!(
-            "repro: {total_s:.1} s, {} trace passes, {} cache hits; wrote {}",
+            "repro: {total_s:.1} s, {} trace passes, {} cache hits, {} fits, {} slice builds; \
+             wrote {}",
             ctx.cache().misses(),
             ctx.cache().hits(),
+            layers.fits,
+            layers.slices,
             path.display()
         ),
         Err(err) => {

@@ -1,10 +1,8 @@
 //! Ablations of the framework's design choices (§2.4, §3.5, §5.1 and the
 //! paper's fixed parameters).
 
-use predvfs::train::{fit, profile, TrainerConfig};
-use predvfs::{
-    DvfsModel, IntervalGovernor, PredictiveController, SliceFlavor, SlicePredictor, WcetController,
-};
+use predvfs::train::{profile_on, TrainerConfig};
+use predvfs::{DvfsModel, IntervalGovernor, PredictiveController, SliceFlavor, WcetController};
 use predvfs_accel::{all, djpeg};
 use predvfs_power::{AlphaPowerCurve, EnergyModel, Ladder, PowerParams, SwitchingModel};
 use predvfs_rtl::{AsicAreaModel, CompiledSim, ExecMode, SliceOptions};
@@ -15,9 +13,14 @@ use super::{cells, run_controller, run_schemes, versus, with_average, Context, O
 /// The Lasso weight γ controls how many features survive selection (the
 /// 257→7 story of §3.7) and how much accuracy that costs.
 pub(super) fn ablation_gamma(ctx: &Context) -> Outcome {
-    let (module, bundle) = ctx.bundle("h264")?;
+    let (design, bundle) = ctx.bundle("h264")?;
     let train_data = &bundle.data;
-    let test_data = profile(&module, &bundle.workloads.test)?;
+    let test_data = profile_on(
+        &design.sim,
+        &design.module,
+        &design.analysis,
+        &bundle.workloads.test,
+    )?;
 
     let mut t = Table::new(
         "ablation — Lasso weight gamma (h264)",
@@ -31,7 +34,7 @@ pub(super) fn ablation_gamma(ctx: &Context) -> Outcome {
             gamma,
             ..TrainerConfig::default()
         };
-        let model = fit(train_data, &cfg)?;
+        let model = ctx.cache().fit(&bundle, &cfg)?;
         let mut errs: Vec<f64> = Vec::new();
         for i in 0..test_data.x.rows() {
             let p = model.predict_cycles(test_data.x.row(i));
@@ -68,12 +71,13 @@ pub(super) fn ablation_gamma(ctx: &Context) -> Outcome {
 /// calibrated on the first test trace at a 9% share, and no boost level
 /// is attached.
 pub(super) fn ablation_alpha(ctx: &Context) -> Outcome {
-    let (module, bundle) = ctx.bundle("djpeg")?;
+    let (design, bundle) = ctx.bundle("djpeg")?;
+    let module = &design.module;
     let (tests, traces) = (&bundle.workloads.test, &bundle.test_traces);
     let f_hz = djpeg::F_NOMINAL_MHZ * 1e6;
 
-    let area = AsicAreaModel::default().area(&module);
-    let mut energy = EnergyModel::new(&module, &area, &PowerParams::default(), f_hz, 1.0);
+    let area = AsicAreaModel::default().area(module);
+    let mut energy = EnergyModel::new(module, &area, &PowerParams::default(), f_hz, 1.0);
     energy.calibrate_leakage(
         energy.dynamic_pj_nominal(traces[0].cycles, &traces[0].dp_active) / traces[0].cycles as f64,
         0.09,
@@ -94,11 +98,12 @@ pub(super) fn ablation_alpha(ctx: &Context) -> Outcome {
             alpha,
             ..TrainerConfig::default()
         };
-        let model = fit(&bundle.data, &cfg)?;
-        let slices =
-            SlicePredictor::generate(&module, &model, SliceOptions::default(), SliceFlavor::Rtl)?
-                .run_all(tests)?;
-        let mut ctrl = PredictiveController::new(dvfs.clone(), f_hz, &slices, &model);
+        let (options, flavor) = (SliceOptions::default(), SliceFlavor::Rtl);
+        let model = ctx.cache().fit(&bundle, &cfg)?;
+        let slice = ctx.cache().slice(&design, &model, options, flavor)?;
+        let table = ctx.cache().slice_table(&bundle, &model, options, flavor);
+        let slices = table.get_or_run(&slice, tests)?;
+        let mut ctrl = PredictiveController::new(dvfs.clone(), f_hz, slices, &model);
         let res = run_scheme(&mut ctrl, tests, traces, &energy, None, &dvfs, &run_cfg)?;
         let errs = res.prediction_errors_pct();
         let under = errs.iter().filter(|&&e| e < 0.0).count();
@@ -209,8 +214,8 @@ pub(super) fn ablation_compression(ctx: &Context) -> Outcome {
     );
     let area = AsicAreaModel::default();
     for e in ctx.asic()? {
-        let without = SlicePredictor::generate(
-            &e.module,
+        let without = ctx.cache().slice(
+            &e.design,
             &e.model,
             SliceOptions {
                 rewrite_waits: false,
@@ -222,7 +227,7 @@ pub(super) fn ablation_compression(ctx: &Context) -> Outcome {
         // takes as long as the original accelerator.
         let uncompressed =
             CompiledSim::new(without.module())?.run(job, ExecMode::FastForward, None)?;
-        let full_area = area.area(&e.module).total_um2();
+        let full_area = area.area(&e.design.module).total_um2();
         t.row(&cells(
             e.bench.name,
             &[
@@ -286,7 +291,7 @@ pub(super) fn ablation_governors(ctx: &Context) -> Outcome {
         let f_hz = e.bench.f_nominal_mhz * 1e6;
         let mut gov = IntervalGovernor::new(e.dvfs.clone(), f_hz);
         let gov_res = run_controller(e, &mut gov, &e.dvfs, None)?;
-        let mut wcet = WcetController::from_module(e.dvfs.clone(), f_hz, &e.module)?;
+        let mut wcet = WcetController::from_module(e.dvfs.clone(), f_hz, &e.design.module)?;
         let wcet_res = run_controller(e, &mut wcet, &e.dvfs, None)?;
         let mut cells = [0.0; 10];
         for (i, r) in [&gov_res, &wcet_res, &table, &pid, &pred]

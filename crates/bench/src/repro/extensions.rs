@@ -3,7 +3,7 @@
 
 use predvfs::{CpuModel, DvfsController, HybridController, JobContext, SoftwarePredictor};
 use predvfs_opt::BoxStats;
-use predvfs_rtl::{CompiledSim, ExecMode, JobInput, JobTrace, Module, RtlError};
+use predvfs_rtl::{CompiledSim, ExecMode, JobInput, JobTrace, RtlError};
 use predvfs_sim::{outln, run_pipeline, PipelineStage, Scheme, SplitPolicy, Table};
 use rand::Rng;
 
@@ -76,15 +76,14 @@ pub(super) fn ext_pipeline(ctx: &Context) -> Outcome {
         .map(|&kb| predvfs_accel::sha::piece(kb * 256))
         .collect();
 
-    let trace = |m: &Module, jobs: &[JobInput]| -> Result<Vec<JobTrace>, RtlError> {
-        let sim = CompiledSim::new(m)?;
+    let trace = |sim: &CompiledSim, jobs: &[JobInput]| -> Result<Vec<JobTrace>, RtlError> {
         jobs.iter()
             .map(|j| sim.run(j, ExecMode::FastForward, None))
             .collect()
     };
     let traces = [
-        trace(&aes.module, &aes_jobs)?,
-        trace(&sha.module, &sha_jobs)?,
+        trace(&aes.design.sim, &aes_jobs)?,
+        trace(&sha.design.sim, &sha_jobs)?,
     ];
     // One slice pass per stage, shared by both split policies.
     let aes_slices = aes.predictor.run_all(&aes_jobs)?;

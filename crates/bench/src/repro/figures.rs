@@ -129,7 +129,7 @@ pub(super) fn table4_asic_impl(ctx: &Context) -> Outcome {
         ],
     );
     for e in ctx.asic()? {
-        let area = AsicAreaModel::default().area(&e.module).total_um2();
+        let area = AsicAreaModel::default().area(&e.design.module).total_um2();
         let (max, avg, min) = e.exec_time_stats_ms();
         let (_, p_area, p_mhz, p_max, p_avg, p_min) = paper::TABLE4
             .iter()
@@ -541,7 +541,7 @@ pub(super) fn case_study_h264(ctx: &Context) -> Outcome {
     outln!("worst-case prediction error: {worst:.2}% (paper: ~3%)");
 
     let area_model = AsicAreaModel::default();
-    let full = area_model.area(&exp.module);
+    let full = area_model.area(&exp.design.module);
     let slice = area_model.area(exp.predictor.module());
     outln!(
         "slice area: {:.0} um2 = {:.1}% of decoder (paper: 37,713 um2 = {:.1}%)",

@@ -9,8 +9,13 @@
 //!
 //! The context owns one [`TraceCache`] and prepares each experiment
 //! configuration at most once, on first use. Exhibits that read the same
-//! configuration therefore share its experiments, and with them one trace
-//! pass and one slice table per benchmark.
+//! configuration therefore share its experiments, and configurations that
+//! differ only in platform, switching model or slice flavor share the
+//! cache's layers: one design compile and one trace pass per benchmark,
+//! one fit per training problem and trainer, and one slice and slice
+//! table per selected feature set. The ablations' own fits and slices go
+//! through the same layers, so a grid point equal to the paper's
+//! configuration reuses its fit.
 
 mod ablations;
 mod extensions;
@@ -24,10 +29,9 @@ use std::sync::{Arc, OnceLock};
 use predvfs::{CoreError, DvfsController, DvfsModel, SliceFlavor};
 use predvfs_accel::{all, Benchmark, WorkloadSize};
 use predvfs_power::{EnergyModel, SwitchingModel};
-use predvfs_rtl::Module;
 use predvfs_sim::{
-    run_scheme, Experiment, ExperimentConfig, Platform, RunConfig, Scheme, SchemeResult, Table,
-    TraceBundle, TraceCache,
+    run_scheme, Design, Experiment, ExperimentConfig, Platform, RunConfig, Scheme, SchemeResult,
+    Table, TraceBundle, TraceCache,
 };
 
 /// What an exhibit returns: the first failed preparation, write or
@@ -207,22 +211,19 @@ impl Context {
         Ok(slot.get_or_init(|| set))
     }
 
-    /// `name`'s module and its trace bundle at the paper's seed: the
-    /// workloads, training profile and test traces that every
+    /// `name`'s design and its trace bundle at the paper's seed: the
+    /// module, workloads, training profile and test traces that every
     /// configuration of it shares.
     ///
     /// # Errors
     ///
     /// Rejects an unknown name and propagates simulation failures.
-    fn bundle(&self, name: &str) -> Result<(Module, Arc<TraceBundle>), Box<dyn Error>> {
+    fn bundle(&self, name: &str) -> Result<(Arc<Design>, Arc<TraceBundle>), Box<dyn Error>> {
         let bench =
             predvfs_accel::by_name(name).ok_or_else(|| format!("unknown benchmark '{name}'"))?;
-        let module = (bench.build)();
         let seed = self.config(Platform::Asic).seed;
-        let bundle = self
-            .cache
-            .get_or_simulate(&bench, &module, seed, self.size)?;
-        Ok((module, bundle))
+        let bundle = self.cache.get_or_simulate(&bench, seed, self.size)?;
+        Ok((self.cache.design(&bench)?, bundle))
     }
 
     /// The path of `file` in the output directory.

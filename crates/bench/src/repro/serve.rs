@@ -5,7 +5,7 @@
 use predvfs_faults::{FaultConfig, FaultPlan};
 use predvfs_obs::{MissCause, NullSink, Recorder, TraceAnalysis};
 use predvfs_serve::{ControllerKind, DriftSpec, Scenario, ServeResult, ServeRuntime, StreamSpec};
-use predvfs_sim::{outln, Platform, Table};
+use predvfs_sim::{outln, Platform, Table, TraceCache};
 
 use super::{Context, Outcome};
 
@@ -93,9 +93,10 @@ fn phase_miss_pct(result: &ServeResult, lo: usize, hi: usize) -> f64 {
 /// a warm-started refit; the always-PID baseline shows what pure reactive
 /// control costs before and after.
 ///
-/// The same prepared runtime is run serially and under a 4-thread pool
-/// and the results are asserted bit-identical, pinning the service
-/// engine's determinism contract on a drift scenario.
+/// The scenario is run serially, then prepared again on a fresh cache and
+/// run under a 4-thread pool, and the results are asserted bit-identical,
+/// pinning the service engine's determinism contract, trace pass and fit
+/// included, on a drift scenario.
 pub(super) fn fig_serve_drift(ctx: &Context) -> Outcome {
     // 2x the largest nominal job keeps the drifted (1.6x) workload
     // feasible, but a stale model's level choices overshoot the deadline.
@@ -127,11 +128,12 @@ pub(super) fn fig_serve_drift(ctx: &Context) -> Outcome {
     let never_refit = runtime.run_with(Some(ControllerKind::Predictive))?;
     let always_pid = runtime.run_with(Some(ControllerKind::Pid))?;
 
-    // Determinism: the identical scenario, prepared and run again under a
-    // 4-thread pool, must match float for float.
+    // Determinism: the identical scenario, prepared on a cache of its own
+    // (so the trace pass and the fit run again) and run under a 4-thread
+    // pool, must match float for float.
     let parallel =
         predvfs_par::with_threads(4, || -> Result<ServeResult, Box<dyn std::error::Error>> {
-            let rt = ServeRuntime::prepare(&scenario, ctx.cache())?;
+            let rt = ServeRuntime::prepare(&scenario, &TraceCache::new())?;
             Ok(rt.run()?)
         })?;
     assert_eq!(
@@ -213,10 +215,10 @@ pub(super) fn fig_serve_drift(ctx: &Context) -> Outcome {
 /// that the degradation machinery strictly lowers the miss rate under
 /// faults.
 ///
-/// The hardened run is also repeated under a 4-thread pool and asserted
-/// bit-identical — fault draws are pure functions of
-/// `(seed, site, stream, job, attempt)`, so chaos does not break the
-/// engine's determinism contract.
+/// The hardened run is also repeated, prepared on a fresh cache, under a
+/// 4-thread pool and asserted bit-identical — fault draws are pure
+/// functions of `(seed, site, stream, job, attempt)`, so chaos does not
+/// break the engine's determinism contract.
 pub(super) fn fig_serve_chaos(ctx: &Context) -> Outcome {
     let (scenario, plan) = chaos_scenario(ctx)?;
     eprintln!(
@@ -229,11 +231,12 @@ pub(super) fn fig_serve_chaos(ctx: &Context) -> Outcome {
     let recorder = Recorder::new(1 << 16);
     let hardened = runtime.run_chaos(None, &recorder, &plan, true)?;
 
-    // Determinism: the hardened run repeated under a 4-thread pool must
+    // Determinism: the hardened run repeated on a cache of its own (so
+    // the trace passes and the fits run again) under a 4-thread pool must
     // match float for float.
     let parallel =
         predvfs_par::with_threads(4, || -> Result<ServeResult, Box<dyn std::error::Error>> {
-            let rt = ServeRuntime::prepare(&scenario, ctx.cache())?;
+            let rt = ServeRuntime::prepare(&scenario, &TraceCache::new())?;
             Ok(rt.run_chaos(None, &NullSink, &plan, true)?)
         })?;
     assert_eq!(

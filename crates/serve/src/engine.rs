@@ -1,9 +1,10 @@
 //! The deterministic discrete-event service runtime.
 //!
 //! [`ServeRuntime::prepare`] trains and slices each stream's accelerator
-//! (fanned out with [`predvfs_par`], trace simulation deduplicated by the
-//! shared [`TraceCache`], and identical (benchmark, seed) classes
-//! trained exactly once and shared); [`ServeRuntime::run`] then
+//! (fanned out with [`predvfs_par`], every preparation layer deduplicated
+//! by the shared [`TraceCache`], identical (benchmark, seed) classes
+//! trained exactly once and shared, and each class simulating only the
+//! test jobs its streams submit); [`ServeRuntime::run`] then
 //! runs each class's slice over the test jobs its streams submit, in one
 //! parallel pass, and advances a virtual clock over arrival / slice-done
 //! / level-switch / job-done events in a single serial loop. Parallelism
@@ -101,7 +102,8 @@ use std::sync::OnceLock;
 
 use predvfs::{
     AdaptiveController, CalibrationConfig, CalibrationMonitor, Decision, DvfsController, DvfsModel,
-    HybridController, JobContext, LevelChoice, OnlineTrainerConfig, PidController, SliceTable,
+    ExecTimeModel, HybridController, JobContext, LevelChoice, OnlineTrainerConfig, PidController,
+    SliceTable,
 };
 use predvfs_faults::{FaultInjector, FaultKind, NullInjector};
 use predvfs_obs::{kinds, NullSink, ObsSink, TraceEvent};
@@ -1014,12 +1016,14 @@ impl EngineCheckpoint<'_> {
 }
 
 impl<'s> ServeRuntime<'s> {
-    /// Trains and slices every stream, in parallel, sharing `cache` for
-    /// trace simulation. Streams with identical (benchmark, seed) are one
-    /// training problem: the class is prepared once and shared, so
-    /// scenario size scales the cheap per-stream state, not the expensive
-    /// pipeline. A stream's deadline comes from its own spec, never from
-    /// the class. The runtime borrows the scenario's specs.
+    /// Trains and slices every stream, in parallel, sharing every
+    /// preparation layer of `cache`. Streams with identical (benchmark,
+    /// seed) are one training problem: the class is prepared once and
+    /// shared, so scenario size scales the cheap per-stream state, not the
+    /// expensive pipeline. A class simulates only the test jobs its
+    /// streams read: its longest stream's job count, capped at the test
+    /// set. A stream's deadline comes from its own spec, never from the
+    /// class. The runtime borrows the scenario's specs.
     ///
     /// # Errors
     ///
@@ -1079,25 +1083,28 @@ impl<'s> ServeRuntime<'s> {
         );
 
         // Deduplicate training problems, keyed by (benchmark, seed), across
-        // the scenario.
+        // the scenario, and bound each class's test traces by its longest
+        // stream: arrival `i` serves test job `i % n_test`, so a class
+        // reads test jobs `0..min(jobs, n_test)` and no others.
         let mut class_of = Vec::with_capacity(scenario.streams.len());
-        let mut uniq: Vec<&StreamSpec> = Vec::new();
+        let mut uniq: Vec<(&StreamSpec, usize)> = Vec::new();
         let mut index: HashMap<(&str, u64), usize> = HashMap::new();
         for spec in &scenario.streams {
             let idx = *index
                 .entry((spec.bench.name, spec.seed))
                 .or_insert_with(|| {
-                    uniq.push(spec);
+                    uniq.push((spec, 0));
                     uniq.len() - 1
                 });
+            uniq[idx].1 = uniq[idx].1.max(spec.jobs);
             class_of.push(idx);
         }
-        let exps: Vec<Experiment> = predvfs_par::par_try_map(&uniq, |spec| {
+        let classes = predvfs_par::par_try_map(&uniq, |&(spec, jobs)| {
             let mut config = ExperimentConfig::paper_default(scenario.platform);
             config.size = scenario.size;
             config.seed = spec.seed;
-            let exp =
-                Experiment::prepare_cached(spec.bench, config, cache).map_err(ServeError::Core)?;
+            let exp = Experiment::prepare_reading(spec.bench, config, cache, jobs)
+                .map_err(ServeError::Core)?;
             // Guard the modulo of `StreamView::job`: a benchmark that
             // generates no test jobs must surface as a spec error, not as
             // a divide-by-zero panic in the event loop.
@@ -1107,24 +1114,13 @@ impl<'s> ServeRuntime<'s> {
                     msg: "benchmark generated an empty test set".to_owned(),
                 });
             }
-            Ok(exp)
-        })?;
-
-        // Per class: the test jobs its streams can submit (`Class::reads`).
-        let mut reads = vec![0; exps.len()];
-        for (spec, &class) in scenario.streams.iter().zip(&class_of) {
-            reads[class] = reads[class].max(spec.jobs.min(exps[class].workloads.test.len()));
-        }
-        let classes = exps
-            .into_iter()
-            .zip(reads)
-            .map(|(exp, reads)| Class {
+            Ok(Class {
+                reads: jobs.min(exp.workloads.test.len()),
                 exp,
-                reads,
                 slices: OnceLock::new(),
                 cached: OnceLock::new(),
             })
-            .collect();
+        })?;
         Ok(ServeRuntime {
             specs: &scenario.streams,
             class_of,
@@ -1388,7 +1384,7 @@ fn new_state<'rt>(
             dvfs.clone(),
             f_hz,
             class.slice_table(),
-            exp.model.clone(),
+            ExecTimeModel::clone(&exp.model),
             OnlineTrainerConfig::default(),
         ))),
         ControllerKind::Pid => Ctrl::Pid(Box::new(PidController::tuned(dvfs.clone(), f_hz))),
@@ -2642,6 +2638,35 @@ mod tests {
         for class in [h264, md, sha] {
             assert_eq!(class.cached.get().map(Vec::len), Some(class.reads));
         }
+    }
+
+    /// A class simulates only the test jobs its streams submit: 5 of quick
+    /// h264's test set here. A later full preparation of the same problem
+    /// on that cache extends the bundle to every test trace, equal to a
+    /// fresh cache's, while the class keeps the 5 it prepared.
+    #[test]
+    fn a_class_simulates_only_the_test_jobs_its_streams_submit() {
+        let scenario = Scenario::parse("size quick\nstream h264 jobs=5\n").expect("scenario");
+        let cache = TraceCache::new();
+        let rt = ServeRuntime::prepare(&scenario, &cache).expect("prepare");
+        let [h264] = &rt.classes[..] else {
+            panic!("expected 1 class, got {}", rt.classes.len());
+        };
+        assert_eq!(h264.exp.test_traces.len(), 5);
+        let n_test = h264.exp.workloads.test.len();
+        assert!(n_test > 5, "quick h264 has {n_test} test jobs");
+
+        let (bench, config) = (h264.exp.bench, h264.exp.config().clone());
+        let full = Experiment::prepare_cached(bench, config.clone(), &cache).expect("extend");
+        let fresh = Experiment::prepare(bench, config).expect("fresh");
+        assert_eq!(full.test_traces.len(), n_test);
+        assert_eq!(full.test_traces, fresh.test_traces);
+        assert_eq!(
+            cache.misses(),
+            1,
+            "the extension reuses the training profile"
+        );
+        assert_eq!(h264.exp.test_traces.len(), 5);
     }
 
     /// A stream whose last arrival plus deadline reaches 2^17 s, where one

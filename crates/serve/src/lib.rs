@@ -33,10 +33,10 @@
 //! The engine is deliberately serial: determinism is the contract (the
 //! `serve_determinism` integration test pins it), and parallelism lives
 //! in the preparation phase, which fans out per-class training/slicing
-//! with [`predvfs_par`] and deduplicates trace simulation through the
-//! shared [`predvfs_sim::TraceCache`], and in the warm-up before the
-//! loop, which runs each class's slice over the test jobs its streams
-//! submit in one fan-out.
+//! with [`predvfs_par`], deduplicates every preparation layer through the
+//! shared [`predvfs_sim::TraceCache`] and simulates only the test jobs
+//! each class's streams submit, and in the warm-up before the loop, which
+//! runs each class's slice over those test jobs in one fan-out.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -92,7 +92,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::thread::ScopedJoinHandle;
 
 use predvfs_faults::FaultInjector;
@@ -805,16 +806,29 @@ pub fn run_sharded<'rt>(
     }
     result.jobs_done = result.shard_jobs_done.iter().sum();
     // Each shard finishes its engine and drops its snapshot on its own
-    // thread.
-    let mut keyed: Vec<(usize, StreamResult)> = Vec::with_capacity(n_streams);
-    for streams in fan_out(shards.into_iter().map(|shard| (true, shard)), |shard| {
+    // thread. A shard's results come in gid order (`finish` walks
+    // `by_gid`), and together they cover `0..n_streams` once, so a merge
+    // on the shards' next gids moves each result once, into place.
+    let mut lists: Vec<_> = fan_out(shards.into_iter().map(|shard| (true, shard)), |shard| {
         shard.engine.finish()
-    }) {
-        keyed.extend(streams);
+    })
+    .into_iter()
+    .map(|list| list.into_iter().peekable())
+    .collect();
+    let mut heads: BinaryHeap<Reverse<(usize, usize)>> = lists
+        .iter_mut()
+        .enumerate()
+        .filter_map(|(shard, list)| list.peek().map(|&(gid, _)| Reverse((gid, shard))))
+        .collect();
+    result.streams = Vec::with_capacity(n_streams);
+    while let Some(Reverse((_, shard))) = heads.pop() {
+        let (gid, stream) = lists[shard].next().expect("a head is a peeked result");
+        debug_assert_eq!(gid, result.streams.len(), "entry i must be stream i");
+        result.streams.push(stream);
+        if let Some(&(next, _)) = lists[shard].peek() {
+            heads.push(Reverse((next, shard)));
+        }
     }
-    keyed.sort_by_key(|&(gid, _)| gid);
-    debug_assert!(keyed.iter().enumerate().all(|(i, &(gid, _))| i == gid));
-    result.streams = keyed.into_iter().map(|(_, r)| r).collect();
     Ok(result)
 }
 

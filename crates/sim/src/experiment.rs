@@ -1,21 +1,32 @@
 //! End-to-end experiment orchestration for one benchmark: build → train →
 //! slice → profile → run every DVFS scheme.
+//!
+//! An [`Experiment`] is shared handles to the preparation layers of a
+//! [`TraceCache`] (design, traces, fit, slice and slice table; see the
+//! [`cache`](crate::cache) module) plus its platform view: the energy
+//! models, the DVFS ladder, the FPGA resources and the deadline. Two
+//! experiments that differ only in platform, switching model or deadline
+//! share every layer; an HLS-sliced one shares all but the slice and its
+//! table.
+//!
+//! `test_traces` holds the traces of the first test jobs:
+//! [`Experiment::prepare_cached`] prepares every one, and every scheme
+//! run reads them all; [`Experiment::prepare_reading`] prepares only as
+//! many as its caller reads, which is how serve prepares a class.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use predvfs::{
-    train, BaselineController, DvfsModel, ExecTimeModel, OracleController, PidController,
+    BaselineController, DvfsModel, ExecTimeModel, OracleController, PidController,
     PredictiveController, SliceFlavor, SlicePredictor, SliceTable, TableController, TrainerConfig,
 };
 use predvfs_accel::{Benchmark, WorkloadSize, Workloads};
 use predvfs_power::{
     AlphaPowerCurve, EnergyModel, Ladder, PowerParams, SwitchingModel, TableCurve,
 };
-use predvfs_rtl::{
-    AsicAreaModel, FpgaResourceModel, FpgaResources, JobTrace, Module, RtlError, SliceOptions,
-};
+use predvfs_rtl::{AsicAreaModel, FpgaResourceModel, FpgaResources, JobTrace, SliceOptions};
 
-use crate::cache::TraceCache;
+use crate::cache::{Design, TableCell, TraceCache};
 use crate::metrics::SchemeResult;
 use crate::runner::{run_scheme, RunConfig};
 
@@ -134,17 +145,23 @@ pub struct SliceOverheads {
 pub struct Experiment {
     /// The benchmark descriptor.
     pub bench: Benchmark,
-    /// The accelerator module.
-    pub module: Module,
-    /// Fitted execution-time model.
-    pub model: ExecTimeModel,
-    /// Generated hardware slice + probes.
-    pub predictor: SlicePredictor,
+    /// The accelerator's module, analysis and compiled VM, shared with
+    /// every experiment of the benchmark on the same cache.
+    pub design: Arc<Design>,
+    /// Fitted execution-time model, shared with every experiment of the
+    /// same training problem and trainer.
+    pub model: Arc<ExecTimeModel>,
+    /// Generated hardware slice + probes, shared with every experiment
+    /// whose model selects the same features under the same slice options
+    /// and flavor.
+    pub predictor: Arc<SlicePredictor>,
     /// Workloads (train is consumed for fitting; test drives every
     /// figure), shared with the trace bundle they came from.
     pub workloads: Arc<Workloads>,
-    /// Per-test-job execution traces at nominal frequency, shared with
-    /// the trace bundle they came from.
+    /// Execution traces at nominal frequency of test jobs
+    /// `0..test_traces.len()`, shared with the trace bundle they came
+    /// from: every test job after [`Experiment::prepare_cached`], the
+    /// first `test_jobs` after [`Experiment::prepare_reading`].
     pub test_traces: Arc<Vec<JobTrace>>,
     /// Per-train-job cycles (for the table controller).
     pub train_cycles: Vec<u64>,
@@ -162,8 +179,9 @@ pub struct Experiment {
     pub raw_feature_count: usize,
     config: ExperimentConfig,
     f_hz: f64,
-    /// The slice's runs over the test set, built by the first reader.
-    slice_table: OnceLock<Result<SliceTable, RtlError>>,
+    /// The slice's runs over the test set, built by the first reader of
+    /// any experiment that shares the slice and the workloads.
+    slice_table: Arc<TableCell>,
 }
 
 impl Experiment {
@@ -179,11 +197,13 @@ impl Experiment {
         Experiment::prepare_cached(bench, config, &TraceCache::new())
     }
 
-    /// Like [`Experiment::prepare`], but serves trace simulation from
-    /// `cache`, so configurations sharing `(benchmark, seed, size)` —
-    /// e.g. the ASIC and FPGA variants, or an ablation grid — pay for
-    /// one simulation pass instead of one each. They also share the
-    /// bundle's workloads and test traces instead of copying them.
+    /// Like [`Experiment::prepare`], but serves every preparation layer
+    /// from `cache`, so configurations sharing `(benchmark, seed, size)`
+    /// — e.g. the ASIC and FPGA variants, or an ablation grid — pay for
+    /// one trace pass instead of one each, and those that also share the
+    /// trainer, slice options and flavor for one fit, one slice and one
+    /// slice table. They share these by `Arc` instead of copying them.
+    /// The experiment holds every test trace.
     ///
     /// # Errors
     ///
@@ -193,21 +213,36 @@ impl Experiment {
         config: ExperimentConfig,
         cache: &TraceCache,
     ) -> Result<Experiment, predvfs::CoreError> {
-        let _span = predvfs_obs::span("sim.prepare");
-        let module = (bench.build)();
-        let f_hz = bench.f_nominal_mhz * 1e6;
+        Experiment::prepare_reading(bench, config, cache, usize::MAX)
+    }
 
-        // Trace simulation (train profile + nominal test runs) comes
-        // from the cache; everything below is cheap per-config work.
-        let bundle = cache.get_or_simulate(&bench, &module, config.seed, config.size)?;
+    /// Like [`Experiment::prepare_cached`], but simulates only the test
+    /// jobs `0..test_jobs` (capped at the test set) that the cache does
+    /// not hold yet; `test_traces` holds at least those. For a caller that
+    /// reads no other test trace, such as a serve class: the scheme runs
+    /// and [`Experiment::exec_time_stats_ms`] read every test trace and
+    /// need [`Experiment::prepare_cached`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates training, slicing, and simulation failures.
+    pub fn prepare_reading(
+        bench: Benchmark,
+        config: ExperimentConfig,
+        cache: &TraceCache,
+        test_jobs: usize,
+    ) -> Result<Experiment, predvfs::CoreError> {
+        let _span = predvfs_obs::span("sim.prepare");
+        let f_hz = bench.f_nominal_mhz * 1e6;
+        let design = cache.design(&bench)?;
+        let bundle = cache.traces(&bench, config.seed, config.size, test_jobs)?;
+        let model = cache.fit(&bundle, &config.trainer)?;
+        let predictor = cache.slice(&design, &model, config.slice_options, config.flavor)?;
+        let slice_table = cache.slice_table(&bundle, &model, config.slice_options, config.flavor);
+        let module = &design.module;
         let data = &bundle.data;
         let raw_feature_count = data.schema.len();
-        let model = train::fit(data, &config.trainer)?;
         let train_cycles: Vec<u64> = data.y.iter().map(|&c| c as u64).collect();
-        let predictor =
-            SlicePredictor::generate(&module, &model, config.slice_options, config.flavor)?;
-        let workloads = Arc::clone(&bundle.workloads);
-        let test_traces = Arc::clone(&bundle.test_traces);
 
         // Energy models, leakage calibrated on the training profile.
         // The profile traces are reused directly: probes are
@@ -215,8 +250,8 @@ impl Experiment {
         // fresh unprobed simulation of the same jobs would report.
         let area_model = AsicAreaModel::default();
         let params = PowerParams::default();
-        let area = area_model.area(&module);
-        let mut energy = EnergyModel::new(&module, &area, &params, f_hz, 1.0);
+        let area = area_model.area(module);
+        let mut energy = EnergyModel::new(module, &area, &params, f_hz, 1.0);
         let avg_dyn = {
             let mut pj = 0.0;
             let mut cycles = 0u64;
@@ -259,16 +294,16 @@ impl Experiment {
         };
 
         let fpga_model = FpgaResourceModel::default();
-        let fpga_full = fpga_model.resources(&module);
+        let fpga_full = fpga_model.resources(module);
         let fpga_slice = fpga_model.resources(predictor.module());
 
         Ok(Experiment {
             bench,
-            module,
+            workloads: Arc::clone(&bundle.workloads),
+            test_traces: Arc::clone(&bundle.test_traces),
+            design,
             model,
             predictor,
-            workloads,
-            test_traces,
             train_cycles,
             energy,
             slice_energy,
@@ -278,7 +313,7 @@ impl Experiment {
             raw_feature_count,
             config,
             f_hz,
-            slice_table: OnceLock::new(),
+            slice_table,
         })
     }
 
@@ -290,10 +325,11 @@ impl Experiment {
     /// The slice's runs over the test set: entry `i` is test job `i`'s
     /// features, slice cycles and datapath activity. A slice's output
     /// depends only on its job, so every slice-reading scheme and sweep
-    /// point of this experiment shares one pass. The first caller builds
-    /// it (concurrent first callers wait for that one build); preparation
-    /// never does. Serve builds its own tables, sized to the test jobs
-    /// its streams submit, and never calls this.
+    /// point of every experiment that shares this one's slice and
+    /// workloads shares one pass. The first caller builds it (concurrent
+    /// first callers wait for that one build); preparation never does.
+    /// Serve builds its own tables, sized to the test jobs its streams
+    /// submit, and never calls this.
     ///
     /// # Errors
     ///
@@ -301,12 +337,7 @@ impl Experiment {
     /// call.
     pub fn slice_table(&self) -> Result<&SliceTable, predvfs::CoreError> {
         self.slice_table
-            .get_or_init(|| {
-                let _span = predvfs_obs::span("sim.slice_table");
-                self.predictor.run_all(&self.workloads.test)
-            })
-            .as_ref()
-            .map_err(|e| e.clone().into())
+            .get_or_run(&self.predictor, &self.workloads.test)
     }
 
     /// Runs one scheme over the test set with the configured deadline.
@@ -453,7 +484,7 @@ impl Experiment {
     pub fn slice_overheads(&self) -> Result<SliceOverheads, predvfs::CoreError> {
         let pred = self.run(Scheme::Prediction)?;
         let area_model = AsicAreaModel::default();
-        let full = area_model.area(&self.module).total_um2();
+        let full = area_model.area(&self.design.module).total_um2();
         let slice =
             area_model.area(self.predictor.module()).total_um2() * self.predictor.area_factor();
         Ok(SliceOverheads {
@@ -468,6 +499,7 @@ impl Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::LayerCounts;
     use predvfs_accel::by_name;
 
     fn quick(name: &str) -> Experiment {
@@ -508,16 +540,13 @@ mod tests {
     #[test]
     fn slice_table_is_built_by_its_first_reader_only() {
         let e = quick("sha");
-        assert!(e.slice_table.get().is_none(), "prepare ran the slice");
+        assert!(!e.slice_table.is_built(), "prepare ran the slice");
         e.run_all(&[Scheme::Baseline, Scheme::Pid, Scheme::Oracle])
             .unwrap();
-        assert!(
-            e.slice_table.get().is_none(),
-            "a reactive scheme ran the slice"
-        );
+        assert!(!e.slice_table.is_built(), "a reactive scheme ran the slice");
         let pred = e.run(Scheme::Prediction).unwrap();
-        let built = e.slice_table.get().expect("prediction built the table");
-        let runs = built.as_ref().unwrap().runs();
+        assert!(e.slice_table.is_built(), "prediction built the table");
+        let runs = e.slice_table().unwrap().runs();
         assert_eq!(runs.len(), e.workloads.test.len());
         for (record, run) in pred.records.iter().zip(runs) {
             assert_eq!(record.slice_s, run.cycles / e.f_hz);
@@ -547,13 +576,75 @@ mod tests {
             Experiment::prepare_cached(bench, ExperimentConfig::quick(Platform::Fpga), &cache)
                 .unwrap();
         let bundle = cache
-            .get_or_simulate(&bench, &asic.module, 42, WorkloadSize::Quick)
+            .get_or_simulate(&bench, 42, WorkloadSize::Quick)
             .unwrap();
         assert_eq!((cache.hits(), cache.misses()), (2, 1));
         for e in [&asic, &fpga] {
             assert!(Arc::ptr_eq(&e.workloads, &bundle.workloads));
             assert!(Arc::ptr_eq(&e.test_traces, &bundle.test_traces));
         }
+    }
+
+    /// Four configurations of one training problem on one cache: the
+    /// paper's ASIC setup, the FPGA platform, HLS slicing and a faster
+    /// regulator. Only the flavor reaches a layer, so they make one trace
+    /// pass, one compile of the design, one fit, an RTL and an HLS slice,
+    /// and one table per slice; and each runs every scheme exactly as it
+    /// does prepared on a cache of its own.
+    #[test]
+    fn configurations_of_one_problem_share_every_layer_but_the_flavor() {
+        let bench = by_name("sha").unwrap();
+        let asic = ExperimentConfig::quick(Platform::Asic);
+        let configs = [
+            asic.clone(),
+            ExperimentConfig::quick(Platform::Fpga),
+            ExperimentConfig {
+                flavor: SliceFlavor::hls_default(),
+                ..asic.clone()
+            },
+            ExperimentConfig {
+                switching: SwitchingModel {
+                    transition_s: 1e-6,
+                    transition_pj: 0.0,
+                },
+                ..asic
+            },
+        ];
+        let cache = TraceCache::new();
+        let shared: Vec<Experiment> = configs
+            .iter()
+            .map(|c| Experiment::prepare_cached(bench, c.clone(), &cache).unwrap())
+            .collect();
+        for (i, (e, config)) in shared.iter().zip(&configs).enumerate() {
+            let alone = Experiment::prepare(bench, config.clone()).unwrap();
+            assert_eq!(
+                e.run_all(&Scheme::ALL).unwrap(),
+                alone.run_all(&Scheme::ALL).unwrap(),
+                "configuration {i}"
+            );
+        }
+        assert_eq!(cache.misses(), 1, "one trace pass");
+        assert_eq!(
+            cache.counts(),
+            LayerCounts {
+                designs: 1,
+                bundles: 1,
+                fits: 1,
+                slices: 2,
+                slice_tables: 2,
+            }
+        );
+        let [asic, fpga, hls, fast] = &shared[..] else {
+            unreachable!("four configurations")
+        };
+        for e in [fpga, hls, fast] {
+            assert!(Arc::ptr_eq(&e.design, &asic.design));
+            assert!(Arc::ptr_eq(&e.model, &asic.model));
+        }
+        assert!(Arc::ptr_eq(&fpga.predictor, &asic.predictor));
+        assert!(Arc::ptr_eq(&fast.predictor, &asic.predictor));
+        assert!(!Arc::ptr_eq(&hls.predictor, &asic.predictor));
+        assert!(Arc::ptr_eq(&fpga.slice_table, &asic.slice_table));
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! The evaluation harness for the MICRO'15 predictive-DVFS reproduction:
 //! the per-job control loop ([`runner`]), result accounting ([`metrics`]),
-//! end-to-end benchmark experiments ([`experiment`]), parameter sweeps
-//! ([`sweep`]), and table/CSV reporting ([`report`]).
+//! end-to-end benchmark experiments ([`experiment`]) prepared in memoized
+//! layers ([`cache`]), parameter sweeps ([`sweep`]), and table/CSV
+//! reporting ([`report`]).
 //!
 //! # Examples
 //!
@@ -30,7 +31,7 @@ pub mod report;
 pub mod runner;
 pub mod sweep;
 
-pub use cache::{TraceBundle, TraceCache};
+pub use cache::{Design, LayerCounts, TableCell, TraceBundle, TraceCache};
 pub use experiment::{Experiment, ExperimentConfig, Platform, Scheme, SliceOverheads};
 pub use metrics::{JobRecord, SchemeResult};
 pub use pipeline::{run_pipeline, PipelineResult, PipelineStage, SplitPolicy};
